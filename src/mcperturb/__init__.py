@@ -29,7 +29,6 @@ from .ctmc import (
     ctmc_unit_drift_bound,
     ctmc_v_bound_drift_only,
     ctmc_v_bound_with_stationary,
-    ctmc_v_bounds,
     fit_ctmc_geometric_drift,
     mm1_coefficients,
     pair_step,

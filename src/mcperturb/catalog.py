@@ -4,6 +4,10 @@ Hypothesis failures are rendered inline as reports with a failed
 hypothesis, never raised, so a caller always gets the full table. When a
 perturbed chain is supplied, every report carries the exactly computed gap
 in its norm and a validity verdict.
+
+Transition matrices and generators differ only in their norm-wise bounds;
+the weighted-norm drift certificate, the weighted-norm bound pair and the
+gap attachment are shared, with a ``ctmc_`` prefix on generator names.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import numpy as np
 
 from .chains import IntensityMatrix, StochasticMatrix, WeightFunction
 from .ctmc import (
-    CtmcGeometricDriftCertificate,
     ctmc_deviation_bound,
     ctmc_hitting_times,
     ctmc_lambda1_bound,
@@ -61,11 +64,30 @@ def _guard(reports, name, fn):
     return None
 
 
-def _dtmc_catalog(P, perturbed, m_max, weights, taboo_state, skeleton_m):
-    pi = stationary_distribution(P)
-    delta_norm = None
-    if perturbed is not None:
-        delta_norm = matrix_norm(perturbed.entries - P.entries)
+def _v_norm_pair(chain, cert, pi, delta_v_norm) -> list[BoundReport]:
+    """The two weighted-norm drift bounds, failures rendered inline.
+
+    ``pi`` is the stationary distribution the drift certificate is paired
+    with; the fuzz oracle evaluates the pair through this same function.
+    """
+    if isinstance(chain, StochasticMatrix):
+        pair = (("v_norm_with_stationary",
+                 lambda: v_bound_with_stationary(chain, cert, pi, delta_v_norm)),
+                ("v_norm_drift_only", lambda: v_bound_drift_only(cert, delta_v_norm)))
+    else:
+        pair = (("ctmc_v_norm_with_stationary",
+                 lambda: ctmc_v_bound_with_stationary(chain, cert, pi, delta_v_norm)),
+                ("ctmc_v_norm_drift_only",
+                 lambda: ctmc_v_bound_drift_only(cert, delta_v_norm)))
+    reports: list[BoundReport] = []
+    for name, fn in pair:
+        rep = _guard(reports, name, fn)
+        if rep is not None:
+            rep.info["norm"] = "v"
+    return reports
+
+
+def _dtmc_reports(P, pi, perturbed, delta_norm, m_max, skeleton_m):
     reports: list[BoundReport] = []
     _guard(reports, "seneta", lambda: seneta_bound(P, delta_norm))
     _guard(reports, "seneta_best", lambda: seneta_best_bound(P, pi, delta_norm))
@@ -76,113 +98,17 @@ def _dtmc_catalog(P, perturbed, m_max, weights, taboo_state, skeleton_m):
     if perturbed is not None:
         _guard(reports, f"skeleton[m={skeleton_m}]",
                lambda: skeleton_bound(P, perturbed, skeleton_m))
-    for rep in reports:
-        rep.info.setdefault("norm", "tv")
-
-    if weights is not None:
-        W = weights.values if isinstance(weights, WeightFunction) else np.asarray(weights)
-        if float(np.min(W)) <= 0:
-            cert_unit = UnitDriftCertificate(taboo_state, np.asarray(W, dtype=float))
-            rep = _guard(reports, "unit_drift",
-                         lambda: unit_drift_bound(P, cert_unit, delta_norm))
-            if rep is not None:
-                rep.info["norm"] = "tv"
-        else:
-            wf = weights if isinstance(weights, WeightFunction) else WeightFunction(W)
-            try:
-                cert = fit_geometric_drift(P, wf, taboo_state, pi=pi)
-            except DriftViolated as exc:
-                reports.append(failed_report("v_norm_drift_fit", "geometric drift", str(exc)))
-                cert = None
-            if cert is not None:
-                if perturbed is not None:
-                    dv = v_norm_matrix(perturbed.entries - P.entries, wf)
-                    r1 = _guard(reports, "v_norm_with_stationary",
-                                lambda: v_bound_with_stationary(P, cert, pi, dv))
-                    r2 = _guard(reports, "v_norm_drift_only",
-                                lambda: v_bound_drift_only(cert, dv))
-                    for rep in (r1, r2):
-                        if rep is not None:
-                            rep.info["norm"] = "v"
-                else:
-                    reports.append(BoundReport(
-                        bound_name="v_norm_certificate",
-                        hypotheses=[Hypothesis("geometric drift certificate", True,
-                                               f"lambda = {cert.lam:.6g}, b = {cert.b:.6g}")],
-                        info={"norm": "v", "lambda": cert.lam, "b": cert.b,
-                              "pi_v": cert.pi_value},
-                    ))
-    if perturbed is not None:
-        nu = stationary_distribution(perturbed)
-        gap_tv = total_variation_norm(nu.values - pi.values)
-        gap_v = None
-        if weights is not None and isinstance(weights, WeightFunction):
-            gap_v = v_norm_measure(nu.values - pi.values, weights)
-        reports = [
-            rep.with_exact_gap(gap_v if rep.info.get("norm") == "v" else gap_tv)
-            if rep.bound_value is not None and
-               (rep.info.get("norm") != "v" or gap_v is not None)
-            else rep
-            for rep in reports
-        ]
     return reports
 
 
-def _ctmc_catalog(Q, perturbed, weights, taboo_state):
-    pi = ctmc_stationary(Q)
-    delta_norm = None
-    if perturbed is not None:
-        delta_norm = matrix_norm(perturbed.entries - Q.entries)
+def _ctmc_reports(Q, delta_norm, taboo_state):
     reports: list[BoundReport] = []
     _guard(reports, "ctmc_deviation", lambda: ctmc_deviation_bound(Q, delta_norm))
     _guard(reports, "ctmc_lambda1", lambda: ctmc_lambda1_bound(Q, delta_norm))
     _guard(reports, "ctmc_small_set", lambda: ctmc_small_set_bound(Q, delta_norm))
-
-    def _unit():
-        v0 = ctmc_hitting_times(Q, taboo_state)
-        return ctmc_unit_drift_bound(Q, v0, taboo_state, delta_norm)
-
-    _guard(reports, "ctmc_unit_drift", _unit)
-    for rep in reports:
-        rep.info.setdefault("norm", "tv")
-
-    cert: CtmcGeometricDriftCertificate | None = None
-    if weights is not None:
-        wf = weights if isinstance(weights, WeightFunction) else WeightFunction(weights)
-        try:
-            cert = fit_ctmc_geometric_drift(Q, wf, taboo_state)
-        except (NoPositiveLambda, DriftViolated) as exc:
-            reports.append(failed_report("ctmc_v_norm_drift_fit", "generator drift", str(exc)))
-    gap_v = None
-    if perturbed is not None:
-        nu = ctmc_stationary(perturbed)
-        gap_tv = total_variation_norm(nu.values - pi.values)
-        if cert is not None:
-            pi_g = ctmc_stationary(Q, method="gth")
-            nu_g = ctmc_stationary(perturbed, method="gth")
-            dv = v_norm_matrix(perturbed.entries - Q.entries, cert.weights)
-            gap_v = v_norm_measure(nu_g.values - pi_g.values, cert.weights)
-            r1 = _guard(reports, "ctmc_v_norm_with_stationary",
-                        lambda: ctmc_v_bound_with_stationary(Q, cert, pi_g, dv))
-            r2 = _guard(reports, "ctmc_v_norm_drift_only",
-                        lambda: ctmc_v_bound_drift_only(cert, dv))
-            for rep in (r1, r2):
-                if rep is not None:
-                    rep.info["norm"] = "v"
-        reports = [
-            rep.with_exact_gap(gap_v if rep.info.get("norm") == "v" else gap_tv)
-            if rep.bound_value is not None and
-               (rep.info.get("norm") != "v" or gap_v is not None)
-            else rep
-            for rep in reports
-        ]
-    elif cert is not None:
-        reports.append(BoundReport(
-            bound_name="ctmc_v_norm_certificate",
-            hypotheses=[Hypothesis("generator drift certificate", True,
-                                   f"lambda = {cert.lam:.6g}, b = {cert.b:.6g}")],
-            info={"norm": "v", "lambda": cert.lam, "b": cert.b},
-        ))
+    _guard(reports, "ctmc_unit_drift",
+           lambda: ctmc_unit_drift_bound(Q, ctmc_hitting_times(Q, taboo_state),
+                                         taboo_state, delta_norm))
     return reports
 
 
@@ -201,8 +127,69 @@ def bound_catalog(
     bounds); a vector with zeros is treated as a unit-drift function with
     ``taboo_state`` as its zero.
     """
-    if isinstance(chain, StochasticMatrix):
-        return _dtmc_catalog(chain, perturbed, m_max, weights, taboo_state, skeleton_m)
-    if isinstance(chain, IntensityMatrix):
-        return _ctmc_catalog(chain, perturbed, weights, taboo_state)
-    raise McPerturbError(f"unsupported chain type {type(chain).__name__}")
+    dtmc = isinstance(chain, StochasticMatrix)
+    if not dtmc and not isinstance(chain, IntensityMatrix):
+        raise McPerturbError(f"unsupported chain type {type(chain).__name__}")
+    delta_norm = None
+    if perturbed is not None:
+        delta_norm = matrix_norm(perturbed.entries - chain.entries)
+    if dtmc:
+        pi = stationary_distribution(chain)
+        reports = _dtmc_reports(chain, pi, perturbed, delta_norm, m_max, skeleton_m)
+    else:
+        pi = None
+        reports = _ctmc_reports(chain, delta_norm, taboo_state)
+    for rep in reports:
+        rep.info.setdefault("norm", "tv")
+
+    prefix, drift = ("", "geometric") if dtmc else ("ctmc_", "generator")
+    cert = None
+    if weights is not None:
+        W = weights.values if isinstance(weights, WeightFunction) else np.asarray(weights)
+        if dtmc and float(np.min(W)) <= 0:
+            cert_unit = UnitDriftCertificate(taboo_state, np.asarray(W, dtype=float))
+            rep = _guard(reports, "unit_drift",
+                         lambda: unit_drift_bound(chain, cert_unit, delta_norm))
+            if rep is not None:
+                rep.info["norm"] = "tv"
+        else:
+            wf = weights if isinstance(weights, WeightFunction) else WeightFunction(W)
+            try:
+                cert = (fit_geometric_drift(chain, wf, taboo_state, pi=pi) if dtmc
+                        else fit_ctmc_geometric_drift(chain, wf, taboo_state))
+            except (DriftViolated, NoPositiveLambda) as exc:
+                reports.append(failed_report(f"{prefix}v_norm_drift_fit", f"{drift} drift",
+                                             str(exc)))
+
+    if perturbed is None:
+        if cert is not None:
+            info = {"norm": "v", "lambda": cert.lam, "b": cert.b}
+            if dtmc:
+                info["pi_v"] = cert.pi_value
+            reports.append(BoundReport(
+                bound_name=f"{prefix}v_norm_certificate",
+                hypotheses=[Hypothesis(f"{drift} drift certificate", True,
+                                       f"lambda = {cert.lam:.6g}, b = {cert.b:.6g}")],
+                info=info,
+            ))
+        return reports
+
+    solve = stationary_distribution if dtmc else ctmc_stationary
+    if pi is None:
+        pi = solve(chain)
+    nu = solve(perturbed)
+    gap = {"tv": total_variation_norm(nu.values - pi.values), "v": None}
+    if cert is not None:
+        # growing weights amplify the plain solve's absolute tail errors, so
+        # generators pair their certificate with the state-reduction solve
+        pi_v, nu_v = (pi, nu) if dtmc else (ctmc_stationary(chain, method="gth"),
+                                            ctmc_stationary(perturbed, method="gth"))
+        dv = v_norm_matrix(perturbed.entries - chain.entries, cert.weights)
+        reports += _v_norm_pair(chain, cert, pi_v, dv)
+        # weights passed to a transition matrix as a plain array get the
+        # weighted bounds but no weighted gap
+        if not dtmc or isinstance(weights, WeightFunction):
+            gap["v"] = v_norm_measure(nu_v.values - pi_v.values, cert.weights)
+    return [rep if rep.bound_value is None or gap[rep.info["norm"]] is None
+            else rep.with_exact_gap(gap[rep.info["norm"]])
+            for rep in reports]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import bound_catalog
 from .chainfile import load_chain_file, save_chain_file
-from .chains import StochasticMatrix
+from .chains import IntensityMatrix, StochasticMatrix
 from .dtmc import birth_death_hitting_times, hitting_times
 from .errors import McPerturbError, ParseError, ValidationError
 from .gallery import build_model, list_models
@@ -125,8 +125,9 @@ def cmd_bounds(args, out) -> int:
     if args.drift_file:
         values, taboo = _load_drift_file(args.drift_file, chain.n)
         weights = values
-    if args.v_norm and weights is None and "a" in extras and "b" in extras:
-        # band gallery models carry their drift weights implicitly
+    if (args.v_norm and weights is None and isinstance(chain, IntensityMatrix)
+            and "a" in extras and "b" in extras):
+        # band generator models carry their drift weights implicitly
         from .ctmc import batch_arrival_drift
 
         weights = batch_arrival_drift(extras["a"], extras["b"], n_states=chain.n).weights

@@ -48,7 +48,7 @@ from .errors import (
 from .norms import matrix_norm, v_norm_matrix, v_norm_measure
 from .reports import BoundReport, Hypothesis
 from .settings import DEFAULT, NumericSettings
-from .solvers import deviation_matrix, stationary_distribution
+from .solvers import _stationary_solve, deviation_matrix, stationary_distribution
 
 __all__ = [
     "UniformizedChain",
@@ -67,7 +67,6 @@ __all__ = [
     "transfer_drift_to_skeleton",
     "ctmc_v_bound_with_stationary",
     "ctmc_v_bound_drift_only",
-    "ctmc_v_bounds",
     "mm1_coefficients",
     "batch_arrival_drift",
     "stationary_series_expansion",
@@ -130,15 +129,7 @@ def ctmc_stationary(
         return stationary_distribution(uniformize(Q).matrix, method="gth", settings=settings)
     if method != "solve":
         raise ValueError(f"unknown method {method!r}")
-    n = Q.n
-    A = Q.entries.T.copy()
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"stationary system is singular: {exc}") from exc
+    x = _stationary_solve(Q.entries.copy())
     scale = max(1.0, Q.uniformization_constant)
     residual = float(np.abs(x @ Q.entries).max())
     if residual > settings.stationarity * scale:
@@ -452,29 +443,6 @@ def ctmc_v_bound_drift_only(
         delta_norm=delta_v_norm,
         info={"threshold": threshold, "margin": threshold - delta_v_norm},
     )
-
-
-def ctmc_v_bounds(
-    Q: IntensityMatrix,
-    cert: CtmcGeometricDriftCertificate,
-    delta_v_norm: float,
-    pi: Distribution | None = None,
-    settings: NumericSettings = DEFAULT,
-) -> list[BoundReport]:
-    """Evaluate both weighted bounds, rendering per-variant failures inline."""
-    from .reports import failed_report
-
-    out = []
-    if pi is not None:
-        try:
-            out.append(ctmc_v_bound_with_stationary(Q, cert, pi, delta_v_norm, settings))
-        except HypothesisFailed as exc:
-            out.append(failed_report("ctmc_v_norm_with_stationary", exc.hypothesis, exc.detail))
-    try:
-        out.append(ctmc_v_bound_drift_only(cert, delta_v_norm))
-    except HypothesisFailed as exc:
-        out.append(failed_report("ctmc_v_norm_drift_only", exc.hypothesis, exc.detail))
-    return out
 
 
 def mm1_coefficients(sigma: float, mu: float) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,20 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-__all__ = ["Hypothesis", "BoundReport", "USELESS_THRESHOLD"]
+__all__ = ["Hypothesis", "BoundReport", "USELESS_THRESHOLD", "covers"]
 
 # any total-variation bound at or above this is vacuous: the gap between two
 # probability measures never exceeds 2
 USELESS_THRESHOLD = 2.0
+
+
+def covers(gap: float, value: float, rel_slack: float = 1e-9) -> bool:
+    """Whether a bound value covers an exactly computed gap.
+
+    A tiny relative slack (plus an absolute 1e-15) absorbs floating-point
+    ties between a tight bound and the gap it bounds.
+    """
+    return bool(gap <= value * (1.0 + rel_slack) + 1e-15)
 
 
 @dataclass
@@ -69,7 +78,7 @@ class BoundReport:
         out = dataclasses.replace(self, exact_gap=float(gap))
         v = out.bound_value
         if v is not None and out.hypotheses_hold:
-            out.valid = bool(gap <= v * (1.0 + rel_slack) + 1e-15)
+            out.valid = covers(gap, v, rel_slack)
         return out
 
     def to_dict(self) -> dict:

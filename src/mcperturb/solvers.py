@@ -28,9 +28,14 @@ __all__ = [
 ]
 
 
-def _stationary_solve(P: np.ndarray) -> np.ndarray:
-    n = P.shape[0]
-    A = (np.eye(n) - P).T
+def _stationary_solve(M: np.ndarray) -> np.ndarray:
+    """Solve x M = 0, sum(x) = 1 for the singular M = I - P or M = Q.
+
+    The last equation is replaced with the normalization row, overwriting
+    ``M``; the caller certifies the residual against its own gate.
+    """
+    n = M.shape[0]
+    A = M.T
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -103,7 +108,7 @@ def stationary_distribution(
     if not P.irreducible:
         raise ReducibleChain("stationary distribution requires an irreducible chain")
     if method == "solve":
-        x = _stationary_solve(P.entries)
+        x = _stationary_solve(np.eye(P.n) - P.entries)
     elif method == "gth":
         x = _stationary_gth(P.entries)
     elif method == "power":

@@ -12,8 +12,10 @@ backbone the bounds rest on:
 
 The fuzzer draws row-sum-zero perturbations of exact target norm, solves
 the perturbed stationary distribution exactly, and confirms that every
-hypothesis-satisfied bound covers the exact gap. Seeds are recorded per
-case for bit-reproducible reruns.
+norm-wise bound of :func:`~mcperturb.catalog.bound_catalog` covers the
+exact gap: the coefficients come from one catalog call per run, so the
+oracle checks the same bound list users see. Seeds are recorded per case
+for bit-reproducible reruns.
 """
 
 from __future__ import annotations
@@ -22,30 +24,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import _v_norm_pair, bound_catalog
 from .chains import IntensityMatrix, PerturbationPair, StochasticMatrix
 from .ctmc import (
     batch_arrival_drift,
-    ctmc_deviation_bound,
-    ctmc_hitting_times,
-    ctmc_lambda1_bound,
-    ctmc_small_set_bound,
     ctmc_stationary,
-    ctmc_unit_drift_bound,
-    ctmc_v_bound_drift_only,
-    ctmc_v_bound_with_stationary,
     pair_step,
     transfer_drift_to_skeleton,
     uniformize,
 )
 from .dtmc import (
     fit_geometric_drift,
-    hitting_time_bound,
     hitting_times,
-    seneta_best_bound,
-    seneta_bound,
     skeleton_bound,
-    small_set_bound,
-    v_bound_drift_only,
     v_bound_with_stationary,
 )
 from .errors import (
@@ -60,7 +51,7 @@ from .errors import (
 )
 from .gallery import GalleryModel
 from .norms import matrix_norm, total_variation_norm, v_norm_matrix, v_norm_measure
-from .reports import USELESS_THRESHOLD, BoundReport
+from .reports import USELESS_THRESHOLD, BoundReport, covers
 from .settings import DEFAULT, NumericSettings
 from .solvers import (
     deviation_matrix,
@@ -214,15 +205,10 @@ def canonical_pair(model: GalleryModel, magnitude: float = 0.01, seed: int = 0):
     :func:`skeleton_pair` to study them through their common-step skeletons.
     """
     rng = np.random.default_rng([seed, 987654321])
-    if model.kind == "dtmc":
-        Pt, _ = _perturbed_dtmc(rng, model.chain, magnitude)
-        if Pt is None:
-            raise InvalidParameters(f"could not perturb model {model.name}")
-        return PerturbationPair(model.chain, Pt)
-    Qt, _ = _perturbed_ctmc(rng, model.chain, magnitude)
-    if Qt is None:
+    perturbed, _ = _perturbed(rng, model.chain, magnitude)
+    if perturbed is None:
         raise InvalidParameters(f"could not perturb model {model.name}")
-    return PerturbationPair(model.chain, Qt)
+    return PerturbationPair(model.chain, perturbed)
 
 
 def skeleton_pair(pair: PerturbationPair) -> PerturbationPair:
@@ -311,10 +297,6 @@ class FuzzSummary:
         }
 
 
-def _validity(gap: float, value: float) -> bool:
-    return gap <= value * (1.0 + 1e-9) + 1e-15
-
-
 def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float) -> np.ndarray | None:
     """One attempt at a sparse signed perturbation of exact norm ``magnitude``.
 
@@ -376,79 +358,85 @@ def sample_ctmc_delta(rng, Q: IntensityMatrix, magnitude: float) -> np.ndarray |
     return delta * (magnitude / nm)
 
 
-def _perturbed_dtmc(rng, P, magnitude, tries=50):
+def _perturbed(rng, chain, magnitude, tries=50):
+    """Draw until a perturbation keeps the chain valid and irreducible."""
+    sample = sample_dtmc_delta if isinstance(chain, StochasticMatrix) else sample_ctmc_delta
     for _ in range(tries):
-        delta = sample_dtmc_delta(rng, P, magnitude)
+        delta = sample(rng, chain, magnitude)
         if delta is None:
             continue
         try:
-            Pt = StochasticMatrix(P.entries + delta, settings=P.settings)
+            perturbed = type(chain)(chain.entries + delta, settings=chain.settings)
         except ValidationError:
             continue
-        if Pt.irreducible:
-            return Pt, delta
+        if perturbed.irreducible:
+            return perturbed, delta
     return None, None
 
 
-def _perturbed_ctmc(rng, Q, magnitude, tries=50):
-    for _ in range(tries):
-        delta = sample_ctmc_delta(rng, Q, magnitude)
-        if delta is None:
-            continue
+def _outcome(name, value, gap, weighted=False) -> BoundOutcome:
+    # only total-variation values have the trivial cap of 2
+    return BoundOutcome(name, value, gap, covers(gap, value),
+                        not weighted and value >= USELESS_THRESHOLD)
+
+
+def _skip_reason(rep: BoundReport) -> str:
+    h = next(h for h in rep.hypotheses if not h.holds)
+    return f"{h.name}: {h.detail}" if h.detail else h.name
+
+
+def _v_norm_setup(model, pi, skipped):
+    """Drift certificate of the weighted-norm checks and the stationary
+    distribution it is paired with, or (None, None).
+
+    Transition matrices get a geometric certificate on 1 + hitting times
+    onto state 0. Generators carrying band coefficients get the
+    batch-arrival certificate, paired with the componentwise-accurate
+    state-reduction solve.
+    """
+    chain = model.chain
+    if model.kind == "dtmc":
         try:
-            Qt = IntensityMatrix(Q.entries + delta, settings=Q.settings)
-        except ValidationError:
-            continue
-        if Qt.irreducible:
-            return Qt, delta
-    return None, None
+            V = 1.0 + hitting_times(chain, 0)
+            return fit_geometric_drift(chain, V, 0, pi=pi), pi
+        except (DriftViolated, DivergentHittingTimes):
+            return None, None
+    if "a" not in model.extras or "b" not in model.extras:
+        return None, None
+    try:
+        cert = batch_arrival_drift(model.extras["a"], model.extras["b"], n_states=chain.n)
+        return cert, ctmc_stationary(chain, method="gth")
+    except (InvalidParameters, NotErgodic, NoPositiveLambda) as exc:
+        skipped["ctmc_v_norm"] = str(exc)
+        return None, None
 
 
-def _dtmc_base_bounds(P, m_max):
-    reports: list[BoundReport] = []
-    skipped: dict[str, str] = {}
-    try:
-        reports.append(seneta_bound(P))
-    except HypothesisFailed as exc:
-        skipped["seneta"] = str(exc)
-    reports.append(seneta_best_bound(P))
-    try:
-        rep, _ = small_set_bound(P, m_max=m_max)
-        reports.append(rep)
-    except HypothesisFailed as exc:
-        skipped["small_set"] = str(exc)
-    reports.append(hitting_time_bound(P))
-    return reports, skipped
-
-
-def _ctmc_base_bounds(Q):
-    reports: list[BoundReport] = []
-    skipped: dict[str, str] = {}
-    reports.append(ctmc_deviation_bound(Q))
-    try:
-        reports.append(ctmc_lambda1_bound(Q))
-    except HypothesisFailed as exc:
-        skipped["ctmc_lambda1"] = str(exc)
-    try:
-        reports.append(ctmc_small_set_bound(Q))
-    except HypothesisFailed as exc:
-        skipped["ctmc_small_set"] = str(exc)
-    try:
-        v0 = ctmc_hitting_times(Q, 0)
-        reports.append(ctmc_unit_drift_bound(Q, v0, 0))
-    except (DriftViolated, DivergentHittingTimes) as exc:
-        skipped["ctmc_unit_drift"] = str(exc)
-    return reports, skipped
-
-
-def _dtmc_v_setup(P, pi):
-    """Geometric drift certificate from hitting times + 1 (bounded weights)."""
-    try:
-        V = 1.0 + hitting_times(P, 0)
-        cert = fit_geometric_drift(P, V, 0, pi=pi)
-        return cert
-    except (DriftViolated, DivergentHittingTimes):
-        return None
+def _v_norm_outcomes(chain, perturbed, delta, nu, cert, pi_v, skipped):
+    """Weighted-norm checks of one case: the catalog's bound pair and, for
+    generators, the same certificate transferred to the skeleton chain."""
+    dtmc = isinstance(chain, StochasticMatrix)
+    W = cert.weights.values
+    dv = v_norm_matrix(delta, W)
+    nu_v = nu if dtmc else ctmc_stationary(perturbed, method="gth")
+    gap_v = v_norm_measure(nu_v.values - pi_v.values, W)
+    outcomes = []
+    for rep in _v_norm_pair(chain, cert, pi_v, dv):
+        if rep.bound_value is None:
+            skipped.setdefault(rep.bound_name, _skip_reason(rep))
+        else:
+            outcomes.append(_outcome(rep.bound_name, rep.bound_value, gap_v, weighted=True))
+    if not dtmc:
+        # the step cancels in the transfer, so the skeleton value must
+        # coincide with the continuous form; checked against the same gap
+        h = pair_step(chain, perturbed)
+        try:
+            rep = v_bound_with_stationary(uniformize(chain, h).matrix,
+                                          transfer_drift_to_skeleton(cert, h), pi_v, h * dv)
+            outcomes.append(_outcome("v_norm_skeleton_transfer", rep.direct_value, gap_v,
+                                     weighted=True))
+        except HypothesisFailed as exc:
+            skipped.setdefault("v_norm_skeleton_transfer", str(exc))
+    return outcomes
 
 
 def fuzz_bounds(
@@ -463,12 +451,20 @@ def fuzz_bounds(
 ) -> FuzzSummary:
     """Randomized bound-validity check against exactly solved perturbations.
 
-    Per case: draw an admissible perturbation of exact norm ``magnitude``,
-    solve the perturbed stationary distribution, and check every
-    hypothesis-satisfied bound against the exact gap. Violations are
-    recorded, not raised; the summary must show zero of them. Any bound
-    value at or above 2 is flagged useless (the gap between two probability
-    measures never exceeds it).
+    The norm-wise coefficients come from one
+    ``bound_catalog(model.chain, m_max=m_max)`` call: every report with a
+    coefficient ``ell`` is checked in each case as ``ell * ||Delta||``, and
+    every other report is listed in ``skipped_bounds`` with its failed
+    hypothesis. Per case: draw an admissible perturbation of exact norm
+    ``magnitude``, solve the perturbed stationary distribution, and check
+    each bound against the exact gap. Violations are recorded, not raised;
+    the summary must show zero of them. Any bound value at or above 2 is
+    flagged useless (the gap between two probability measures never
+    exceeds it).
+
+    Transition matrices with at most ``skeleton_max_n`` states also check
+    the ``skeleton_m``-step skeleton bound, whose value depends on the
+    perturbed chain itself.
 
     With ``include_v_norm`` the weighted-norm drift bounds run alongside:
     for transition-matrix models through a hitting-time-based certificate,
@@ -476,132 +472,45 @@ def fuzz_bounds(
     model carries band coefficients), evaluated both in continuous form and
     transferred to the skeleton chain.
     """
-    kind = model.kind
+    if model.kind not in ("dtmc", "ctmc"):
+        raise InvalidParameters(f"unknown model kind {model.kind!r}")
+    chain = model.chain
+    solve = stationary_distribution if model.kind == "dtmc" else ctmc_stationary
+    pi = solve(chain)
+    reports = bound_catalog(chain, m_max=m_max)
+    linear = [rep for rep in reports if rep.ell is not None]
+    skipped = {rep.bound_name: _skip_reason(rep) for rep in reports if rep.ell is None}
+    v_cert = v_pi = None
+    if include_v_norm:
+        v_cert, v_pi = _v_norm_setup(model, pi, skipped)
+    use_skeleton = model.kind == "dtmc" and chain.n <= skeleton_max_n
+
     cases: list[FuzzCase] = []
     n_rejected = 0
-
-    if kind == "dtmc":
-        P = model.chain
-        pi = stationary_distribution(P)
-        base_reports, skipped = _dtmc_base_bounds(P, m_max)
-        v_cert = _dtmc_v_setup(P, pi) if include_v_norm else None
-        use_skeleton = P.n <= skeleton_max_n
-        for case_idx in range(n_cases):
-            rng = np.random.default_rng([seed, case_idx])
-            Pt, delta = _perturbed_dtmc(rng, P, magnitude)
-            if Pt is None:
-                n_rejected += 1
-                continue
-            nu = stationary_distribution(Pt)
-            gap = total_variation_norm(nu.values - pi.values)
-            dn = matrix_norm(delta)
-            outcomes = []
-            for rep in base_reports:
-                val = rep.ell * dn
-                outcomes.append(
-                    BoundOutcome(rep.bound_name, val, gap, _validity(gap, val),
-                                 val >= USELESS_THRESHOLD)
-                )
-            if use_skeleton:
-                try:
-                    rep = skeleton_bound(P, Pt, skeleton_m)
-                    val = rep.direct_value
-                    outcomes.append(
-                        BoundOutcome(rep.bound_name, val, gap, _validity(gap, val),
-                                     val >= USELESS_THRESHOLD)
-                    )
-                except HypothesisFailed as exc:
-                    skipped.setdefault(f"skeleton[m={skeleton_m}]", str(exc))
-            if v_cert is not None:
-                W = v_cert.weights.values
-                dv = v_norm_matrix(delta, W)
-                gap_v = v_norm_measure(nu.values - pi.values, W)
-                for fn, name in (
-                    (lambda: v_bound_with_stationary(P, v_cert, pi, dv),
-                     "v_norm_with_stationary"),
-                    (lambda: v_bound_drift_only(v_cert, dv), "v_norm_drift_only"),
-                ):
-                    try:
-                        rep = fn()
-                        val = rep.direct_value
-                        outcomes.append(
-                            BoundOutcome(rep.bound_name, val, gap_v,
-                                         _validity(gap_v, val), False)
-                        )
-                    except HypothesisFailed as exc:
-                        skipped.setdefault(name, str(exc))
-            cases.append(FuzzCase(seed=(seed, case_idx), delta_norm=dn, gap=gap,
-                                  outcomes=outcomes))
-    elif kind == "ctmc":
-        Q = model.chain
-        pi = ctmc_stationary(Q)
-        base_reports, skipped = _ctmc_base_bounds(Q)
-        v_cert = None
-        pi_gth = None
-        if include_v_norm and "a" in model.extras and "b" in model.extras:
+    for case_idx in range(n_cases):
+        rng = np.random.default_rng([seed, case_idx])
+        perturbed, delta = _perturbed(rng, chain, magnitude)
+        if perturbed is None:
+            n_rejected += 1
+            continue
+        nu = solve(perturbed)
+        gap = total_variation_norm(nu.values - pi.values)
+        dn = matrix_norm(delta)
+        outcomes = [_outcome(rep.bound_name, rep.ell * dn, gap) for rep in linear]
+        if use_skeleton:
             try:
-                v_cert = batch_arrival_drift(model.extras["a"], model.extras["b"],
-                                             n_states=Q.n)
-                pi_gth = ctmc_stationary(Q, method="gth")
-            except (InvalidParameters, NotErgodic, NoPositiveLambda) as exc:
-                skipped["ctmc_v_norm"] = str(exc)
-        for case_idx in range(n_cases):
-            rng = np.random.default_rng([seed, case_idx])
-            Qt, delta = _perturbed_ctmc(rng, Q, magnitude)
-            if Qt is None:
-                n_rejected += 1
-                continue
-            nu = ctmc_stationary(Qt)
-            gap = total_variation_norm(nu.values - pi.values)
-            dn = matrix_norm(delta)
-            outcomes = []
-            for rep in base_reports:
-                val = rep.ell * dn
-                outcomes.append(
-                    BoundOutcome(rep.bound_name, val, gap, _validity(gap, val),
-                                 val >= USELESS_THRESHOLD)
-                )
-            if v_cert is not None:
-                W = v_cert.weights.values
-                dv = v_norm_matrix(delta, W)
-                nu_gth = ctmc_stationary(Qt, method="gth")
-                gap_v = v_norm_measure(nu_gth.values - pi_gth.values, W)
-                try:
-                    rep = ctmc_v_bound_with_stationary(Q, v_cert, pi_gth, dv)
-                    outcomes.append(BoundOutcome(rep.bound_name, rep.direct_value,
-                                                 gap_v, _validity(gap_v, rep.direct_value),
-                                                 False))
-                except HypothesisFailed as exc:
-                    skipped.setdefault("ctmc_v_norm_with_stationary", str(exc))
-                try:
-                    rep = ctmc_v_bound_drift_only(v_cert, dv)
-                    outcomes.append(BoundOutcome(rep.bound_name, rep.direct_value,
-                                                 gap_v, _validity(gap_v, rep.direct_value),
-                                                 False))
-                except HypothesisFailed as exc:
-                    skipped.setdefault("ctmc_v_norm_drift_only", str(exc))
-                # same certificate transferred to the skeleton chain: the
-                # step cancels, so the value must coincide with the
-                # continuous form; checked here against the same gap
-                h = pair_step(Q, Qt)
-                d_cert = transfer_drift_to_skeleton(v_cert, h)
-                P_h = uniformize(Q, h)
-                try:
-                    rep = v_bound_with_stationary(P_h.matrix, d_cert, pi_gth, h * dv)
-                    outcomes.append(BoundOutcome("v_norm_skeleton_transfer",
-                                                 rep.direct_value, gap_v,
-                                                 _validity(gap_v, rep.direct_value),
-                                                 False))
-                except HypothesisFailed as exc:
-                    skipped.setdefault("v_norm_skeleton_transfer", str(exc))
-            cases.append(FuzzCase(seed=(seed, case_idx), delta_norm=dn, gap=gap,
-                                  outcomes=outcomes))
-    else:
-        raise InvalidParameters(f"unknown model kind {kind!r}")
+                rep = skeleton_bound(chain, perturbed, skeleton_m)
+                outcomes.append(_outcome(rep.bound_name, rep.direct_value, gap))
+            except HypothesisFailed as exc:
+                skipped.setdefault(f"skeleton[m={skeleton_m}]", str(exc))
+        if v_cert is not None:
+            outcomes += _v_norm_outcomes(chain, perturbed, delta, nu, v_cert, v_pi, skipped)
+        cases.append(FuzzCase(seed=(seed, case_idx), delta_norm=dn, gap=gap,
+                              outcomes=outcomes))
 
     return FuzzSummary(
         model=model.name,
-        kind=kind,
+        kind=model.kind,
         magnitude=magnitude,
         n_cases=len(cases),
         cases=cases,

@@ -153,6 +153,15 @@ class TestBoundsCommand:
         assert code == 1
         assert "FAILED" in text
 
+    def test_v_norm_on_transition_matrix_model_with_band_like_extras(self):
+        # birth-death stores per-state move probabilities under the same
+        # extras keys as the band generators; they are not drift weights
+        code, text = run_cli("bounds", "birth-death", "--v-norm")
+        assert code == 1
+        rows = {line.split()[0]: line for line in text.splitlines()[2:]}
+        assert set(rows) == {"seneta", "seneta_best", "small_set", "hitting_time_drift"}
+        assert "FAILED" in rows["seneta"] and "FAILED" in rows["small_set"]
+
     def test_json_determinism(self, meyer_file):
         _, t1 = run_cli("bounds", meyer_file, "--format", "json")
         _, t2 = run_cli("bounds", meyer_file, "--format", "json")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mcperturb import StochasticMatrix, matrix_norm
-from mcperturb.gallery import birth_death, meyer4, mm1, odd_even
+from mcperturb import McPerturbError, StochasticMatrix, bound_catalog, matrix_norm
+from mcperturb.gallery import birth_death, build_model, list_models, meyer4, mm1, odd_even
 from mcperturb.verify import (
     fuzz_bounds,
     sample_ctmc_delta,
@@ -126,3 +126,24 @@ class TestFuzzHarness:
             for m in (2, 3, 5):
                 diff = matrix_norm(P.power(m) - Pt.power(m))
                 assert diff <= m * matrix_norm(delta) * (1 + 1e-12) + 1e-15
+
+
+@pytest.mark.parametrize("name", list_models())
+def test_fuzz_checks_the_catalog_bounds(name):
+    # the fuzz takes its norm-wise coefficients from the catalog: every
+    # report with a coefficient is checked, every failed one is skipped
+    try:
+        model = build_model(name, truncation=24)
+    except McPerturbError:
+        model = build_model(name)         # fixed-size models keep their own size
+    summary = fuzz_bounds(model, n_cases=3, magnitude=0.01, seed=0,
+                          include_v_norm=False, skeleton_max_n=0)
+    reports = bound_catalog(model.chain)
+    assert summary.cases
+    with_ell = [r.bound_name for r in reports if r.ell is not None]
+    for case in summary.cases:
+        assert [o.bound_name for o in case.outcomes] == with_ell
+    failed = {r.bound_name: "; ".join(f"{h.name}: {h.detail}"
+                                      for h in r.hypotheses if not h.holds)
+              for r in reports if r.ell is None}
+    assert summary.skipped_bounds == failed
