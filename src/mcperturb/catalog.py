@@ -94,7 +94,7 @@ def _dtmc_reports(P, pi, perturbed, delta_norm, m_max, skeleton_m):
     _guard(reports, "small_set",
            lambda: small_set_bound(P, m_max=m_max, perturbed=perturbed,
                                    delta_norm=delta_norm)[0])
-    _guard(reports, "hitting_time_drift", lambda: hitting_time_bound(P, delta_norm))
+    _guard(reports, "hitting_time_drift", lambda: hitting_time_bound(P, delta_norm, pi=pi))
     if perturbed is not None:
         _guard(reports, f"skeleton[m={skeleton_m}]",
                lambda: skeleton_bound(P, perturbed, skeleton_m))

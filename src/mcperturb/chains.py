@@ -8,11 +8,9 @@ once and cached on the instance.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ValidationError
 from .settings import DEFAULT, NumericSettings
@@ -48,32 +46,16 @@ def _period_by_bfs(support: np.ndarray) -> int:
 
     Exact for strongly connected graphs: the gcd of level[u] + 1 - level[v]
     over all edges (u, v), with levels from a BFS rooted at state 0, equals
-    the gcd of all cycle lengths through state 0.
+    the gcd of all cycle lengths through state 0. Edges out of states the
+    BFS does not reach are ignored; 0 means no edge gave a nonzero
+    difference.
     """
-    n = support.shape[0]
-    level = np.full(n, -1, dtype=int)
-    level[0] = 0
-    queue = [0]
-    g = 0
-    neighbors = [np.nonzero(support[i])[0] for i in range(n)]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in neighbors[u]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-                else:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-        queue = nxt
-    # a second sweep catches edges whose head was unvisited on first sight
-    for u in range(n):
-        if level[u] < 0:
-            continue
-        for v in neighbors[u]:
-            if level[v] >= 0:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 0
+    # BFS levels are the unweighted shortest-path distances from state 0
+    level = dijkstra(csr_matrix(support.astype(np.int8)), indices=0, unweighted=True)
+    u, v = np.nonzero(support)
+    reached = np.isfinite(level[u])      # an edge out of a reached state ends at one
+    diff = level[u[reached]] + 1.0 - level[v[reached]]
+    return int(np.gcd.reduce(np.abs(diff).astype(np.int64)))
 
 
 class StochasticMatrix:

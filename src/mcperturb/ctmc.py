@@ -45,7 +45,7 @@ from .errors import (
     SolverFailure,
     UnboundedGenerator,
 )
-from .norms import matrix_norm, v_norm_matrix, v_norm_measure
+from .norms import _abs_row_differences, matrix_norm, v_norm_matrix, v_norm_measure
 from .reports import BoundReport, Hypothesis
 from .settings import DEFAULT, NumericSettings
 from .solvers import _stationary_solve, deviation_matrix, stationary_distribution
@@ -147,18 +147,14 @@ def ctmc_ergodicity_coefficient(Q: IntensityMatrix) -> float:
     chosen so that the skeleton satisfies Lambda1(P_h) = 1 - h Lambda1(Q)
     for small enough h.
     """
-    M = Q.entries
-    n = Q.n
     best = np.inf
-    for i in range(n):
-        diff = np.abs(M - M[i])          # row j minus row i, all j
+    for i, diff in _abs_row_differences(Q.entries):
         tot = diff.sum(axis=1)
-        for j in range(i + 1, n):
-            inner = tot[j] - diff[j, i] - diff[j, j]
-            val = diff[j, i] + diff[j, j] - inner
-            if val < best:
-                best = val
-    return 0.5 * float(best)
+        d_i = diff[:, i]                    # |Q_ii - Q_ji| for j > i
+        d_j = diff.diagonal(i + 1)          # |Q_ij - Q_jj| for j > i
+        inner = tot - d_i - d_j
+        best = min(best, float((d_i + d_j - inner).min()))
+    return 0.5 * best
 
 
 def ctmc_deviation_matrix(

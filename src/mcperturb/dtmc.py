@@ -14,7 +14,8 @@ The catalog:
 * ``unit_drift_bound``    gap <= 2 (sup V)^2 ||Delta|| under the unit drift
                           condition P V <= V - 1 off the taboo state
 * ``hitting_time_bound``  the same with the minimal drift function, scanning
-                          every taboo state
+                          taboo states in decreasing pi, pruned by the
+                          return-time floor sup_i m(i -> j) >= 1 / pi_j - 1
 * ``v_bound_with_stationary`` / ``v_bound_drift_only``
                           weighted-norm bounds under a geometric drift
                           condition P V <= lambda V + b at the taboo state
@@ -39,10 +40,10 @@ from .errors import (
     ReducibleChain,
     SolverFailure,
 )
-from .norms import matrix_norm, v_norm_measure
+from .norms import _abs_row_differences, matrix_norm, v_norm_measure
 from .reports import BoundReport, Hypothesis
 from .settings import DEFAULT, NumericSettings
-from .solvers import group_inverse
+from .solvers import group_inverse, stationary_distribution
 
 __all__ = [
     "ergodicity_coefficient",
@@ -72,8 +73,8 @@ def ergodicity_coefficient(B) -> float:
     """
     M = np.asarray(B, dtype=float)
     best = 0.0
-    for i in range(M.shape[0] - 1):
-        d = np.abs(M[i + 1 :] - M[i]).sum(axis=1).max()
+    for _, diff in _abs_row_differences(M):
+        d = diff.sum(axis=1).max()
         if d > best:
             best = float(d)
     return 0.5 * best
@@ -387,22 +388,45 @@ def hitting_time_bound(
     P: StochasticMatrix,
     delta_norm: float | None = None,
     settings: NumericSettings = DEFAULT,
+    pi: Distribution | None = None,
 ) -> BoundReport:
-    """Exhaustive-scan drift bound: ell = 2 min_i0 (sup_i m(i -> i0))^2.
+    """Drift bound from the best taboo state: ell = 2 min_i0 (sup_i m(i -> i0))^2.
 
-    Runs one hitting-time solve per candidate taboo state (n dense solves);
-    ties break toward the smallest state index. Candidates whose hitting
-    times overflow the solver (hard-to-reach states on truncated climb
-    chains) are skipped: the bound holds for each candidate separately, and
-    an astronomically slow target can never realize the minimum.
+    The scan is pruned by the return-time identity
+    sum_k P(j, k) m(k -> j) = 1 / pi_j - 1, which floors every candidate:
+    sup_i m(i -> j) >= 1 / pi_j - 1. Candidates are visited in decreasing
+    pi_j (a candidate with pi_j <= 0 has an infinite floor), each with its
+    own certified dense hitting-time solve, and the scan stops once the
+    floor exceeds the best sup found so far by more than the relative
+    ``settings.inverse`` the solves are certified to. A chain with uniform
+    pi still needs n solves; a chain whose stationary mass sits on the best
+    taboo state needs one or two. ``pi`` is solved here when not supplied.
+
+    The minimum is then taken over the visited candidates in index order,
+    ties breaking toward the smallest state index, so the result equals the
+    exhaustive index-order scan. Candidates whose hitting times overflow the
+    solver (hard-to-reach states on truncated climb chains) are skipped: the
+    bound holds for each candidate separately, and an astronomically slow
+    target can never realize the minimum.
     """
-    best_sup = None
-    best_state = None
-    for i0 in range(P.n):
+    if pi is None:
+        pi = stationary_distribution(P, settings=settings)
+    with np.errstate(divide="ignore"):
+        floors = np.where(pi.values > 0.0, 1.0 / pi.values - 1.0, np.inf)
+    sups = {}
+    lowest = np.inf
+    for i0 in np.argsort(-pi.values, kind="stable").tolist():
+        if floors[i0] > lowest * (1.0 + settings.inverse):
+            break
         try:
-            sup_m = float(hitting_times(P, i0, settings=settings).max())
+            sups[i0] = float(hitting_times(P, i0, settings=settings).max())
         except (DivergentHittingTimes, SolverFailure):
             continue
+        lowest = min(lowest, sups[i0])
+    best_sup = None
+    best_state = None
+    for i0 in sorted(sups):
+        sup_m = sups[i0]
         if best_sup is None or sup_m < best_sup - 1e-15:
             best_sup = sup_m
             best_state = i0

@@ -46,3 +46,17 @@ def v_norm_matrix(L, weights) -> float:
     V = as_weight_array(weights)
     rows = np.abs(np.asarray(L, dtype=float)) @ V
     return float((rows / V).max())
+
+
+def _abs_row_differences(M: np.ndarray):
+    """Yield ``(i, |M[i+1:] - M[i]|)`` for every row i but the last.
+
+    Row k of the yielded block is ``|M[i+1+k] - M[i]|``. All blocks share one
+    buffer, so each is valid only until the next is yielded.
+    """
+    n = M.shape[0]
+    buf = np.empty_like(M)
+    for i in range(n - 1):
+        diff = buf[: n - 1 - i]
+        np.subtract(M[i + 1 :], M[i], out=diff)
+        yield i, np.abs(diff, out=diff)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mcperturb import (
     ValidationError,
     WeightFunction,
 )
+from mcperturb.chains import _period_by_bfs
 
 
 class TestStochasticMatrix:
@@ -140,3 +143,69 @@ class TestPerturbationPair:
         pair = PerturbationPair(Q, Qt)
         assert pair.kind == "ctmc"
         np.testing.assert_allclose(pair.delta.sum(axis=1), 0.0, atol=1e-15)
+
+
+def loop_period(support):
+    """Reference period: a per-edge Python BFS with a running gcd."""
+    n = support.shape[0]
+    level = np.full(n, -1, dtype=int)
+    level[0] = 0
+    queue = [0]
+    g = 0
+    neighbors = [np.nonzero(support[i])[0] for i in range(n)]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v in neighbors[u]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+                else:
+                    g = math.gcd(g, level[u] + 1 - level[v])
+        queue = nxt
+    for u in range(n):
+        if level[u] < 0:
+            continue
+        for v in neighbors[u]:
+            if level[v] >= 0:
+                g = math.gcd(g, level[u] + 1 - level[v])
+    return abs(g) if g != 0 else 0
+
+
+def _cycle_support(n, length, offset=0):
+    S = np.zeros((n, n), dtype=bool)
+    nodes = [(offset + k) % n for k in range(length)]
+    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+        S[a, b] = True
+    return S
+
+
+class TestPeriodByBfs:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop_on_random_sparse_supports(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        S = rng.random((n, n)) < rng.choice([0.02, 0.05, 0.1, 0.3])
+        assert _period_by_bfs(S) == loop_period(S)
+
+    @pytest.mark.parametrize("length", range(2, 8))
+    def test_matches_loop_on_cycles(self, length):
+        n = 9
+        S = _cycle_support(n, length)
+        assert _period_by_bfs(S) == loop_period(S) == length
+        # a second cycle through state 0 leaves the gcd of the two lengths
+        T = S | _cycle_support(n, 4, offset=0)
+        assert _period_by_bfs(T) == loop_period(T) == math.gcd(length, 4)
+        # a 2-cycle on states the first cycle never reaches (a reducible support)
+        U = S | _cycle_support(n, 2, offset=length)
+        assert _period_by_bfs(U) == loop_period(U)
+
+    def test_reducible_supports(self):
+        edgeless = np.zeros((5, 5), dtype=bool)
+        assert _period_by_bfs(edgeless) == loop_period(edgeless) == 0
+        absorbing = np.array([[1, 1, 0], [0, 0, 1], [0, 0, 1]], dtype=bool)
+        assert _period_by_bfs(absorbing) == loop_period(absorbing) == 1
+        # state 0 only feeds a 3-cycle it is not on
+        feeder = _cycle_support(4, 3, offset=1)
+        feeder[0, 1] = True
+        assert _period_by_bfs(feeder) == loop_period(feeder) == 3

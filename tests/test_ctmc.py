@@ -380,3 +380,35 @@ class TestFitGeneratorDrift:
         assert cert_fit.lam == pytest.approx(cert_band.lam, rel=1e-12)
         assert cert_fit.b <= cert_band.b + 1e-12
         cert_fit.validate(model.chain)
+
+
+def loop_generator_lambda1(Q):
+    """Explicit double loop over state pairs, same operation order per pair."""
+    M = Q.entries
+    best = np.inf
+    for i in range(Q.n):
+        for j in range(i + 1, Q.n):
+            diff = np.abs(M[j] - M[i])
+            inner = diff.sum() - diff[i] - diff[j]
+            val = diff[i] + diff[j] - inner
+            if val < best:
+                best = val
+    return 0.5 * float(best)
+
+
+class TestGeneratorErgodicityCoefficientLoop:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_double_loop_on_random_generators(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        R = rng.random((n, n)) * (rng.random((n, n)) < rng.choice([0.2, 0.5, 1.0]))
+        R = (R + 0.01) * rng.choice([1e-3, 1.0, 1e3])
+        np.fill_diagonal(R, 0.0)
+        np.fill_diagonal(R, -R.sum(axis=1))
+        Q = IntensityMatrix(R)
+        assert ctmc_ergodicity_coefficient(Q) == loop_generator_lambda1(Q)
+
+    @pytest.mark.parametrize("build", [mm1, batch_arrival])
+    def test_equals_double_loop_on_gallery_generators(self, build):
+        Q = build(truncation=60).chain
+        assert ctmc_ergodicity_coefficient(Q) == loop_generator_lambda1(Q)

@@ -3,11 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcperturb.dtmc
 from mcperturb import (
+    DivergentHittingTimes,
+    Distribution,
     DriftViolated,
     GeometricDriftCertificate,
     HypothesisFailed,
+    McPerturbError,
     NoSmallSet,
+    SolverFailure,
     StochasticMatrix,
     UnitDriftCertificate,
     WeightFunction,
@@ -27,7 +32,8 @@ from mcperturb import (
     v_bound_drift_only,
     v_bound_with_stationary,
 )
-from mcperturb.gallery import birth_death, odd_even
+from mcperturb import gallery
+from mcperturb.gallery import birth_death, geometric_return, odd_even
 from tests.conftest import random_irreducible_chain
 
 
@@ -249,6 +255,63 @@ class TestUnitDrift:
             unit_drift_bound(P, UnitDriftCertificate(0, shy))
 
 
+def exhaustive_hitting_scan(P):
+    """Reference scan: every candidate in index order, skipping candidates
+    whose hitting-time solve fails, ties toward the smallest index."""
+    best_sup, best_state = None, None
+    for i0 in range(P.n):
+        try:
+            sup_m = float(hitting_times(P, i0).max())
+        except (DivergentHittingTimes, SolverFailure):
+            continue
+        if best_sup is None or sup_m < best_sup - 1e-15:
+            best_sup, best_state = sup_m, i0
+    return best_sup, best_state
+
+
+def _scan_result(P, **kwargs):
+    rep = hitting_time_bound(P, **kwargs)
+    return rep.info["sup_hitting_time"], rep.info["taboo_state"]
+
+
+def _gallery_dtmc(spec, truncation):
+    try:
+        return gallery.build_model(spec, truncation=truncation)
+    except McPerturbError:
+        return gallery.build_model(spec)      # fixed-size models keep their own size
+
+
+DTMC_SPECS = [s for s in gallery.list_models() if gallery.build_model(s).kind == "dtmc"]
+
+
+def _cycle(n):
+    return StochasticMatrix(np.roll(np.eye(n), 1, axis=1))
+
+
+def _periodic_chain(rng, sizes):
+    """Random chain that moves block k -> block k+1 (mod len(sizes)): period len(sizes)."""
+    n = sum(sizes)
+    starts = np.cumsum([0, *sizes])
+    P = np.zeros((n, n))
+    for k in range(len(sizes)):
+        nxt = (k + 1) % len(sizes)
+        block = rng.random((sizes[k], sizes[nxt])) + 0.05
+        P[starts[k]:starts[k + 1], starts[nxt]:starts[nxt + 1]] = block
+    return StochasticMatrix(P / P.sum(axis=1, keepdims=True))
+
+
+def _count_hitting_solves(monkeypatch):
+    calls = []
+    solve = mcperturb.dtmc.hitting_times
+
+    def counted(P, target, *args, **kwargs):
+        calls.append(target)
+        return solve(P, target, *args, **kwargs)
+
+    monkeypatch.setattr(mcperturb.dtmc, "hitting_times", counted)
+    return calls
+
+
 class TestHittingTimeBound:
     def test_geometric_return_value(self):
         from mcperturb.gallery import geometric_return
@@ -268,6 +331,70 @@ class TestHittingTimeBound:
         rep = hitting_time_bound(meyer.chain)
         best = seneta_best_bound(meyer.chain)
         assert rep.ell >= best.ell
+
+    @pytest.mark.parametrize("truncation", [24, 200])
+    @pytest.mark.parametrize("spec", DTMC_SPECS)
+    def test_pruned_scan_matches_exhaustive_scan_on_gallery(self, spec, truncation):
+        P = _gallery_dtmc(spec, truncation).chain
+        assert _scan_result(P) == exhaustive_hitting_scan(P)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pruned_scan_matches_exhaustive_scan_on_random_chains(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        P = StochasticMatrix(random_irreducible_chain(rng, n, sparsity=0.6))
+        assert _scan_result(P) == exhaustive_hitting_scan(P)
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (5, 5), (1, 2, 3), (2, 2, 2, 3), (4, 1, 3, 2, 2)])
+    def test_pruned_scan_matches_exhaustive_scan_on_periodic_chains(self, sizes):
+        P = _periodic_chain(np.random.default_rng(len(sizes)), sizes)
+        assert P.period == len(sizes)
+        assert _scan_result(P) == exhaustive_hitting_scan(P)
+
+    def test_pruned_scan_matches_exhaustive_scan_on_periodic_gallery_chain(self):
+        P = odd_even(truncation=60, periodic=True).chain
+        assert not P.aperiodic
+        assert _scan_result(P) == exhaustive_hitting_scan(P)
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 16, 31])
+    def test_all_tied_cycle_keeps_state_zero(self, n, monkeypatch):
+        # every candidate has sup m = n - 1, exactly its return-time floor
+        calls = _count_hitting_solves(monkeypatch)
+        assert _scan_result(_cycle(n)) == (n - 1.0, 0)
+        assert sorted(calls) == list(range(n))
+
+    def test_ties_break_by_index_whatever_the_visit_order(self):
+        # pi increasing in the index visits the cycle's tied candidates in
+        # reverse; floors stay within the certification slack, so none is pruned
+        n = 7
+        w = 1.0 + 1e-12 * np.arange(n)
+        pi = Distribution(w / w.sum())
+        assert _scan_result(_cycle(n), pi=pi) == (n - 1.0, 0)
+
+    def test_concentrated_mass_needs_at_most_two_solves(self, monkeypatch):
+        calls = _count_hitting_solves(monkeypatch)
+        rep = hitting_time_bound(geometric_return(truncation=400).chain)
+        assert len(calls) <= 2
+        assert rep.info["taboo_state"] == 0
+
+    def test_uniform_stationary_mass_solves_every_candidate(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 60
+        P = 0.5 * np.roll(np.eye(n), 1, axis=1)
+        for w in (0.3, 0.2):
+            P[np.arange(n), rng.permutation(n)] += w
+        chain = StochasticMatrix(P)
+        np.testing.assert_allclose(stationary_distribution(chain).values, 1.0 / n)
+        calls = _count_hitting_solves(monkeypatch)
+        hitting_time_bound(chain)
+        assert sorted(calls) == list(range(n))
+
+    @pytest.mark.parametrize("spec", ["hessenberg-gi-m-1", "odd-even-p", "funderlic8", "meyer4"])
+    def test_supplied_pi_gives_the_same_report(self, spec):
+        P = _gallery_dtmc(spec, 60).chain
+        pi = stationary_distribution(P)
+        assert hitting_time_bound(P, 0.01, pi=pi).to_dict() == \
+            hitting_time_bound(P, 0.01).to_dict()
 
 
 class TestGeometricDrift:
