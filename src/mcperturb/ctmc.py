@@ -148,13 +148,22 @@ def ctmc_ergodicity_coefficient(Q: IntensityMatrix) -> float:
     for small enough h.
     """
     best = np.inf
-    for i, diff in _abs_row_differences(Q.entries):
+    for _, v in _generator_row_defects(Q.entries):
+        best = min(best, v)
+    return 0.5 * best
+
+
+def _generator_row_defects(Q: np.ndarray):
+    """Yield ``(i, min over j > i of the pair defect of rows i and j)``.
+
+    The minimum over all rows is twice ``ctmc_ergodicity_coefficient``.
+    """
+    for i, diff in _abs_row_differences(Q):
         tot = diff.sum(axis=1)
         d_i = diff[:, i]                    # |Q_ii - Q_ji| for j > i
         d_j = diff.diagonal(i + 1)          # |Q_ij - Q_jj| for j > i
         inner = tot - d_i - d_j
-        best = min(best, float((d_i + d_j - inner).min()))
-    return 0.5 * best
+        yield i, float((d_i + d_j - inner).min())
 
 
 def ctmc_deviation_matrix(
@@ -206,10 +215,18 @@ def ctmc_lambda1_bound(
     delta_norm: float | None = None,
     settings: NumericSettings = DEFAULT,
 ) -> BoundReport:
-    """Ergodicity-coefficient bound: ell = 1 / Lambda1(Q), needs Lambda1(Q) > 0."""
-    lam = ctmc_ergodicity_coefficient(Q)
-    if lam <= settings.hypothesis_margin:
-        raise HypothesisFailed("Lambda1(Q) > 0", f"Lambda1(Q) = {lam:.12g}")
+    """Ergodicity-coefficient bound: ell = 1 / Lambda1(Q), needs Lambda1(Q) > 0.
+
+    The row scan stops at the first row whose defects already put
+    Lambda1(Q) at or below the margin; the failure then reports that upper
+    bound on Lambda1(Q) and its row.
+    """
+    best = np.inf
+    for i, v in _generator_row_defects(Q.entries):
+        if 0.5 * v <= settings.hypothesis_margin:
+            raise HypothesisFailed("Lambda1(Q) > 0", f"Lambda1(Q) <= {0.5 * v:.12g} (row {i})")
+        best = min(best, v)
+    lam = 0.5 * best
     return BoundReport(
         bound_name="ctmc_lambda1",
         hypotheses=[Hypothesis("Lambda1(Q) > 0", True, f"Lambda1(Q) = {lam:.12g}")],
@@ -323,7 +340,6 @@ class CtmcGeometricDriftCertificate:
         if V.shape != (Q.n,):
             raise InvalidParameters("weight length must match the generator size")
         rhs = -self.lam * V
-        rhs = rhs.copy()
         rhs[self.taboo_state] += self.b
         slack = Q.entries @ V - rhs
         scale = max(1.0, Q.uniformization_constant * float(V.max()))
@@ -553,13 +569,15 @@ def batch_arrival_drift(
     lam = float(-B(z0) / z0)
     if lam <= settings.hypothesis_margin:
         raise NoPositiveLambda(f"decay rate {lam:.3e} is not positive")
-    with np.errstate(over="raise"):
-        try:
-            V = z0 ** np.arange(n_states, dtype=float)
-        except FloatingPointError:
-            raise InvalidParameters(
-                f"weights z0^i overflow at {n_states} states (z0 = {z0:.6g})"
-            ) from None
+    with np.errstate(over="ignore"):
+        V = z0 ** np.arange(n_states, dtype=float)
+    finite = np.isfinite(V)
+    if not finite.all():
+        # z0 > 1, so the weights overflow from some state on
+        raise InvalidParameters(
+            f"weights z0^i overflow at {n_states} states (z0 = {z0:.6g}); "
+            f"at most {int(finite.sum())} states are admissible"
+        )
     b_const = float(npoly.polyval(z0, a)) + lam
     return CtmcGeometricDriftCertificate(
         taboo_state=0, weights=WeightFunction(V), lam=lam, b=b_const

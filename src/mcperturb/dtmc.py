@@ -71,12 +71,36 @@ def ergodicity_coefficient(B) -> float:
     Zero for matrices with identical rows; at most 1 for stochastic
     matrices; computed over all row pairs.
     """
-    M = np.asarray(B, dtype=float)
     best = 0.0
-    for _, diff in _abs_row_differences(M):
-        d = diff.sum(axis=1).max()
+    for _, d in _row_distances(np.asarray(B, dtype=float)):
         if d > best:
-            best = float(d)
+            best = d
+    return 0.5 * best
+
+
+def _row_distances(M: np.ndarray):
+    """Yield ``(i, max over j > i of the l1 distance between rows i and j)``.
+
+    The maximum over all rows is twice ``ergodicity_coefficient``.
+    """
+    for i, diff in _abs_row_differences(M):
+        yield i, float(diff.sum(axis=1).max())
+
+
+def _contraction_coefficient(M: np.ndarray, hypothesis: str, label: str,
+                             settings: NumericSettings) -> float:
+    """``ergodicity_coefficient(M)``, which must stay below 1 by the margin.
+
+    The row scan stops at the first row whose distances already put the
+    coefficient at or above ``1 - margin``, raising HypothesisFailed with
+    that lower bound and its row.
+    """
+    best = 0.0
+    for i, d in _row_distances(M):
+        if 0.5 * d >= 1.0 - settings.hypothesis_margin:
+            raise HypothesisFailed(hypothesis, f"{label} >= {0.5 * d:.12g} (row {i})")
+        if d > best:
+            best = d
     return 0.5 * best
 
 
@@ -94,11 +118,9 @@ def seneta_bound(
     Raises HypothesisFailed when Lambda1(P) >= 1, up to a small margin that
     guards the division against rounding.
     """
-    lam = ergodicity_coefficient(P.entries)
-    if lam >= 1.0 - settings.hypothesis_margin:
-        raise HypothesisFailed(
-            "one-step contraction Lambda1(P) < 1", f"Lambda1(P) = {lam:.12g}"
-        )
+    lam = _contraction_coefficient(
+        P.entries, "one-step contraction Lambda1(P) < 1", "Lambda1(P)", settings
+    )
     ell = 1.0 / (1.0 - lam)
     return BoundReport(
         bound_name="seneta",
@@ -150,12 +172,9 @@ def skeleton_bound(
     if m < 1:
         raise InvalidParameters("skeleton step count must be a positive integer")
     Pm = P.power(m)
-    lam = ergodicity_coefficient(Pm)
-    if lam >= 1.0 - settings.hypothesis_margin:
-        raise HypothesisFailed(
-            "m-step contraction Lambda1(P^m) < 1",
-            f"m = {m}, Lambda1(P^m) = {lam:.12g}",
-        )
+    lam = _contraction_coefficient(
+        Pm, "m-step contraction Lambda1(P^m) < 1", f"m = {m}, Lambda1(P^m)", settings
+    )
     num = matrix_norm(Pm - perturbed.power(m))
     delta = matrix_norm(perturbed.entries - P.entries)
     return BoundReport(

@@ -8,7 +8,14 @@ the residual afterwards. Two independent routes are kept alongside it:
 * ``method="gth"``: state-reduction (subtraction-free) elimination, which
   is componentwise accurate and strictly positive even when tail
   probabilities underflow the direct solve's absolute error. Weighted-norm
-  computations with growing weights need this route.
+  computations with growing weights need this route. Its cost follows the
+  fill of the elimination: O(n * bandwidth^2) on a banded chain, O(n^3)
+  on a dense one.
+
+The ergodicity-coefficient hypotheses of the bounds (``Lambda1(P) < 1``,
+``Lambda1(Q) > 0``) stop their row scan at the first row that disproves
+them: a failed hypothesis costs the rows up to that one, not the whole
+O(n^3) pair scan.
 """
 
 from __future__ import annotations
@@ -46,8 +53,20 @@ def _stationary_solve(M: np.ndarray) -> np.ndarray:
     return x
 
 
+def _nonzero_span(v: np.ndarray) -> slice | None:
+    """The slice from the first to the last nonzero of ``v``; None if all zero."""
+    nz = np.flatnonzero(v)
+    return slice(nz[0], nz[-1] + 1) if nz.size else None
+
+
 def _stationary_gth(P: np.ndarray) -> np.ndarray:
-    """State-reduction elimination; uses only additions of nonnegatives."""
+    """State-reduction elimination; uses only additions of nonnegatives.
+
+    Eliminating state k adds the outer product of column ``A[:k, k]`` and row
+    ``A[k, :k]`` to the leading block. Only the box spanned by their nonzeros
+    is updated: every skipped term is an exact ``+0.0``, so the result is the
+    dense update's, and a banded chain costs O(n * bandwidth^2).
+    """
     A = P.copy()
     n = A.shape[0]
     scales = np.empty(n)
@@ -57,7 +76,9 @@ def _stationary_gth(P: np.ndarray) -> np.ndarray:
             raise SolverFailure(f"state-reduction stalled at state {k} (no exit mass)")
         scales[k] = s
         A[k, :k] /= s
-        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+        rows, cols = _nonzero_span(A[:k, k]), _nonzero_span(A[k, :k])
+        if rows is not None and cols is not None:
+            A[rows, cols] += np.outer(A[rows, k], A[k, cols])
     x = np.zeros(n)
     x[0] = 1.0
     for k in range(1, n):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcperturb import gallery
+from mcperturb import McPerturbError, gallery
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,33 @@ def random_irreducible_chain(rng, n, sparsity=0.0):
         P = P * (rng.random((n, n)) > sparsity)
     P = P + 0.05
     return P / P.sum(axis=1, keepdims=True)
+
+
+def sparse_irreducible_chain(rng, n, density):
+    """A random cycle through every state plus random sparse extra edges."""
+    order = rng.permutation(n)
+    P = np.zeros((n, n))
+    P[order, np.roll(order, -1)] = rng.random(n) + 0.05
+    P += rng.random((n, n)) * (rng.random((n, n)) < density)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def gallery_model(spec, truncation):
+    try:
+        return gallery.build_model(spec, truncation=truncation)
+    except McPerturbError:
+        return gallery.build_model(spec)      # fixed-size models keep their own size
+
+
+def count_scanned_rows(monkeypatch, module):
+    """Record every row index the module's ``_abs_row_differences`` scan yields."""
+    rows = []
+    scan = module._abs_row_differences
+
+    def counted(M):
+        for i, diff in scan(M):
+            rows.append(i)
+            yield i, diff
+
+    monkeypatch.setattr(module, "_abs_row_differences", counted)
+    return rows

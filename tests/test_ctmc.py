@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mcperturb.ctmc
+
 from mcperturb import (
     HypothesisFailed,
     IntensityMatrix,
@@ -32,6 +34,8 @@ from mcperturb import (
     v_norm_matrix,
 )
 from mcperturb.gallery import batch_arrival, mm1
+from mcperturb.settings import DEFAULT
+from tests.conftest import count_scanned_rows
 
 
 def two_state_generator(a=1.0, b=1.0):
@@ -412,3 +416,84 @@ class TestGeneratorErgodicityCoefficientLoop:
     def test_equals_double_loop_on_gallery_generators(self, build):
         Q = build(truncation=60).chain
         assert ctmc_ergodicity_coefficient(Q) == loop_generator_lambda1(Q)
+
+
+def _random_generator(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    R = rng.random((n, n)) * (rng.random((n, n)) < rng.choice([0.1, 0.3, 1.0]))
+    R = (R + rng.choice([0.0, 0.0, 1.0])) * rng.choice([1e-3, 1.0, 1e3])
+    np.fill_diagonal(R, 0.0)
+    np.fill_diagonal(R, -R.sum(axis=1))
+    return IntensityMatrix(R)
+
+
+def _expected_stop(Q):
+    """The detail of the first row whose pair defects give Lambda1(Q) <= margin,
+    found by the explicit pair loop; None if no row does."""
+    M = Q.entries
+    for i in range(Q.n - 1):
+        best = np.inf
+        for j in range(i + 1, Q.n):
+            diff = np.abs(M[j] - M[i])
+            inner = diff.sum() - diff[i] - diff[j]
+            best = min(best, float(diff[i] + diff[j] - inner))
+        if 0.5 * best <= DEFAULT.hypothesis_margin:
+            return 0.5 * best, f"Lambda1(Q) <= {0.5 * best:.12g} (row {i})"
+    return None
+
+
+class TestLambda1ScanStop:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_verdict_and_values_match_the_full_scan(self, seed):
+        Q = _random_generator(seed)
+        full = ctmc_ergodicity_coefficient(Q)
+        if full > DEFAULT.hypothesis_margin:
+            rep = ctmc_lambda1_bound(Q, 0.1)
+            assert rep.ell == 1.0 / full
+            assert rep.info == {"lambda1_Q": full}
+            assert rep.hypotheses[0].detail == f"Lambda1(Q) = {full:.12g}"
+            assert _expected_stop(Q) is None
+        else:
+            with pytest.raises(HypothesisFailed) as exc:
+                ctmc_lambda1_bound(Q, 0.1)
+            v, detail = _expected_stop(Q)
+            assert exc.value.detail == detail
+            assert full <= v
+
+    def test_random_generators_cover_both_verdicts(self):
+        verdicts = {ctmc_ergodicity_coefficient(_random_generator(s)) > DEFAULT.hypothesis_margin
+                    for s in range(30)}
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("build", [mm1, batch_arrival])
+    def test_stops_at_the_first_row_at_n800(self, build, monkeypatch):
+        Q = build(truncation=800).chain
+        rows = count_scanned_rows(monkeypatch, mcperturb.ctmc)
+        with pytest.raises(HypothesisFailed) as exc:
+            ctmc_lambda1_bound(Q)
+        assert len(rows) <= 1
+        assert exc.value.detail.endswith("(row 0)")
+
+    @pytest.mark.parametrize("build", [mm1, batch_arrival])
+    def test_stopped_value_brackets_the_full_value(self, build):
+        Q = build(truncation=200).chain
+        with pytest.raises(HypothesisFailed) as exc:
+            ctmc_lambda1_bound(Q)
+        v, detail = _expected_stop(Q)
+        assert exc.value.detail == detail
+        assert ctmc_ergodicity_coefficient(Q) <= v
+
+
+class TestBatchArrivalOverflow:
+    def test_message_names_the_largest_admissible_size(self):
+        model = batch_arrival()
+        a, b = model.extras["a"], model.extras["b"]
+        # z0 = 1.73668: z0^1285 is about 1e308, z0^1286 overflows
+        n_max = 1286
+        with pytest.raises(InvalidParameters, match=f"at most {n_max} states"):
+            batch_arrival_drift(a, b, n_states=2000)
+        cert = batch_arrival_drift(a, b, n_states=n_max)
+        assert np.isfinite(cert.weights.values).all()
+        with pytest.raises(InvalidParameters, match=f"at most {n_max} states"):
+            batch_arrival_drift(a, b, n_states=n_max + 1)

@@ -10,7 +10,6 @@ from mcperturb import (
     DriftViolated,
     GeometricDriftCertificate,
     HypothesisFailed,
-    McPerturbError,
     NoSmallSet,
     SolverFailure,
     StochasticMatrix,
@@ -34,7 +33,13 @@ from mcperturb import (
 )
 from mcperturb import gallery
 from mcperturb.gallery import birth_death, geometric_return, odd_even
-from tests.conftest import random_irreducible_chain
+from mcperturb.settings import DEFAULT
+from tests.conftest import (
+    count_scanned_rows,
+    gallery_model,
+    random_irreducible_chain,
+    sparse_irreducible_chain,
+)
 
 
 def brute_lambda1(B):
@@ -274,13 +279,6 @@ def _scan_result(P, **kwargs):
     return rep.info["sup_hitting_time"], rep.info["taboo_state"]
 
 
-def _gallery_dtmc(spec, truncation):
-    try:
-        return gallery.build_model(spec, truncation=truncation)
-    except McPerturbError:
-        return gallery.build_model(spec)      # fixed-size models keep their own size
-
-
 DTMC_SPECS = [s for s in gallery.list_models() if gallery.build_model(s).kind == "dtmc"]
 
 
@@ -335,7 +333,7 @@ class TestHittingTimeBound:
     @pytest.mark.parametrize("truncation", [24, 200])
     @pytest.mark.parametrize("spec", DTMC_SPECS)
     def test_pruned_scan_matches_exhaustive_scan_on_gallery(self, spec, truncation):
-        P = _gallery_dtmc(spec, truncation).chain
+        P = gallery_model(spec, truncation).chain
         assert _scan_result(P) == exhaustive_hitting_scan(P)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -391,7 +389,7 @@ class TestHittingTimeBound:
 
     @pytest.mark.parametrize("spec", ["hessenberg-gi-m-1", "odd-even-p", "funderlic8", "meyer4"])
     def test_supplied_pi_gives_the_same_report(self, spec):
-        P = _gallery_dtmc(spec, 60).chain
+        P = gallery_model(spec, 60).chain
         pi = stationary_distribution(P)
         assert hitting_time_bound(P, 0.01, pi=pi).to_dict() == \
             hitting_time_bound(P, 0.01).to_dict()
@@ -473,3 +471,77 @@ class TestVNormBounds:
         )
         rep = v_bound_drift_only(cert, 0.1)
         assert rep.direct_value == 0.0
+
+
+def _random_chain(seed):
+    """Dense (contracting) or sparse (often not contracting) random chain."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    if seed % 2:
+        return StochasticMatrix(random_irreducible_chain(rng, n))
+    return StochasticMatrix(sparse_irreducible_chain(rng, n, rng.choice([0.05, 0.2, 0.5])))
+
+
+def _expected_stop(M, label):
+    """The detail of the first row whose distances give Lambda1(M) >= 1 - margin,
+    found by an explicit loop over rows and pairs; None if no row does."""
+    n = M.shape[0]
+    for i in range(n - 1):
+        half = 0.5 * max(float(np.abs(M[j] - M[i]).sum()) for j in range(i + 1, n))
+        if half >= 1.0 - DEFAULT.hypothesis_margin:
+            return half, f"{label} >= {half:.12g} (row {i})"
+    return None
+
+
+class TestLambda1ScanStop:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seneta_verdict_and_values_match_the_full_scan(self, seed):
+        P = _random_chain(seed)
+        full = ergodicity_coefficient(P.entries)
+        if full < 1.0 - DEFAULT.hypothesis_margin:
+            rep = seneta_bound(P, 0.1)
+            assert rep.ell == 1.0 / (1.0 - full)
+            assert rep.info == {"lambda1_P": full}
+            assert rep.hypotheses[0].detail == f"Lambda1(P) = {full:.12g}"
+            assert _expected_stop(P.entries, "Lambda1(P)") is None
+        else:
+            with pytest.raises(HypothesisFailed) as exc:
+                seneta_bound(P, 0.1)
+            v, detail = _expected_stop(P.entries, "Lambda1(P)")
+            assert exc.value.detail == detail
+            assert v <= full
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_skeleton_verdict_and_values_match_the_full_scan(self, seed):
+        P = _random_chain(seed)
+        full = ergodicity_coefficient(P.power(2))
+        if full < 1.0 - DEFAULT.hypothesis_margin:
+            rep = skeleton_bound(P, P, 2)
+            assert rep.info["lambda1_Pm"] == full
+            assert rep.direct_value == 0.0
+            assert _expected_stop(P.power(2), "m = 2, Lambda1(P^m)") is None
+        else:
+            with pytest.raises(HypothesisFailed) as exc:
+                skeleton_bound(P, P, 2)
+            v, detail = _expected_stop(P.power(2), "m = 2, Lambda1(P^m)")
+            assert exc.value.detail == detail
+            assert v <= full
+
+    def test_random_chains_cover_both_verdicts(self):
+        for power in (1, 2):
+            verdicts = {ergodicity_coefficient(_random_chain(s).power(power))
+                        < 1.0 - DEFAULT.hypothesis_margin for s in range(30)}
+            assert verdicts == {True, False}
+
+    def test_seneta_stops_at_the_first_row_on_geometric_return(self, monkeypatch):
+        P = geometric_return(truncation=400).chain
+        rows = count_scanned_rows(monkeypatch, mcperturb.dtmc)
+        with pytest.raises(HypothesisFailed) as exc:
+            seneta_bound(P)
+        assert len(rows) <= 1
+        assert exc.value.detail.endswith("(row 0)")
+
+    def test_group_inverse_coefficient_scans_every_row(self, monkeypatch, meyer):
+        rows = count_scanned_rows(monkeypatch, mcperturb.dtmc)
+        seneta_best_bound(meyer.chain)
+        assert rows == [0, 1, 2]

@@ -4,16 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcperturb import (
+    IntensityMatrix,
     PeriodicChain,
     ReducibleChain,
+    SolverFailure,
     StochasticMatrix,
     deviation_matrix,
     fundamental_matrix,
     group_inverse,
     stationary_distribution,
     stationary_matrix,
+    uniformize,
 )
-from tests.conftest import random_irreducible_chain
+from mcperturb import gallery
+from mcperturb.solvers import _stationary_gth
+from mcperturb.verify import canonical_pair
+from tests.conftest import gallery_model, random_irreducible_chain, sparse_irreducible_chain
 
 
 class TestStationary:
@@ -216,3 +222,67 @@ class TestDeviationMatrix:
                 acc += Pk - Pi
                 Pk = Pk @ P.entries
             assert np.abs(acc - D).max() < 1e-6, model.name
+
+
+def loop_gth(P):
+    """The dense state-reduction loop: a full k x k update at every step."""
+    A = P.copy()
+    n = A.shape[0]
+    scales = np.empty(n)
+    for k in range(n - 1, 0, -1):
+        s = A[k, :k].sum()
+        if s <= 0.0:
+            raise SolverFailure(f"state-reduction stalled at state {k} (no exit mass)")
+        scales[k] = s
+        A[k, :k] /= s
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = np.dot(x[:k], A[:k, k]) / scales[k]
+    return x / x.sum()
+
+
+def _gth_input(chain):
+    """The transition matrix GTH runs on: the chain, or a generator's skeleton."""
+    if isinstance(chain, IntensityMatrix):
+        return uniformize(chain).matrix.entries
+    return chain.entries
+
+
+class TestSparseGth:
+    @pytest.mark.parametrize("truncation", [24, 200])
+    @pytest.mark.parametrize("spec", gallery.list_models())
+    def test_equals_dense_loop_on_gallery(self, spec, truncation):
+        model = gallery_model(spec, truncation)
+        pair = canonical_pair(model, magnitude=0.01, seed=0)
+        for chain in (model.chain, pair.perturbed):
+            P = _gth_input(chain)
+            assert np.array_equal(_stationary_gth(P), loop_gth(P))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_dense_loop_on_sparse_random_chains(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        P = sparse_irreducible_chain(rng, n, density=rng.choice([0.0, 0.02, 0.1]))
+        assert np.array_equal(_stationary_gth(P), loop_gth(P))
+
+    def test_equals_dense_loop_on_dense_random_chain(self):
+        P = random_irreducible_chain(np.random.default_rng(11), 150)
+        assert np.array_equal(_stationary_gth(P), loop_gth(P))
+
+    @pytest.mark.parametrize("closed", [(2,), (1, 2), (3, 5), (4,)])
+    def test_stalls_at_the_same_state(self, closed):
+        # the states in ``closed`` never leave it, so elimination runs out of
+        # exit mass at a state the dense loop also stalls on
+        rng = np.random.default_rng(len(closed))
+        P = sparse_irreducible_chain(rng, 6, density=0.3)
+        idx = list(closed)
+        P[idx] = 0.0
+        P[np.ix_(idx, idx)] = rng.random((len(idx), len(idx))) + 0.05
+        P /= P.sum(axis=1, keepdims=True)
+        with pytest.raises(SolverFailure) as dense:
+            loop_gth(P)
+        with pytest.raises(SolverFailure, match="state-reduction stalled") as sparse:
+            _stationary_gth(P)
+        assert str(sparse.value) == str(dense.value)
