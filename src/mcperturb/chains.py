@@ -3,7 +3,9 @@
 All types validate their structural invariants at construction and freeze
 their numpy storage, so instances are immutable and safe to share across
 threads. Irreducibility and (for discrete chains) the period are computed
-once and cached on the instance.
+once, on first read, and cached on the instance. A perturbed chain or a
+uniformized skeleton inherits irreducibility from the chain it is built from,
+without a graph search, when no edge of that chain is lost.
 """
 
 from __future__ import annotations
@@ -99,8 +101,15 @@ class StochasticMatrix:
         self.entries = P
         self.n = P.shape[0]
         self.settings = settings
-        self.irreducible = _is_strongly_connected(P > 0.0)
+        self._irreducible: bool | None = None
         self._period: int | None = None
+
+    @property
+    def irreducible(self) -> bool:
+        """Whether the transition graph is strongly connected; computed once, on demand."""
+        if self._irreducible is None:
+            self._irreducible = _is_strongly_connected(self.entries > 0.0)
+        return self._irreducible
 
     @property
     def period(self) -> int:
@@ -161,13 +170,46 @@ class IntensityMatrix:
         self.n = Q.shape[0]
         self.settings = settings
         self.uniformization_constant = uc
-        self.irreducible = _is_strongly_connected(off > 0.0)
+        self._irreducible: bool | None = None
+
+    @property
+    def irreducible(self) -> bool:
+        """Whether the graph of positive off-diagonal rates is strongly
+        connected; computed once, on demand."""
+        if self._irreducible is None:
+            support = self.entries > 0.0
+            np.fill_diagonal(support, False)
+            self._irreducible = _is_strongly_connected(support)
+        return self._irreducible
 
     def __repr__(self):
         return (
             f"IntensityMatrix(n={self.n}, irreducible={self.irreducible}, "
             f"uniformization_constant={self.uniformization_constant:g})"
         )
+
+
+def _inherit_irreducibility(base, chain, rows=slice(None)) -> None:
+    """Mark ``chain`` irreducible when ``base`` is and no entry positive in
+    ``base`` is zero or negative in ``chain`` on ``rows`` (the rows where the
+    two can differ).
+
+    The support of ``chain`` then contains the support of ``base``, so no
+    graph search is needed. Otherwise ``chain.irreducible`` falls back to the
+    graph check on first read. Comparing a generator's diagonal too can
+    only send a chain to the fallback.
+    """
+    if base.irreducible and not np.any((base.entries[rows] > 0.0)
+                                       & (chain.entries[rows] <= 0.0)):
+        chain._irreducible = True
+
+
+def _perturbed_chain(chain, delta: np.ndarray):
+    """``chain.entries + delta`` validated as a new chain of the same kind; it
+    inherits irreducibility when the rows ``delta`` touches lose no edge."""
+    perturbed = type(chain)(chain.entries + delta, settings=chain.settings)
+    _inherit_irreducibility(chain, perturbed, np.flatnonzero(delta.any(axis=1)))
+    return perturbed
 
 
 class Distribution:

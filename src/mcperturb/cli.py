@@ -208,6 +208,7 @@ def cmd_verify(args, out) -> int:
                                   seed=args.seed, include_v_norm=args.v_norm)
             entry["cases"] = summary.n_cases
             entry["violations"] = summary.n_violations
+            entry["violation_seeds"] = summary.violation_seeds
             entry["rejected_draws"] = summary.n_rejected
             entry["skipped_bounds"] = summary.skipped_bounds
             entry["tightness"] = summary.tightness()
@@ -229,6 +230,9 @@ def cmd_verify(args, out) -> int:
             if "violations" in entry:
                 print(f"  fuzz: {entry['cases']} cases, "
                       f"{entry['violations']} violations", file=out)
+                if entry["violation_seeds"]:
+                    print(f"    violation seeds: {', '.join(map(str, entry['violation_seeds']))}",
+                          file=out)
                 for bname, stats in entry["tightness"].items():
                     print(f"    {bname}: min ratio {stats['min']:.4g}, "
                           f"mean {stats['mean']:.4g}", file=out)

@@ -30,6 +30,7 @@ from .chains import (
     IntensityMatrix,
     StochasticMatrix,
     WeightFunction,
+    _inherit_irreducibility,
     as_weight_array,
 )
 from .errors import (
@@ -102,8 +103,10 @@ def uniformize(
         h = DEFAULT_STEP_FRACTION * limit
     if not 0.0 < h < limit:
         raise InvalidStep(f"step {h:g} outside the open interval (0, {limit:g})")
-    P_h = np.eye(Q.n) + h * Q.entries
-    return UniformizedChain(h=h, matrix=StochasticMatrix(P_h, settings=settings), source=Q)
+    P_h = StochasticMatrix(np.eye(Q.n) + h * Q.entries, settings=settings)
+    # P_h has Q's off-diagonal support unless some h * q_ij underflows to 0
+    _inherit_irreducibility(Q, P_h)
+    return UniformizedChain(h=h, matrix=P_h, source=Q)
 
 
 def pair_step(Q: IntensityMatrix, Q_tilde: IntensityMatrix) -> float:

@@ -28,8 +28,8 @@ def total_variation_norm(mu) -> float:
 
 
 def matrix_norm(L) -> float:
-    """Operator norm induced on measures: max absolute row sum."""
-    return float(np.abs(np.asarray(L, dtype=float)).sum(axis=1).max())
+    """Operator norm induced on measures: max absolute row sum (0 for no rows)."""
+    return float(np.abs(np.asarray(L, dtype=float)).sum(axis=1).max(initial=0.0))
 
 
 def v_norm_measure(mu, weights) -> float:

@@ -198,7 +198,12 @@ def group_inverse(
     settings = settings or P.settings
     if pi is None:
         pi = stationary_distribution(P, settings=settings)
-    R = fundamental_matrix(P, pi, settings=settings)
+    return _certified_group_inverse(P, pi, fundamental_matrix(P, pi, settings=settings),
+                                    settings)
+
+
+def _certified_group_inverse(P, pi, R, settings) -> np.ndarray:
+    """R - Pi from the fundamental matrix R of P, certified as in group_inverse."""
     Pi = stationary_matrix(pi)
     X = R - Pi
     A = np.eye(P.n) - P.entries

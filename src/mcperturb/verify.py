@@ -15,7 +15,13 @@ the perturbed stationary distribution exactly, and confirms that every
 norm-wise bound of :func:`~mcperturb.catalog.bound_catalog` covers the
 exact gap: the coefficients come from one catalog call per run, so the
 oracle checks the same bound list users see. Seeds are recorded per case
-for bit-reproducible reruns.
+for bit-reproducible reruns; the summary lists the seeds of the cases with
+a violation.
+
+A case costs one dense solve of the perturbed chain plus an O(k n) draw on
+the k <= 3 rows it touches: no draw removes an edge, so the perturbed chain
+inherits irreducibility from the base chain, and the graph check runs only
+when an edge is removed.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import _v_norm_pair, bound_catalog
-from .chains import IntensityMatrix, PerturbationPair, StochasticMatrix
+from .chains import IntensityMatrix, PerturbationPair, StochasticMatrix, _perturbed_chain
 from .ctmc import (
     batch_arrival_drift,
     ctmc_stationary,
@@ -54,6 +60,7 @@ from .norms import matrix_norm, total_variation_norm, v_norm_matrix, v_norm_meas
 from .reports import USELESS_THRESHOLD, BoundReport, covers
 from .settings import DEFAULT, NumericSettings
 from .solvers import (
+    _certified_group_inverse,
     deviation_matrix,
     fundamental_matrix,
     stationary_distribution,
@@ -105,7 +112,10 @@ def residual_perturbation_identity(pair: PerturbationPair) -> float:
         raise InvalidParameters("identity applies to transition-matrix pairs")
     pi = stationary_distribution(pair.base)
     nu = stationary_distribution(pair.perturbed)
-    R = fundamental_matrix(pair.base, pi)
+    return _perturbation_residual(pair, pi, nu, fundamental_matrix(pair.base, pi))
+
+
+def _perturbation_residual(pair, pi, nu, R) -> float:
     Pi = stationary_matrix(pi)
     lhs = nu.values - pi.values
     r1 = np.abs(lhs - nu.values @ pair.delta @ R).max()
@@ -119,7 +129,10 @@ def residual_deviation_identity(pair: PerturbationPair) -> float:
         raise InvalidParameters("identity applies to transition-matrix pairs")
     pi = stationary_distribution(pair.base)
     nu = stationary_distribution(pair.perturbed)
-    D = deviation_matrix(pair.base, pi)
+    return _deviation_residual(pair, pi, nu, deviation_matrix(pair.base, pi))
+
+
+def _deviation_residual(pair, pi, nu, D) -> float:
     lhs = nu.values - pi.values
     return float(np.abs(lhs - nu.values @ pair.delta @ D).max())
 
@@ -136,6 +149,13 @@ def residual_taboo_inverse_identity(
     solve, cross-checked against a vector-probe partial sum of the series
     when the spectral radius estimate is below 0.95.
     """
+    N = _taboo_resolvent(P, taboo_state, settings)
+    pi = stationary_distribution(P)
+    return _taboo_residual(N, pi, fundamental_matrix(P, pi))
+
+
+def _taboo_resolvent(P: StochasticMatrix, taboo_state: int, settings: NumericSettings):
+    """(I - T)^{-1}, checked as described in residual_taboo_inverse_identity."""
     n = P.n
     T = P.entries.copy()
     T[taboo_state, :] = 0.0
@@ -157,9 +177,12 @@ def residual_taboo_inverse_identity(
             raise SeriesDivergent(
                 f"resolvent series cross-check disagrees by {agree:.3e}"
             )
-    pi = stationary_distribution(P)
+    return N
+
+
+def _taboo_residual(N, pi, R) -> float:
+    n = pi.n
     Pi = stationary_matrix(pi)
-    R = fundamental_matrix(P, pi)
     kappa = float(pi.values @ N @ np.ones(n))
     rhs = Pi @ (kappa * np.eye(n) - N) + N @ (np.eye(n) - Pi)
     return float(np.abs((R - Pi) - rhs).max())
@@ -231,17 +254,25 @@ def identity_residuals(
     Returns the perturbation-identity and taboo-resolvent residuals for
     every model, plus the deviation-identity residual for aperiodic ones.
     Generator models are checked through their skeleton chains, where the
-    identities live.
+    identities live. Each call solves ``pi``, ``nu`` and the fundamental
+    matrix once and shares them between the three residuals.
     """
     pair = canonical_pair(model, magnitude=magnitude, seed=seed)
     if model.kind == "ctmc":
         pair = skeleton_pair(pair)
+    P = pair.base
+    pi = stationary_distribution(P)
+    nu = stationary_distribution(pair.perturbed)
+    R = fundamental_matrix(P, pi)
     out = {
-        "perturbation_identity": residual_perturbation_identity(pair),
-        "taboo_inverse_identity": residual_taboo_inverse_identity(pair.base, taboo_state),
+        "perturbation_identity": _perturbation_residual(pair, pi, nu, R),
+        "taboo_inverse_identity": _taboo_residual(_taboo_resolvent(P, taboo_state, DEFAULT),
+                                                  pi, R),
     }
-    if pair.base.aperiodic:
-        out["deviation_identity"] = residual_deviation_identity(pair)
+    if P.aperiodic:
+        # on an aperiodic chain the deviation matrix is the group inverse R - Pi
+        D = _certified_group_inverse(P, pi, R, P.settings)
+        out["deviation_identity"] = _deviation_residual(pair, pi, nu, D)
     return out
 
 
@@ -284,6 +315,13 @@ class FuzzSummary:
     def n_violations(self) -> int:
         return sum(len(c.violations) for c in self.cases)
 
+    @property
+    def violation_seeds(self) -> list[tuple]:
+        """Seeds of the cases with a violation, in case order. Case
+        ``(seed, i)`` is replayed as the last case of
+        ``fuzz_bounds(model, n_cases=i + 1, magnitude=magnitude, seed=seed)``."""
+        return [c.seed for c in self.cases if c.violations]
+
     def tightness(self) -> dict:
         """Per-bound min/mean of bound_value / gap over cases with gap > 0."""
         ratios: dict[str, list[float]] = {}
@@ -304,9 +342,12 @@ def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float) -> np.ndarray 
     through its largest off-diagonal entry so the row sums stay zero, then
     the whole matrix is scaled to the target max-absolute-row-sum norm.
     Entries too small to absorb a negative bump only receive positive ones.
-    Returns None when the draw degenerates (caller retries).
+    Returns None when the draw degenerates (caller retries), and always for
+    a 1-state chain, which has no nonzero row-sum-zero perturbation.
     """
     n = P.n
+    if n == 1:
+        return None
     delta = np.zeros((n, n))
     n_rows = int(rng.integers(1, min(3, n) + 1))
     rows = rng.choice(n, size=n_rows, replace=False)
@@ -316,20 +357,15 @@ def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float) -> np.ndarray 
         j_star = int(np.argmax(off))
         if P.entries[i, j_star] < 1.5 * magnitude:
             return None
-        others = [j for j in range(n) if j != j_star]
-        k = int(rng.integers(1, min(3, len(others)) + 1))
-        cols = rng.choice(len(others), size=k, replace=False)
-        for idx in cols:
-            j = others[int(idx)]
+        k = int(rng.integers(1, min(3, n - 1) + 1))
+        for idx in rng.choice(n - 1, size=k, replace=False):
+            j = idx + (idx >= j_star)          # the idx-th column other than j_star
             v = rng.normal()
             if P.entries[i, j] < 1.5 * magnitude:
                 v = abs(v)
             delta[i, j] += v
         delta[i, j_star] -= delta[i].sum()
-    nm = matrix_norm(delta)
-    if nm <= 0:
-        return None
-    return delta * (magnitude / nm)
+    return _scaled(delta, rows, magnitude)
 
 
 def sample_ctmc_delta(rng, Q: IntensityMatrix, magnitude: float) -> np.ndarray | None:
@@ -342,31 +378,42 @@ def sample_ctmc_delta(rng, Q: IntensityMatrix, magnitude: float) -> np.ndarray |
     rows = rng.choice(n, size=n_rows, replace=False)
     floor = 1.5 * magnitude
     for i in rows:
-        others = [j for j in range(n) if j != i]
-        k = int(rng.integers(1, min(3, len(others)) + 1))
-        cols = rng.choice(len(others), size=k, replace=False)
-        for idx in cols:
-            j = others[int(idx)]
+        k = int(rng.integers(1, min(3, n - 1) + 1))
+        for idx in rng.choice(n - 1, size=k, replace=False):
+            j = idx + (idx >= i)               # the idx-th column other than i
             v = rng.normal() * scale
             if Q.entries[i, j] < floor:
                 v = abs(v)
             delta[i, j] += v
         delta[i, i] = -delta[i].sum()
-    nm = matrix_norm(delta)
+    return _scaled(delta, rows, magnitude)
+
+
+def _scaled(delta, rows, magnitude):
+    """``delta`` scaled in place to norm ``magnitude``; only ``rows`` are nonzero,
+    so the norm and the scaling need no other row. None for a zero draw."""
+    nm = matrix_norm(delta[rows])
     if nm <= 0:
         return None
-    return delta * (magnitude / nm)
+    delta[rows] *= magnitude / nm
+    return delta
 
 
 def _perturbed(rng, chain, magnitude, tries=50):
-    """Draw until a perturbation keeps the chain valid and irreducible."""
+    """Draw until a perturbation keeps the chain valid and irreducible.
+
+    Every draw keeps each entry it lowers positive (a negative bump lands
+    only on an entry of at least 1.5 * magnitude, and no scaled entry
+    exceeds magnitude), so the perturbed chain inherits the base chain's
+    irreducibility without a graph search.
+    """
     sample = sample_dtmc_delta if isinstance(chain, StochasticMatrix) else sample_ctmc_delta
     for _ in range(tries):
         delta = sample(rng, chain, magnitude)
         if delta is None:
             continue
         try:
-            perturbed = type(chain)(chain.entries + delta, settings=chain.settings)
+            perturbed = _perturbed_chain(chain, delta)
         except ValidationError:
             continue
         if perturbed.irreducible:
@@ -495,7 +542,7 @@ def fuzz_bounds(
             continue
         nu = solve(perturbed)
         gap = total_variation_norm(nu.values - pi.values)
-        dn = matrix_norm(delta)
+        dn = matrix_norm(delta[delta.any(axis=1)])     # untouched rows add nothing
         outcomes = [_outcome(rep.bound_name, rep.ell * dn, gap) for rep in linear]
         if use_skeleton:
             try:

@@ -66,3 +66,19 @@ def count_scanned_rows(monkeypatch, module):
 
     monkeypatch.setattr(module, "_abs_row_differences", counted)
     return rows
+
+
+def shrink_coefficient(monkeypatch, bound_name, factor):
+    """Scale one catalog coefficient that ``fuzz_bounds`` checks, so its bound can fail."""
+    from mcperturb import verify
+
+    catalog = verify.bound_catalog
+
+    def shrunk(chain, **kwargs):
+        reports = catalog(chain, **kwargs)
+        for rep in reports:
+            if rep.bound_name == bound_name:
+                rep.ell *= factor
+        return reports
+
+    monkeypatch.setattr(verify, "bound_catalog", shrunk)

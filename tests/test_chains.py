@@ -11,7 +11,9 @@ from mcperturb import (
     ValidationError,
     WeightFunction,
 )
-from mcperturb.chains import _period_by_bfs
+from mcperturb import chains
+from mcperturb.chains import _period_by_bfs, _perturbed_chain
+from mcperturb.ctmc import uniformize
 
 
 class TestStochasticMatrix:
@@ -209,3 +211,147 @@ class TestPeriodByBfs:
         feeder = _cycle_support(4, 3, offset=1)
         feeder[0, 1] = True
         assert _period_by_bfs(feeder) == loop_period(feeder) == 3
+
+
+def reachable(support, start, reverse=False):
+    """Reference reachability: a plain Python BFS over the support."""
+    S = support.T if reverse else support
+    seen = {start}
+    queue = [start]
+    while queue:
+        u = queue.pop()
+        for v in np.nonzero(S[u])[0]:
+            if v not in seen:
+                seen.add(int(v))
+                queue.append(int(v))
+    return seen
+
+
+def loop_irreducible(support):
+    n = support.shape[0]
+    return len(reachable(support, 0)) == n and len(reachable(support, 0, reverse=True)) == n
+
+
+def count_graph_checks(monkeypatch):
+    """Record the shape of every support handed to the strong-connectivity check."""
+    calls = []
+    check = chains._is_strongly_connected
+
+    def counted(support):
+        calls.append(support.shape)
+        return check(support)
+
+    monkeypatch.setattr(chains, "_is_strongly_connected", counted)
+    return calls
+
+
+def _random_chain_pair(seed):
+    """A transition matrix and a generator on the same random sparse support."""
+    rng = np.random.default_rng([seed, 77])
+    n = int(rng.integers(2, 30))
+    S = rng.random((n, n)) < rng.choice([0.05, 0.1, 0.2, 0.4])
+    S[np.arange(n), rng.integers(0, n, n)] = True          # no empty row
+    W = np.where(S, rng.random((n, n)) + 0.1, 0.0)
+    P = W / W.sum(axis=1, keepdims=True)
+    off = W.copy()
+    np.fill_diagonal(off, 0.0)
+    if not off.any():
+        off[0, 1] = 1.0
+    Q = off - np.diag(off.sum(axis=1))
+    return P, Q
+
+
+class TestLazyIrreducibility:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_on_random_sparse_supports(self, seed, monkeypatch):
+        calls = count_graph_checks(monkeypatch)
+        P_entries, Q_entries = _random_chain_pair(seed)
+        P, Q = StochasticMatrix(P_entries), IntensityMatrix(Q_entries)
+        assert calls == []                       # nothing computed at construction
+        off_support = Q_entries > 0
+        np.fill_diagonal(off_support, False)
+        assert P.irreducible == loop_irreducible(P_entries > 0)
+        assert Q.irreducible == loop_irreducible(off_support)
+        assert len(calls) == 2
+        P.irreducible, Q.irreducible
+        assert len(calls) == 2                   # cached
+
+    def test_mix_of_verdicts(self):
+        verdicts = {StochasticMatrix(_random_chain_pair(seed)[0]).irreducible
+                    for seed in range(40)}
+        assert verdicts == {True, False}
+
+
+class TestInheritedIrreducibility:
+    P = np.array([[0.5, 0.5, 0.0],
+                  [0.0, 0.5, 0.5],
+                  [0.5, 0.0, 0.5]])
+
+    def base(self):
+        P = StochasticMatrix(self.P)
+        assert P.irreducible
+        return P
+
+    def test_kept_support_needs_no_graph_check(self, monkeypatch):
+        P = self.base()
+        calls = count_graph_checks(monkeypatch)
+        delta = np.zeros((3, 3))
+        delta[0] = [-0.1, -0.1, 0.2]             # lowers two edges, adds one
+        perturbed = _perturbed_chain(P, delta)
+        assert perturbed.irreducible
+        assert calls == []
+        np.testing.assert_array_equal(perturbed.entries, self.P + delta)
+
+    def test_removed_edge_runs_the_graph_check(self, monkeypatch):
+        P = self.base()
+        calls = count_graph_checks(monkeypatch)
+        delta = np.zeros((3, 3))
+        delta[1] = [0.2, -0.5, 0.3]              # removes the self-loop 1 -> 1
+        perturbed = _perturbed_chain(P, delta)
+        assert perturbed.irreducible
+        assert calls == [(3, 3)]
+
+    def test_disconnecting_delta_is_reducible(self, monkeypatch):
+        P = self.base()
+        calls = count_graph_checks(monkeypatch)
+        delta = np.zeros((3, 3))
+        delta[2] = [-0.5, 0.0, 0.5]              # state 2 becomes absorbing
+        perturbed = _perturbed_chain(P, delta)
+        assert not perturbed.irreducible
+        assert calls == [(3, 3)]
+
+    def test_reducible_base_falls_back(self, monkeypatch):
+        P = StochasticMatrix([[1.0, 0.0], [0.5, 0.5]])
+        calls = count_graph_checks(monkeypatch)
+        delta = np.array([[-0.1, 0.1], [0.0, 0.0]])
+        assert _perturbed_chain(P, delta).irreducible
+        assert len(calls) == 2                   # the base, then the perturbed chain
+
+    def test_generator(self, monkeypatch):
+        Q = IntensityMatrix([[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [3.0, 0.0, -3.0]])
+        assert Q.irreducible
+        calls = count_graph_checks(monkeypatch)
+        keep = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 0.0, 0.0]])
+        assert _perturbed_chain(Q, keep).irreducible
+        assert calls == []
+        cut = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-3.0, 0.0, 3.0]])
+        assert not _perturbed_chain(Q, cut).irreducible
+        assert calls == [(3, 3)]
+
+    def test_uniformized_skeleton_inherits(self, monkeypatch):
+        Q = IntensityMatrix([[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [3.0, 0.0, -3.0]])
+        assert Q.irreducible
+        calls = count_graph_checks(monkeypatch)
+        assert uniformize(Q).matrix.irreducible
+        assert calls == []
+
+    def test_skeleton_with_underflowed_rate_falls_back(self, monkeypatch):
+        # h * 1e-320 underflows to 0 in P_h = I + h Q, which cuts the only
+        # edge back to state 0: Q is irreducible, its skeleton is not
+        Q = IntensityMatrix([[-1e10, 1e10], [1e-320, -1e-320]])
+        assert Q.irreducible
+        calls = count_graph_checks(monkeypatch)
+        skeleton = uniformize(Q).matrix
+        assert skeleton.entries[1, 0] == 0.0
+        assert not skeleton.irreducible
+        assert calls == [(2, 2)]

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from mcperturb import ParseError, ValidationError
+from mcperturb import ParseError, StochasticMatrix, ValidationError
 from mcperturb.chainfile import load_chain_file, save_chain_file
 from mcperturb.cli import main
-from mcperturb.gallery import meyer4
+from mcperturb.gallery import GalleryModel, meyer4
+from tests.conftest import shrink_coefficient
 
 
 def run_cli(*argv):
@@ -230,6 +231,34 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(text)
         assert payload["results"][0]["violations"] == 0
+
+    def test_clean_run_lists_no_violation_seeds(self):
+        code, text = run_cli("verify", "meyer4", "--cases", "10", "--format", "json")
+        assert code == 0
+        assert json.loads(text)["results"][0]["violation_seeds"] == []
+        code, text = run_cli("verify", "meyer4", "--cases", "10")
+        assert "violation seeds" not in text
+
+    def test_violation_seeds_in_text_and_json(self, monkeypatch):
+        # a coefficient shrunk to zero makes every case with a nonzero gap fail
+        shrink_coefficient(monkeypatch, "seneta_best", 0.0)
+        code, text = run_cli("verify", "meyer4", "--cases", "4", "--seed", "7",
+                             "--format", "json")
+        assert code == 3
+        entry = json.loads(text)["results"][0]
+        assert entry["violation_seeds"] == [[7, 0], [7, 1], [7, 2], [7, 3]]
+        code, text = run_cli("verify", "meyer4", "--cases", "4", "--seed", "7")
+        assert code == 3
+        assert "    violation seeds: (7, 0), (7, 1), (7, 2), (7, 3)\n" in text
+
+    def test_one_state_chain_file(self, tmp_path, capsys):
+        # a 1x1 matrix has no nonzero perturbation: a library error, not a crash
+        path = tmp_path / "one.json"
+        model = GalleryModel(name="one-state", kind="dtmc", chain=StochasticMatrix([[1.0]]))
+        save_chain_file(model, str(path))
+        code, _ = run_cli("verify", str(path), "--cases", "3")
+        assert code == 2
+        assert "could not perturb model" in capsys.readouterr().err
 
     def test_full_gallery_sweep(self):
         code, text = run_cli("verify", "gallery", "--all", "--cases", "3",

@@ -1,13 +1,31 @@
 import numpy as np
 import pytest
 
-from mcperturb import McPerturbError, StochasticMatrix, bound_catalog, matrix_norm
-from mcperturb.gallery import birth_death, build_model, list_models, meyer4, mm1, odd_even
+from mcperturb import (
+    InvalidParameters,
+    McPerturbError,
+    StochasticMatrix,
+    bound_catalog,
+    chains,
+    matrix_norm,
+    verify,
+)
+from mcperturb.gallery import (
+    GalleryModel,
+    birth_death,
+    build_model,
+    list_models,
+    meyer4,
+    mm1,
+    odd_even,
+)
 from mcperturb.verify import (
+    canonical_pair,
     fuzz_bounds,
     sample_ctmc_delta,
     sample_dtmc_delta,
 )
+from tests.conftest import gallery_model, shrink_coefficient
 
 
 class TestDeltaSampling:
@@ -147,3 +165,161 @@ def test_fuzz_checks_the_catalog_bounds(name):
                                       for h in r.hypotheses if not h.holds)
               for r in reports if r.ell is None}
     assert summary.skipped_bounds == failed
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the list-based samplers and the full-matrix norm
+
+
+def full_matrix_norm(L):
+    return float(np.abs(np.asarray(L, dtype=float)).sum(axis=1).max())
+
+
+def list_sample_dtmc_delta(rng, P, magnitude):
+    n = P.n
+    delta = np.zeros((n, n))
+    n_rows = int(rng.integers(1, min(3, n) + 1))
+    rows = rng.choice(n, size=n_rows, replace=False)
+    for i in rows:
+        off = P.entries[i].copy()
+        off[i] = -1.0
+        j_star = int(np.argmax(off))
+        if P.entries[i, j_star] < 1.5 * magnitude:
+            return None
+        others = [j for j in range(n) if j != j_star]
+        k = int(rng.integers(1, min(3, len(others)) + 1))
+        cols = rng.choice(len(others), size=k, replace=False)
+        for idx in cols:
+            j = others[int(idx)]
+            v = rng.normal()
+            if P.entries[i, j] < 1.5 * magnitude:
+                v = abs(v)
+            delta[i, j] += v
+        delta[i, j_star] -= delta[i].sum()
+    nm = full_matrix_norm(delta)
+    if nm <= 0:
+        return None
+    return delta * (magnitude / nm)
+
+
+def list_sample_ctmc_delta(rng, Q, magnitude):
+    n = Q.n
+    scale = Q.uniformization_constant
+    delta = np.zeros((n, n))
+    n_rows = int(rng.integers(1, min(3, n) + 1))
+    rows = rng.choice(n, size=n_rows, replace=False)
+    floor = 1.5 * magnitude
+    for i in rows:
+        others = [j for j in range(n) if j != i]
+        k = int(rng.integers(1, min(3, len(others)) + 1))
+        cols = rng.choice(len(others), size=k, replace=False)
+        for idx in cols:
+            j = others[int(idx)]
+            v = rng.normal() * scale
+            if Q.entries[i, j] < floor:
+                v = abs(v)
+            delta[i, j] += v
+        delta[i, i] = -delta[i].sum()
+    nm = full_matrix_norm(delta)
+    if nm <= 0:
+        return None
+    return delta * (magnitude / nm)
+
+
+@pytest.mark.parametrize("truncation", [24, 200])
+@pytest.mark.parametrize("name", list_models())
+def test_samplers_match_list_reference(name, truncation):
+    model = gallery_model(name, truncation)
+    new, ref = ((sample_dtmc_delta, list_sample_dtmc_delta) if model.kind == "dtmc"
+                else (sample_ctmc_delta, list_sample_ctmc_delta))
+    drawn = 0
+    for magnitude in (0.001, 0.01):
+        for seed in range(200):
+            rng_new, rng_ref = (np.random.default_rng([seed, 31]) for _ in range(2))
+            got = new(rng_new, model.chain, magnitude)
+            want = ref(rng_ref, model.chain, magnitude)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+                drawn += 1
+            # the same draws, in the same order
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert drawn > 0
+
+
+@pytest.mark.parametrize("name", ["hessenberg-gi-m-1", "mm1", "odd-even-p"])
+def test_fuzz_delta_norm_is_the_full_matrix_norm(name):
+    model = gallery_model(name, 200)
+    summary = fuzz_bounds(model, n_cases=20, magnitude=0.01, seed=4)
+    assert summary.n_cases == 20
+    for case in summary.cases:
+        _, delta = verify._perturbed(np.random.default_rng(case.seed), model.chain, 0.01)
+        assert case.delta_norm == full_matrix_norm(delta)
+
+
+@pytest.mark.parametrize("truncation", [24, 200])
+@pytest.mark.parametrize("name", list_models())
+def test_fuzz_runs_no_graph_check(name, truncation, monkeypatch):
+    # every draw keeps the base chain's edges, so perturbed chains (and
+    # generator skeletons) inherit irreducibility
+    model = gallery_model(name, truncation)
+    assert model.chain.irreducible           # the base chain's own check runs here
+    calls = []
+    check = chains._is_strongly_connected
+    monkeypatch.setattr(chains, "_is_strongly_connected",
+                        lambda support: calls.append(support.shape) or check(support))
+    summary = fuzz_bounds(model, n_cases=15, magnitude=0.01, seed=2, include_v_norm=True)
+    assert summary.n_cases > 0
+    assert calls == []
+
+
+def test_removed_edge_is_rejected_by_the_fuzz(monkeypatch):
+    # a draw that disconnects a state fails the graph check and is redrawn
+    model = meyer4()
+    P = model.chain.entries
+    cut = np.zeros_like(P)
+    cut[0] = -P[0]
+    cut[0, 0] += 1.0                          # state 0 becomes absorbing
+    monkeypatch.setattr(verify, "sample_dtmc_delta", lambda rng, chain, magnitude: cut)
+    perturbed, delta = verify._perturbed(np.random.default_rng(0), model.chain, 0.01)
+    assert perturbed is None and delta is None
+    summary = fuzz_bounds(model, n_cases=3, magnitude=0.01, seed=0)
+    assert summary.n_cases == 0 and summary.n_rejected == 3
+
+
+class TestOneStateChain:
+    model = GalleryModel(name="one-state", kind="dtmc", chain=StochasticMatrix([[1.0]]))
+
+    def test_sampler_returns_none(self):
+        rng = np.random.default_rng(0)
+        assert sample_dtmc_delta(rng, self.model.chain, 0.01) is None
+
+    def test_fuzz_rejects_every_case(self):
+        summary = fuzz_bounds(self.model, n_cases=4, magnitude=0.01, seed=0)
+        assert summary.n_cases == 0
+        assert summary.n_rejected == 4
+        assert summary.violation_seeds == []
+
+    def test_canonical_pair_raises(self):
+        with pytest.raises(InvalidParameters, match="could not perturb model one-state"):
+            canonical_pair(self.model)
+
+
+def test_violation_seeds_replay_the_violating_cases(monkeypatch):
+    clean = fuzz_bounds(meyer4(), n_cases=30, magnitude=0.01, seed=7)
+    assert clean.violation_seeds == []
+    # cover about half the cases: below the median tightness of seneta_best
+    ratios = [o.bound_value / o.gap for c in clean.cases for o in c.outcomes
+              if o.bound_name == "seneta_best"]
+    shrink_coefficient(monkeypatch, "seneta_best", 1.0 / float(np.median(ratios)))
+    summary = fuzz_bounds(meyer4(), n_cases=30, magnitude=0.01, seed=7)
+    seeds = summary.violation_seeds
+    assert seeds == [c.seed for c in summary.cases if c.violations]
+    assert 0 < len(seeds) < summary.n_cases
+    assert [i for _, i in seeds] == sorted(i for _, i in seeds)
+    assert all(s == 7 for s, _ in seeds)
+    by_seed = {c.seed: c for c in summary.cases}
+    for seed, i in seeds:
+        replay = fuzz_bounds(meyer4(), n_cases=i + 1, magnitude=0.01, seed=seed).cases[-1]
+        assert replay.seed == (seed, i) and replay.violations
+        assert replay.gap == by_seed[seed, i].gap

@@ -12,8 +12,16 @@ from mcperturb import (
     residual_taboo_inverse_identity,
     stationary_distribution,
 )
-from mcperturb.gallery import funderlic8, geometric_return, hessenberg_gi_m_1, odd_even
+from mcperturb import solvers, verify
+from mcperturb.gallery import (
+    funderlic8,
+    geometric_return,
+    hessenberg_gi_m_1,
+    list_models,
+    odd_even,
+)
 from mcperturb.verify import canonical_pair, identity_residuals, skeleton_pair
+from tests.conftest import gallery_model
 
 
 class TestExactGap:
@@ -121,3 +129,40 @@ class TestModelSuite:
         sk = skeleton_pair(pair)
         assert sk.kind == "dtmc"
         assert sk.base.aperiodic and sk.perturbed.aperiodic
+
+
+def count_calls(monkeypatch, targets):
+    """Count calls of each (module, name) pair under the name."""
+    counts = {}
+    for module, name in targets:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("truncation", [24, 200])
+@pytest.mark.parametrize("name", list_models())
+def test_identity_residuals_solve_once_and_equal_the_public_residuals(
+        name, truncation, monkeypatch):
+    model = gallery_model(name, truncation)
+    pair = canonical_pair(model, magnitude=0.01, seed=0)
+    if model.kind == "ctmc":
+        pair = skeleton_pair(pair)
+    want = {
+        "perturbation_identity": residual_perturbation_identity(pair),
+        "taboo_inverse_identity": residual_taboo_inverse_identity(pair.base, 0),
+    }
+    if pair.base.aperiodic:
+        want["deviation_identity"] = residual_deviation_identity(pair)
+    counts = count_calls(monkeypatch, [
+        (verify, "stationary_distribution"), (solvers, "stationary_distribution"),
+        (verify, "fundamental_matrix"), (solvers, "fundamental_matrix"),
+    ])
+    assert identity_residuals(model, magnitude=0.01, seed=0) == want
+    # pi and nu once each, and one fundamental matrix for all three residuals
+    assert counts == {"stationary_distribution": 2, "fundamental_matrix": 1}
