@@ -8,6 +8,8 @@ in its norm and a validity verdict.
 Transition matrices and generators differ only in their norm-wise bounds;
 the weighted-norm drift certificate, the weighted-norm bound pair and the
 gap attachment are shared, with a ``ctmc_`` prefix on generator names.
+Every bound that needs the stationary distribution reads the chain's own,
+which is solved once and cached on the chain.
 """
 
 from __future__ import annotations
@@ -87,14 +89,14 @@ def _v_norm_pair(chain, cert, pi, delta_v_norm) -> list[BoundReport]:
     return reports
 
 
-def _dtmc_reports(P, pi, perturbed, delta_norm, m_max, skeleton_m):
+def _dtmc_reports(P, perturbed, delta_norm, m_max, skeleton_m):
     reports: list[BoundReport] = []
     _guard(reports, "seneta", lambda: seneta_bound(P, delta_norm))
-    _guard(reports, "seneta_best", lambda: seneta_best_bound(P, pi, delta_norm))
+    _guard(reports, "seneta_best", lambda: seneta_best_bound(P, delta_norm))
     _guard(reports, "small_set",
            lambda: small_set_bound(P, m_max=m_max, perturbed=perturbed,
                                    delta_norm=delta_norm)[0])
-    _guard(reports, "hitting_time_drift", lambda: hitting_time_bound(P, delta_norm, pi=pi))
+    _guard(reports, "hitting_time_drift", lambda: hitting_time_bound(P, delta_norm))
     if perturbed is not None:
         _guard(reports, f"skeleton[m={skeleton_m}]",
                lambda: skeleton_bound(P, perturbed, skeleton_m))
@@ -133,11 +135,11 @@ def bound_catalog(
     delta_norm = None
     if perturbed is not None:
         delta_norm = matrix_norm(perturbed.entries - chain.entries)
+    solve = stationary_distribution if dtmc else ctmc_stationary
     if dtmc:
-        pi = stationary_distribution(chain)
-        reports = _dtmc_reports(chain, pi, perturbed, delta_norm, m_max, skeleton_m)
+        solve(chain)        # raises here, before any bound, when pi cannot be certified
+        reports = _dtmc_reports(chain, perturbed, delta_norm, m_max, skeleton_m)
     else:
-        pi = None
         reports = _ctmc_reports(chain, delta_norm, taboo_state)
     for rep in reports:
         rep.info.setdefault("norm", "tv")
@@ -155,7 +157,7 @@ def bound_catalog(
         else:
             wf = weights if isinstance(weights, WeightFunction) else WeightFunction(W)
             try:
-                cert = (fit_geometric_drift(chain, wf, taboo_state, pi=pi) if dtmc
+                cert = (fit_geometric_drift(chain, wf, taboo_state) if dtmc
                         else fit_ctmc_geometric_drift(chain, wf, taboo_state))
             except (DriftViolated, NoPositiveLambda) as exc:
                 reports.append(failed_report(f"{prefix}v_norm_drift_fit", f"{drift} drift",
@@ -174,9 +176,7 @@ def bound_catalog(
             ))
         return reports
 
-    solve = stationary_distribution if dtmc else ctmc_stationary
-    if pi is None:
-        pi = solve(chain)
+    pi = solve(chain)
     nu = solve(perturbed)
     gap = {"tv": total_variation_norm(nu.values - pi.values), "v": None}
     if cert is not None:

@@ -3,9 +3,12 @@
 All types validate their structural invariants at construction and freeze
 their numpy storage, so instances are immutable and safe to share across
 threads. Irreducibility and (for discrete chains) the period are computed
-once, on first read, and cached on the instance. A perturbed chain or a
-uniformized skeleton inherits irreducibility from the chain it is built from,
-without a graph search, when no edge of that chain is lost.
+once, on first read, and cached on the instance; so is the stationary
+distribution, per solve method, by :mod:`mcperturb.solvers` and
+:mod:`mcperturb.ctmc`. A chain's ``settings`` govern every gate applied to
+it, and a perturbed chain or a uniformized skeleton takes the settings of
+the chain it is built from. It also inherits irreducibility from that
+chain, without a graph search, when no edge of that chain is lost.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class StochasticMatrix:
         Transition probabilities. Every entry must be nonnegative and every
         row must sum to 1 within ``settings.validation``.
     settings : NumericSettings, optional
-        Tolerance record used for validation.
+        Tolerance record used for validation and by every solver, bound and
+        certificate gate applied to the chain.
 
     Attributes
     ----------
@@ -103,6 +107,7 @@ class StochasticMatrix:
         self.settings = settings
         self._irreducible: bool | None = None
         self._period: int | None = None
+        self._stationary: dict = {}      # method -> Distribution
 
     @property
     def irreducible(self) -> bool:
@@ -171,6 +176,7 @@ class IntensityMatrix:
         self.settings = settings
         self.uniformization_constant = uc
         self._irreducible: bool | None = None
+        self._stationary: dict = {}      # method -> Distribution
 
     @property
     def irreducible(self) -> bool:

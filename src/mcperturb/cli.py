@@ -154,17 +154,14 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_hitting(args, out) -> int:
-    chain, _, _, name, _ = _load_input(args.path, args.truncation)
+    chain, _, _, name, extras = _load_input(args.path, args.truncation)
     if not isinstance(chain, StochasticMatrix):
         raise ValidationError("hitting times are computed for transition matrices")
     m = hitting_times(chain, args.target)
     closed = None
-    if args.path.startswith("birth-death"):
-        from .gallery import build_model as _bm
-
-        model = _bm(args.path)
-        ex = model.extras
-        closed = birth_death_hitting_times(ex["a"], ex["b"], ex["c"], args.target)
+    if {"a", "b", "c"} <= extras.keys():
+        # only birth-death models carry their per-state move probabilities
+        closed = birth_death_hitting_times(extras["a"], extras["b"], extras["c"], args.target)
     if args.format == "json":
         payload = {"input": name, "target": args.target, "hitting_times": m.tolist()}
         if closed is not None:

@@ -34,7 +34,6 @@ from .chains import (
     as_weight_array,
 )
 from .errors import (
-    DivergentHittingTimes,
     DriftViolated,
     HypothesisFailed,
     InvalidParameters,
@@ -48,8 +47,13 @@ from .errors import (
 )
 from .norms import _abs_row_differences, matrix_norm, v_norm_matrix, v_norm_measure
 from .reports import BoundReport, Hypothesis
-from .settings import DEFAULT, NumericSettings
-from .solvers import _stationary_solve, deviation_matrix, stationary_distribution
+from .settings import DEFAULT
+from .solvers import (
+    _hitting_solve,
+    _stationary_solve,
+    deviation_matrix,
+    stationary_distribution,
+)
 
 __all__ = [
     "UniformizedChain",
@@ -85,12 +89,8 @@ class UniformizedChain:
     source: IntensityMatrix
 
 
-def uniformize(
-    Q: IntensityMatrix,
-    h: float | None = None,
-    settings: NumericSettings = DEFAULT,
-) -> UniformizedChain:
-    """Build the step-h skeleton P_h = I + h Q.
+def uniformize(Q: IntensityMatrix, h: float | None = None) -> UniformizedChain:
+    """Build the step-h skeleton P_h = I + h Q, validated under ``Q.settings``.
 
     ``h`` must satisfy 0 < h < 1 / max_i(-Q_ii) strictly; when omitted it
     defaults to 0.99 of that limit.
@@ -103,7 +103,7 @@ def uniformize(
         h = DEFAULT_STEP_FRACTION * limit
     if not 0.0 < h < limit:
         raise InvalidStep(f"step {h:g} outside the open interval (0, {limit:g})")
-    P_h = StochasticMatrix(np.eye(Q.n) + h * Q.entries, settings=settings)
+    P_h = StochasticMatrix(np.eye(Q.n) + h * Q.entries, settings=Q.settings)
     # P_h has Q's off-diagonal support unless some h * q_ij underflows to 0
     _inherit_irreducibility(Q, P_h)
     return UniformizedChain(h=h, matrix=P_h, source=Q)
@@ -115,29 +115,32 @@ def pair_step(Q: IntensityMatrix, Q_tilde: IntensityMatrix) -> float:
     return DEFAULT_STEP_FRACTION / uc
 
 
-def ctmc_stationary(
-    Q: IntensityMatrix,
-    method: str = "solve",
-    settings: NumericSettings = DEFAULT,
-) -> Distribution:
+def ctmc_stationary(Q: IntensityMatrix, method: str = "solve") -> Distribution:
     """Solve pi Q = 0, sum(pi) = 1 for an irreducible bounded generator.
 
     ``method="solve"`` replaces one equation with the normalization row;
     ``method="gth"`` routes through the skeleton chain's state-reduction
     solve for componentwise accuracy (required under growing weights).
+    Solved once per generator and method and cached on ``Q``.
     """
+    if method not in Q._stationary:
+        Q._stationary[method] = _certified_ctmc_stationary(Q, method)
+    return Q._stationary[method]
+
+
+def _certified_ctmc_stationary(Q: IntensityMatrix, method: str) -> Distribution:
     if not Q.irreducible:
         raise ReducibleChain("stationary measure requires an irreducible generator")
     if method == "gth":
-        return stationary_distribution(uniformize(Q).matrix, method="gth", settings=settings)
+        return stationary_distribution(uniformize(Q).matrix, method="gth")
     if method != "solve":
         raise ValueError(f"unknown method {method!r}")
     x = _stationary_solve(Q.entries.copy())
     scale = max(1.0, Q.uniformization_constant)
     residual = float(np.abs(x @ Q.entries).max())
-    if residual > settings.stationarity * scale:
+    if residual > Q.settings.stationarity * scale:
         raise SolverFailure(f"stationary residual {residual:.3e} too large")
-    return Distribution(x, settings=settings)
+    return Distribution(x, settings=Q.settings)
 
 
 def ctmc_ergodicity_coefficient(Q: IntensityMatrix) -> float:
@@ -169,40 +172,30 @@ def _generator_row_defects(Q: np.ndarray):
         yield i, float((d_i + d_j - inner).min())
 
 
-def ctmc_deviation_matrix(
-    Q: IntensityMatrix,
-    h: float | None = None,
-    pi: Distribution | None = None,
-    settings: NumericSettings = DEFAULT,
-) -> np.ndarray:
+def ctmc_deviation_matrix(Q: IntensityMatrix, h: float | None = None) -> np.ndarray:
     """Deviation matrix of the generator: the integral of (P^t - Pi) dt.
 
     Computed through the skeleton: the step-h chain's deviation matrix is
     D / h, so D = h * D_h — the value is independent of which admissible h
-    is used. Certified to satisfy D e = 0 and pi D = 0.
+    is used. Certified to satisfy D e = 0 and pi D = 0, with the skeleton's
+    own pi.
     """
-    chain = uniformize(Q, h, settings=settings)
-    if pi is None:
-        pi = stationary_distribution(chain.matrix, settings=settings)
-    D_h = deviation_matrix(chain.matrix, pi, settings=settings)
-    D = chain.h * D_h
+    chain = uniformize(Q, h)
+    D = chain.h * deviation_matrix(chain.matrix)
+    pi = stationary_distribution(chain.matrix)
     scale = max(1.0, float(np.abs(D).max()))
     res = max(float(np.abs(D.sum(axis=1)).max()), float(np.abs(pi.values @ D).max()))
-    if res > settings.inverse * scale:
+    if res > Q.settings.inverse * scale:
         raise SolverFailure(f"deviation residual {res:.3e} too large")
     return D
 
 
-def ctmc_deviation_bound(
-    Q: IntensityMatrix,
-    delta_norm: float | None = None,
-    settings: NumericSettings = DEFAULT,
-) -> BoundReport:
+def ctmc_deviation_bound(Q: IntensityMatrix, delta_norm: float | None = None) -> BoundReport:
     """Deviation-norm bound: ell = ||D||, for uniformly ergodic generators.
 
     On a finite state space the hypothesis holds automatically.
     """
-    D = ctmc_deviation_matrix(Q, settings=settings)
+    D = ctmc_deviation_matrix(Q)
     ell = matrix_norm(D)
     return BoundReport(
         bound_name="ctmc_deviation",
@@ -213,11 +206,7 @@ def ctmc_deviation_bound(
     )
 
 
-def ctmc_lambda1_bound(
-    Q: IntensityMatrix,
-    delta_norm: float | None = None,
-    settings: NumericSettings = DEFAULT,
-) -> BoundReport:
+def ctmc_lambda1_bound(Q: IntensityMatrix, delta_norm: float | None = None) -> BoundReport:
     """Ergodicity-coefficient bound: ell = 1 / Lambda1(Q), needs Lambda1(Q) > 0.
 
     The row scan stops at the first row whose defects already put
@@ -226,7 +215,7 @@ def ctmc_lambda1_bound(
     """
     best = np.inf
     for i, v in _generator_row_defects(Q.entries):
-        if 0.5 * v <= settings.hypothesis_margin:
+        if 0.5 * v <= Q.settings.hypothesis_margin:
             raise HypothesisFailed("Lambda1(Q) > 0", f"Lambda1(Q) <= {0.5 * v:.12g} (row {i})")
         best = min(best, v)
     lam = 0.5 * best
@@ -239,11 +228,7 @@ def ctmc_lambda1_bound(
     )
 
 
-def ctmc_small_set_bound(
-    Q: IntensityMatrix,
-    delta_norm: float | None = None,
-    settings: NumericSettings = DEFAULT,
-) -> BoundReport:
+def ctmc_small_set_bound(Q: IntensityMatrix, delta_norm: float | None = None) -> BoundReport:
     """Column-minimum bound: ell = 1 / sum_k inf_{i != k} Q_ik.
 
     The step length cancels structurally, so the value is h-free. Fails
@@ -253,7 +238,7 @@ def ctmc_small_set_bound(
     np.fill_diagonal(M, np.inf)          # exclude the diagonal from column minima
     delta_k = M.min(axis=0)
     total = float(delta_k.sum())
-    if total <= settings.hypothesis_margin:
+    if total <= Q.settings.hypothesis_margin:
         raise HypothesisFailed(
             "sum_k inf_{i != k} Q_ik > 0", f"sum = {total:.12g}"
         )
@@ -266,31 +251,18 @@ def ctmc_small_set_bound(
     )
 
 
-def ctmc_hitting_times(
-    Q: IntensityMatrix,
-    target: int,
-    settings: NumericSettings = DEFAULT,
-) -> np.ndarray:
-    """Mean hitting times onto ``target``: solve Q V = -1 off target, V(target) = 0."""
+def ctmc_hitting_times(Q: IntensityMatrix, target: int) -> np.ndarray:
+    """Mean hitting times onto ``target``: solve Q V = -1 off target, V(target) = 0.
+
+    Certified like :func:`~mcperturb.dtmc.hitting_times`, against
+    ``Q.settings.inverse``.
+    """
     if not Q.irreducible:
         raise ReducibleChain("hitting times require an irreducible generator")
     n = Q.n
     if not 0 <= target < n:
         raise InvalidParameters(f"target state {target} out of range [0, {n})")
-    A = -Q.entries.copy()
-    A[target, :] = 0.0
-    A[target, target] = 1.0
-    b = np.ones(n)
-    b[target] = 0.0
-    try:
-        v = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"hitting-time system is singular: {exc}") from exc
-    scale = max(1.0, float(np.abs(v).max()))
-    if np.any(v < -settings.inverse * scale):
-        raise DivergentHittingTimes(f"negative hitting time {v.min():.3e}")
-    v[target] = 0.0
-    return v
+    return _hitting_solve(-Q.entries, target, Q.settings)
 
 
 def ctmc_unit_drift_bound(
@@ -298,15 +270,15 @@ def ctmc_unit_drift_bound(
     drift_values,
     taboo_state: int,
     delta_norm: float | None = None,
-    settings: NumericSettings = DEFAULT,
 ) -> BoundReport:
     """Unit drift bound: ell = 2 (sup V)^2 under Q V <= -1 off the taboo state."""
+    tol = Q.settings.drift
     V = np.asarray(drift_values, dtype=float).ravel()
     if V.shape != (Q.n,):
         raise InvalidParameters("drift vector length must match the generator size")
-    if abs(V[taboo_state]) > settings.drift:
+    if abs(V[taboo_state]) > tol:
         raise DriftViolated(taboo_state, float(abs(V[taboo_state])), "taboo value must be zero")
-    if np.any(V < -settings.drift):
+    if np.any(V < -tol):
         state = int(np.argmin(V))
         raise DriftViolated(state, float(-V[state]), "drift vector must be nonnegative")
     qv = Q.entries @ V
@@ -314,7 +286,7 @@ def ctmc_unit_drift_bound(
     slack[taboo_state] = -np.inf
     worst = int(np.argmax(slack))
     scale = max(1.0, Q.uniformization_constant * float(V.max()))
-    if slack[worst] > settings.drift * scale:
+    if slack[worst] > tol * scale:
         raise DriftViolated(worst, float(slack[worst]), "unit drift inequality violated")
     sup_v = float(V.max())
     return BoundReport(
@@ -338,7 +310,9 @@ class CtmcGeometricDriftCertificate:
     lam: float
     b: float
 
-    def validate(self, Q: IntensityMatrix, tol: float = DEFAULT.drift) -> None:
+    def validate(self, Q: IntensityMatrix) -> None:
+        """Check the witness on ``Q`` to ``Q.settings.drift``."""
+        tol = Q.settings.drift
         V = self.weights.values
         if V.shape != (Q.n,):
             raise InvalidParameters("weight length must match the generator size")
@@ -357,7 +331,6 @@ def fit_ctmc_geometric_drift(
     Q: IntensityMatrix,
     weights,
     taboo_state: int,
-    settings: NumericSettings = DEFAULT,
 ) -> CtmcGeometricDriftCertificate:
     """Fit the largest decay rate lambda for given weights; b soaks the taboo row."""
     V = as_weight_array(weights)
@@ -367,7 +340,7 @@ def fit_ctmc_geometric_drift(
     rates = -qv / V
     off = np.delete(rates, taboo_state)
     lam = float(off.min())
-    if lam <= settings.hypothesis_margin:
+    if lam <= Q.settings.hypothesis_margin:
         raise NoPositiveLambda(f"best decay rate {lam:.3e} is not positive")
     b = max(0.0, float(qv[taboo_state] + lam * V[taboo_state]))
     wf = weights if isinstance(weights, WeightFunction) else WeightFunction(V)
@@ -391,13 +364,12 @@ def ctmc_v_bound_with_stationary(
     cert: CtmcGeometricDriftCertificate,
     pi: Distribution,
     delta_v_norm: float,
-    settings: NumericSettings = DEFAULT,
 ) -> BoundReport:
     """Weighted bound using pi(V): gap_V <= c ||pi||_V d / (lambda - c d).
 
     Requires d = ||Delta||_V < lambda / c with c = 1 + ||e||_V ||pi||_V.
     """
-    cert.validate(Q, tol=settings.drift)
+    cert.validate(Q)
     V = cert.weights.values
     pi_v = v_norm_measure(pi.values, V)
     c = 1.0 + (1.0 / V.min()) * pi_v
@@ -496,7 +468,6 @@ def batch_arrival_drift(
     b,
     n_states: int = 200,
     z_grid: int = 256,
-    settings: NumericSettings = DEFAULT,
 ) -> CtmcGeometricDriftCertificate:
     """Geometric drift certificate for a batch-arrival band generator.
 
@@ -514,7 +485,8 @@ def batch_arrival_drift(
 
     Requires the ergodicity condition B'(1) < 0 and at least one upward
     batch rate (otherwise B has no finite upper root and the weights would
-    be unbounded).
+    be unbounded). It is built before any generator exists, so lambda's
+    positivity margin is ``DEFAULT.hypothesis_margin``.
     """
     a, b = _validate_band_coefficients(a, b)
     if n_states < 2:
@@ -570,7 +542,7 @@ def batch_arrival_drift(
             hi = mid
     z0 = 0.5 * (lo + hi)
     lam = float(-B(z0) / z0)
-    if lam <= settings.hypothesis_margin:
+    if lam <= DEFAULT.hypothesis_margin:
         raise NoPositiveLambda(f"decay rate {lam:.3e} is not positive")
     with np.errstate(over="ignore"):
         V = z0 ** np.arange(n_states, dtype=float)
@@ -593,8 +565,6 @@ def stationary_series_expansion(
     eps: float,
     n_terms: int = 50,
     cert: CtmcGeometricDriftCertificate | None = None,
-    pi: Distribution | None = None,
-    settings: NumericSettings = DEFAULT,
 ) -> Distribution:
     """Stationary measure of Q + eps G as the power series pi sum (eps G D)^n.
 
@@ -610,9 +580,8 @@ def stationary_series_expansion(
     scale = max(1.0, float(np.abs(Gm).max()))
     if np.abs(Gm.sum(axis=1)).max() > 1e-12 * scale:
         raise InvalidParameters("direction matrix rows must sum to zero")
-    if pi is None:
-        pi = ctmc_stationary(Q, settings=settings)
-    D = ctmc_deviation_matrix(Q, pi=pi, settings=settings)
+    pi = ctmc_stationary(Q)
+    D = ctmc_deviation_matrix(Q)
     if eps != 0.0:
         if cert is not None:
             V = cert.weights.values
@@ -636,4 +605,4 @@ def stationary_series_expansion(
     for _ in range(n_terms):
         term = term @ M
         total = total + term
-    return Distribution(total, settings=settings)
+    return Distribution(total, settings=Q.settings)

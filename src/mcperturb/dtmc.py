@@ -42,8 +42,7 @@ from .errors import (
 )
 from .norms import _abs_row_differences, matrix_norm, v_norm_measure
 from .reports import BoundReport, Hypothesis
-from .settings import DEFAULT, NumericSettings
-from .solvers import group_inverse, stationary_distribution
+from .solvers import _hitting_solve, group_inverse, stationary_distribution
 
 __all__ = [
     "ergodicity_coefficient",
@@ -88,7 +87,7 @@ def _row_distances(M: np.ndarray):
 
 
 def _contraction_coefficient(M: np.ndarray, hypothesis: str, label: str,
-                             settings: NumericSettings) -> float:
+                             margin: float) -> float:
     """``ergodicity_coefficient(M)``, which must stay below 1 by the margin.
 
     The row scan stops at the first row whose distances already put the
@@ -97,29 +96,22 @@ def _contraction_coefficient(M: np.ndarray, hypothesis: str, label: str,
     """
     best = 0.0
     for i, d in _row_distances(M):
-        if 0.5 * d >= 1.0 - settings.hypothesis_margin:
+        if 0.5 * d >= 1.0 - margin:
             raise HypothesisFailed(hypothesis, f"{label} >= {0.5 * d:.12g} (row {i})")
         if d > best:
             best = d
     return 0.5 * best
 
 
-def _entries(P):
-    return P.entries if isinstance(P, StochasticMatrix) else np.asarray(P, dtype=float)
-
-
-def seneta_bound(
-    P: StochasticMatrix,
-    delta_norm: float | None = None,
-    settings: NumericSettings = DEFAULT,
-) -> BoundReport:
+def seneta_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundReport:
     """Ergodicity-coefficient bound: ell = 1 / (1 - Lambda1(P)).
 
     Raises HypothesisFailed when Lambda1(P) >= 1, up to a small margin that
     guards the division against rounding.
     """
     lam = _contraction_coefficient(
-        P.entries, "one-step contraction Lambda1(P) < 1", "Lambda1(P)", settings
+        P.entries, "one-step contraction Lambda1(P) < 1", "Lambda1(P)",
+        P.settings.hypothesis_margin,
     )
     ell = 1.0 / (1.0 - lam)
     return BoundReport(
@@ -131,12 +123,7 @@ def seneta_bound(
     )
 
 
-def seneta_best_bound(
-    P: StochasticMatrix,
-    pi: Distribution | None = None,
-    delta_norm: float | None = None,
-    settings: NumericSettings = DEFAULT,
-) -> BoundReport:
+def seneta_best_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundReport:
     """Optimal coefficient bound: ell = Lambda1(A#), A# the group inverse of I - P.
 
     Valid even when Lambda1(P) = 1; the group inverse exists for periodic
@@ -144,7 +131,7 @@ def seneta_best_bound(
     """
     if not P.irreducible:
         raise ReducibleChain("group-inverse bound requires an irreducible chain")
-    A_sharp = group_inverse(P, pi, settings=settings)
+    A_sharp = group_inverse(P)
     ell = ergodicity_coefficient(A_sharp)
     return BoundReport(
         bound_name="seneta_best",
@@ -158,12 +145,7 @@ def seneta_best_bound(
     )
 
 
-def skeleton_bound(
-    P: StochasticMatrix,
-    perturbed: StochasticMatrix,
-    m: int,
-    settings: NumericSettings = DEFAULT,
-) -> BoundReport:
+def skeleton_bound(P: StochasticMatrix, perturbed: StochasticMatrix, m: int) -> BoundReport:
     """m-step skeleton bound with the exact numerator ||P^m - Ptilde^m||.
 
     The looser relaxation ||P^m - Ptilde^m|| <= m ||Delta|| is reported in
@@ -173,7 +155,8 @@ def skeleton_bound(
         raise InvalidParameters("skeleton step count must be a positive integer")
     Pm = P.power(m)
     lam = _contraction_coefficient(
-        Pm, "m-step contraction Lambda1(P^m) < 1", f"m = {m}, Lambda1(P^m)", settings
+        Pm, "m-step contraction Lambda1(P^m) < 1", f"m = {m}, Lambda1(P^m)",
+        P.settings.hypothesis_margin,
     )
     num = matrix_norm(Pm - perturbed.power(m))
     delta = matrix_norm(perturbed.entries - P.entries)
@@ -257,43 +240,20 @@ def small_set_bound(
     return report, cert
 
 
-def hitting_times(
-    P: StochasticMatrix,
-    target: int,
-    settings: NumericSettings = DEFAULT,
-) -> np.ndarray:
+def hitting_times(P: StochasticMatrix, target: int) -> np.ndarray:
     """Mean first hitting times onto ``target`` by dense linear solve.
 
     Solves m(i) = 1 + sum_{j != target} P(i, j) m(j) with m(target) = 0,
-    certifying the residual. The minimality of the returned solution is the
-    job of the value-iteration oracle in :mod:`mcperturb.verify`.
+    certifying the residual against ``P.settings.inverse``. The minimality
+    of the returned solution is the job of the value-iteration oracle in
+    :mod:`mcperturb.verify`.
     """
     if not P.irreducible:
         raise ReducibleChain("hitting times require an irreducible chain")
     n = P.n
     if not 0 <= target < n:
         raise InvalidParameters(f"target state {target} out of range [0, {n})")
-    A = np.eye(n) - P.entries
-    A[target, :] = 0.0
-    A[target, target] = 1.0
-    b = np.ones(n)
-    b[target] = 0.0
-    try:
-        m = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"hitting-time system is singular: {exc}") from exc
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.any(m < -settings.inverse * scale):
-        raise DivergentHittingTimes(
-            f"negative hitting time {m.min():.3e}: transient or truncation pathology"
-        )
-    residual = float(np.abs(A @ m - b).max())
-    if residual > settings.inverse * scale:
-        raise SolverFailure(
-            f"hitting-time residual {residual:.3e} exceeds tolerance"
-        )
-    m[target] = 0.0
-    return m
+    return _hitting_solve(np.eye(n) - P.entries, target, P.settings)
 
 
 def birth_death_hitting_times(a, b, c, j: int) -> np.ndarray:
@@ -355,7 +315,9 @@ class UnitDriftCertificate:
     def sup_value(self) -> float:
         return float(self.values.max())
 
-    def validate(self, P: StochasticMatrix, tol: float = DEFAULT.drift) -> None:
+    def validate(self, P: StochasticMatrix) -> None:
+        """Check the witness on ``P`` to ``P.settings.drift``."""
+        tol = P.settings.drift
         V = self.values
         i0 = self.taboo_state
         if V.shape != (P.n,):
@@ -383,10 +345,9 @@ def unit_drift_bound(
     P: StochasticMatrix,
     cert: UnitDriftCertificate,
     delta_norm: float | None = None,
-    settings: NumericSettings = DEFAULT,
 ) -> BoundReport:
     """Drift-based bound ell = 2 (sup V)^2; valid for periodic chains too."""
-    cert.validate(P, tol=settings.drift)
+    cert.validate(P)
     sup_v = cert.sup_value
     return BoundReport(
         bound_name="unit_drift",
@@ -403,12 +364,7 @@ def unit_drift_bound(
     )
 
 
-def hitting_time_bound(
-    P: StochasticMatrix,
-    delta_norm: float | None = None,
-    settings: NumericSettings = DEFAULT,
-    pi: Distribution | None = None,
-) -> BoundReport:
+def hitting_time_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundReport:
     """Drift bound from the best taboo state: ell = 2 min_i0 (sup_i m(i -> i0))^2.
 
     The scan is pruned by the return-time identity
@@ -417,9 +373,10 @@ def hitting_time_bound(
     pi_j (a candidate with pi_j <= 0 has an infinite floor), each with its
     own certified dense hitting-time solve, and the scan stops once the
     floor exceeds the best sup found so far by more than the relative
-    ``settings.inverse`` the solves are certified to. A chain with uniform
+    ``P.settings.inverse`` the solves are certified to. A chain with uniform
     pi still needs n solves; a chain whose stationary mass sits on the best
-    taboo state needs one or two. ``pi`` is solved here when not supplied.
+    taboo state needs one or two. ``pi`` is the chain's own, solved at most
+    once per chain.
 
     The minimum is then taken over the visited candidates in index order,
     ties breaking toward the smallest state index, so the result equals the
@@ -428,17 +385,16 @@ def hitting_time_bound(
     bound holds for each candidate separately, and an astronomically slow
     target can never realize the minimum.
     """
-    if pi is None:
-        pi = stationary_distribution(P, settings=settings)
+    pi = stationary_distribution(P)
     with np.errstate(divide="ignore"):
         floors = np.where(pi.values > 0.0, 1.0 / pi.values - 1.0, np.inf)
     sups = {}
     lowest = np.inf
     for i0 in np.argsort(-pi.values, kind="stable").tolist():
-        if floors[i0] > lowest * (1.0 + settings.inverse):
+        if floors[i0] > lowest * (1.0 + P.settings.inverse):
             break
         try:
-            sups[i0] = float(hitting_times(P, i0, settings=settings).max())
+            sups[i0] = float(hitting_times(P, i0).max())
         except (DivergentHittingTimes, SolverFailure):
             continue
         lowest = min(lowest, sups[i0])
@@ -470,8 +426,9 @@ def hitting_time_bound(
 class GeometricDriftCertificate:
     """Geometric drift witness: P V <= lambda V + b at the taboo state only.
 
-    ``pi_value`` stores pi(V) when a stationary distribution was available
-    at fit time; it always satisfies pi(V) <= b / (1 - lambda).
+    ``pi_value`` stores pi(V) for the chain's own pi when the chain the
+    certificate was fitted to is irreducible; it always satisfies
+    pi(V) <= b / (1 - lambda).
     """
 
     taboo_state: int
@@ -480,12 +437,13 @@ class GeometricDriftCertificate:
     b: float
     pi_value: float | None = None
 
-    def validate(self, P: StochasticMatrix, tol: float = DEFAULT.drift) -> None:
+    def validate(self, P: StochasticMatrix) -> None:
+        """Check the witness on ``P`` to ``P.settings.drift``."""
+        tol = P.settings.drift
         V = self.weights.values
         if V.shape != (P.n,):
             raise InvalidParameters("weight length must match the chain size")
         rhs = self.lam * V
-        rhs = rhs.copy()
         rhs[self.taboo_state] += self.b
         slack = P.entries @ V - rhs
         worst = int(np.argmax(slack))
@@ -499,8 +457,6 @@ def fit_geometric_drift(
     P: StochasticMatrix,
     weights: WeightFunction,
     taboo_state: int,
-    pi: Distribution | None = None,
-    settings: NumericSettings = DEFAULT,
 ) -> GeometricDriftCertificate:
     """Fit the tightest geometric drift certificate for a given weight vector.
 
@@ -517,13 +473,11 @@ def fit_geometric_drift(
     ratios = pv / V
     off = np.delete(ratios, taboo_state)
     lam = float(off.max())
-    if lam >= 1.0 - settings.hypothesis_margin:
+    if lam >= 1.0 - P.settings.hypothesis_margin:
         state = int(np.argmax(np.where(np.arange(P.n) == taboo_state, -np.inf, ratios)))
         raise DriftViolated(state, lam - 1.0, "no geometric decay for these weights")
     b = max(0.0, float(pv[taboo_state] - lam * V[taboo_state]))
-    pi_value = None
-    if pi is not None:
-        pi_value = float(pi.values @ V)
+    pi_value = float(stationary_distribution(P).values @ V) if P.irreducible else None
     wf = weights if isinstance(weights, WeightFunction) else WeightFunction(V)
     return GeometricDriftCertificate(taboo_state, wf, lam, b, pi_value)
 
@@ -538,7 +492,6 @@ def v_bound_with_stationary(
     cert: GeometricDriftCertificate,
     pi: Distribution,
     delta_v_norm: float,
-    settings: NumericSettings = DEFAULT,
 ) -> BoundReport:
     """Weighted-norm bound using pi(V): the sharper of the two drift bounds.
 
@@ -550,7 +503,7 @@ def v_bound_with_stationary(
     The same margin certifies that the perturbed chain is positive
     recurrent.
     """
-    cert.validate(P, tol=settings.drift)
+    cert.validate(P)
     V = cert.weights.values
     pi_v = v_norm_measure(pi.values, V)
     c = 1.0 + _weighted_ones_norm(V) * pi_v

@@ -1,5 +1,10 @@
 """Stationary distributions and the fundamental/group-inverse/deviation matrices.
 
+Every gate here reads the tolerances of the chain it is applied to
+(``P.settings``). The stationary distribution is solved at most once per
+chain and method and cached on the chain, so the matrices below, and every
+bound that needs pi, reuse the chain's own certified pi.
+
 The default stationary solver replaces one equation of the singular system
 ``x (I - P) = 0`` with the normalization row and solves densely, certifying
 the residual afterwards. Two independent routes are kept alongside it:
@@ -16,6 +21,9 @@ The ergodicity-coefficient hypotheses of the bounds (``Lambda1(P) < 1``,
 ``Lambda1(Q) > 0``) stop their row scan at the first row that disproves
 them: a failed hypothesis costs the rows up to that one, not the whole
 O(n^3) pair scan.
+
+Mean hitting times of both chain kinds come from one certified solve,
+``_hitting_solve``, on M = I - P or M = -Q.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import Distribution, StochasticMatrix
-from .errors import PeriodicChain, ReducibleChain, SolverFailure
+from .errors import DivergentHittingTimes, PeriodicChain, ReducibleChain, SolverFailure
 from .settings import NumericSettings
 
 __all__ = [
@@ -50,6 +58,35 @@ def _stationary_solve(M: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"stationary system is singular: {exc}") from exc
+    return x
+
+
+def _hitting_solve(M: np.ndarray, target: int, settings: NumericSettings) -> np.ndarray:
+    """Mean hitting times onto ``target``: M x = 1 off the target and
+    x(target) = 0, with M = I - P (steps) or M = -Q (time).
+
+    The target row is replaced with the identity row, overwriting ``M``.
+    Both gates are ``settings.inverse`` relative to the largest time: a
+    negative time raises DivergentHittingTimes, a residual SolverFailure.
+    """
+    n = M.shape[0]
+    M[target, :] = 0.0
+    M[target, target] = 1.0
+    b = np.ones(n)
+    b[target] = 0.0
+    try:
+        x = np.linalg.solve(M, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"hitting-time system is singular: {exc}") from exc
+    scale = max(1.0, float(np.abs(x).max()))
+    if np.any(x < -settings.inverse * scale):
+        raise DivergentHittingTimes(
+            f"negative hitting time {x.min():.3e}: transient or truncation pathology"
+        )
+    residual = float(np.abs(M @ x - b).max())
+    if residual > settings.inverse * scale:
+        raise SolverFailure(f"hitting-time residual {residual:.3e} exceeds tolerance")
+    x[target] = 0.0
     return x
 
 
@@ -86,7 +123,8 @@ def _stationary_gth(P: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def _stationary_power(P: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _stationary_power(P: np.ndarray, tol: float = 1e-14,
+                      max_iter: int = 200_000) -> np.ndarray:
     n = P.shape[0]
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
@@ -100,13 +138,7 @@ def _stationary_power(P: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     )
 
 
-def stationary_distribution(
-    P: StochasticMatrix,
-    method: str = "solve",
-    settings: NumericSettings | None = None,
-    power_tol: float = 1e-14,
-    power_max_iter: int = 200_000,
-) -> Distribution:
+def stationary_distribution(P: StochasticMatrix, method: str = "solve") -> Distribution:
     """Solve pi P = pi, sum(pi) = 1 for an irreducible chain.
 
     Parameters
@@ -116,16 +148,25 @@ def stationary_distribution(
     method : {"solve", "gth", "power"}
         "solve" is the dense normalized solve (fast, absolute-error
         accurate); "gth" is componentwise accurate and strictly positive;
-        "power" iterates x P until the l1 increment drops below
-        ``power_tol`` (aperiodic chains only).
+        "power" iterates x P until the l1 increment drops below 1e-14
+        (aperiodic chains only).
 
     Returns
     -------
     Distribution
-        Certified so that the residual max|pi P - pi| is at most the
-        stationarity tolerance.
+        Certified so that the residual max|pi P - pi| is at most
+        ``P.settings.stationarity``. It is solved once per chain and method
+        and cached on ``P``; later calls return the same object.
     """
-    settings = settings or P.settings
+    return _stationary(P, method)
+
+
+def _stationary(P: StochasticMatrix, method: str = "solve") -> Distribution:
+    """The cached, certified solve behind ``stationary_distribution``; this
+    module's own callers read pi through it."""
+    if method in P._stationary:
+        return P._stationary[method]
+    settings = P.settings
     if not P.irreducible:
         raise ReducibleChain("stationary distribution requires an irreducible chain")
     if method == "solve":
@@ -133,7 +174,7 @@ def stationary_distribution(
     elif method == "gth":
         x = _stationary_gth(P.entries)
     elif method == "power":
-        x = _stationary_power(P.entries, power_tol, power_max_iter)
+        x = _stationary_power(P.entries)
     else:
         raise ValueError(f"unknown method {method!r}")
     residual = float(np.abs(x @ P.entries - x).max())
@@ -145,7 +186,8 @@ def stationary_distribution(
         raise SolverFailure(
             f"stationary solve produced negative mass {x.min():.3e}"
         )
-    return Distribution(x, settings=settings)
+    P._stationary[method] = Distribution(x, settings=settings)
+    return P._stationary[method]
 
 
 def stationary_matrix(pi: Distribution) -> np.ndarray:
@@ -153,19 +195,14 @@ def stationary_matrix(pi: Distribution) -> np.ndarray:
     return np.tile(pi.values, (pi.n, 1))
 
 
-def fundamental_matrix(
-    P: StochasticMatrix,
-    pi: Distribution | None = None,
-    settings: NumericSettings | None = None,
-) -> np.ndarray:
+def fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
     """Inverse of (I - P + Pi), certified on both sides.
 
     Well defined for periodic chains too, since I - P + Pi is nonsingular
     for any irreducible chain.
     """
-    settings = settings or P.settings
-    if pi is None:
-        pi = stationary_distribution(P, settings=settings)
+    settings = P.settings
+    pi = _stationary(P)
     n = P.n
     Pi = stationary_matrix(pi)
     M = np.eye(n) - P.entries + Pi
@@ -185,25 +222,19 @@ def fundamental_matrix(
     return R
 
 
-def group_inverse(
-    P: StochasticMatrix,
-    pi: Distribution | None = None,
-    settings: NumericSettings | None = None,
-) -> np.ndarray:
+def group_inverse(P: StochasticMatrix) -> np.ndarray:
     """Group inverse of A = I - P, computed as (fundamental matrix) - Pi.
 
     The three group-inverse axioms (A X A = A, X A X = X, A X = X A) plus
     X e = 0 and pi X = 0 are certified before returning.
     """
-    settings = settings or P.settings
-    if pi is None:
-        pi = stationary_distribution(P, settings=settings)
-    return _certified_group_inverse(P, pi, fundamental_matrix(P, pi, settings=settings),
-                                    settings)
+    return _certified_group_inverse(P, fundamental_matrix(P))
 
 
-def _certified_group_inverse(P, pi, R, settings) -> np.ndarray:
+def _certified_group_inverse(P, R) -> np.ndarray:
     """R - Pi from the fundamental matrix R of P, certified as in group_inverse."""
+    settings = P.settings
+    pi = _stationary(P)
     Pi = stationary_matrix(pi)
     X = R - Pi
     A = np.eye(P.n) - P.entries
@@ -223,11 +254,7 @@ def _certified_group_inverse(P, pi, R, settings) -> np.ndarray:
     return X
 
 
-def deviation_matrix(
-    P: StochasticMatrix,
-    pi: Distribution | None = None,
-    settings: NumericSettings | None = None,
-) -> np.ndarray:
+def deviation_matrix(P: StochasticMatrix) -> np.ndarray:
     """Sum of (P^k - Pi) over k >= 0; exists only for aperiodic chains.
 
     Coincides with the group inverse of I - P on a finite irreducible
@@ -239,4 +266,4 @@ def deviation_matrix(
         raise PeriodicChain(
             f"deviation matrix requires an aperiodic chain (period {P.period})"
         )
-    return group_inverse(P, pi, settings=settings)
+    return group_inverse(P)

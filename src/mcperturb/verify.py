@@ -58,7 +58,6 @@ from .errors import (
 from .gallery import GalleryModel
 from .norms import matrix_norm, total_variation_norm, v_norm_matrix, v_norm_measure
 from .reports import USELESS_THRESHOLD, BoundReport, covers
-from .settings import DEFAULT, NumericSettings
 from .solvers import (
     _certified_group_inverse,
     deviation_matrix,
@@ -112,7 +111,7 @@ def residual_perturbation_identity(pair: PerturbationPair) -> float:
         raise InvalidParameters("identity applies to transition-matrix pairs")
     pi = stationary_distribution(pair.base)
     nu = stationary_distribution(pair.perturbed)
-    return _perturbation_residual(pair, pi, nu, fundamental_matrix(pair.base, pi))
+    return _perturbation_residual(pair, pi, nu, fundamental_matrix(pair.base))
 
 
 def _perturbation_residual(pair, pi, nu, R) -> float:
@@ -129,7 +128,7 @@ def residual_deviation_identity(pair: PerturbationPair) -> float:
         raise InvalidParameters("identity applies to transition-matrix pairs")
     pi = stationary_distribution(pair.base)
     nu = stationary_distribution(pair.perturbed)
-    return _deviation_residual(pair, pi, nu, deviation_matrix(pair.base, pi))
+    return _deviation_residual(pair, pi, nu, deviation_matrix(pair.base))
 
 
 def _deviation_residual(pair, pi, nu, D) -> float:
@@ -137,24 +136,20 @@ def _deviation_residual(pair, pi, nu, D) -> float:
     return float(np.abs(lhs - nu.values @ pair.delta @ D).max())
 
 
-def residual_taboo_inverse_identity(
-    P: StochasticMatrix,
-    taboo_state: int,
-    settings: NumericSettings = DEFAULT,
-) -> float:
+def residual_taboo_inverse_identity(P: StochasticMatrix, taboo_state: int) -> float:
     """Max residual of the taboo-resolvent expression for R - Pi.
 
     T is P with the taboo row zeroed; its spectral radius must be below 1
     (else SeriesDivergent). The resolvent (I - T)^{-1} comes from a direct
     solve, cross-checked against a vector-probe partial sum of the series
-    when the spectral radius estimate is below 0.95.
+    to ``P.settings.identity`` when the spectral radius estimate is below
+    0.95.
     """
-    N = _taboo_resolvent(P, taboo_state, settings)
-    pi = stationary_distribution(P)
-    return _taboo_residual(N, pi, fundamental_matrix(P, pi))
+    N = _taboo_resolvent(P, taboo_state)
+    return _taboo_residual(N, stationary_distribution(P), fundamental_matrix(P))
 
 
-def _taboo_resolvent(P: StochasticMatrix, taboo_state: int, settings: NumericSettings):
+def _taboo_resolvent(P: StochasticMatrix, taboo_state: int):
     """(I - T)^{-1}, checked as described in residual_taboo_inverse_identity."""
     n = P.n
     T = P.entries.copy()
@@ -173,7 +168,7 @@ def _taboo_resolvent(P: StochasticMatrix, taboo_state: int, settings: NumericSet
             if np.abs(term).max() < 1e-16:
                 break
         agree = np.abs(acc - probe @ N).max()
-        if agree > settings.identity * max(1.0, np.abs(N).max()):
+        if agree > P.settings.identity * max(1.0, np.abs(N).max()):
             raise SeriesDivergent(
                 f"resolvent series cross-check disagrees by {agree:.3e}"
             )
@@ -263,15 +258,14 @@ def identity_residuals(
     P = pair.base
     pi = stationary_distribution(P)
     nu = stationary_distribution(pair.perturbed)
-    R = fundamental_matrix(P, pi)
+    R = fundamental_matrix(P)
     out = {
         "perturbation_identity": _perturbation_residual(pair, pi, nu, R),
-        "taboo_inverse_identity": _taboo_residual(_taboo_resolvent(P, taboo_state, DEFAULT),
-                                                  pi, R),
+        "taboo_inverse_identity": _taboo_residual(_taboo_resolvent(P, taboo_state), pi, R),
     }
     if P.aperiodic:
         # on an aperiodic chain the deviation matrix is the group inverse R - Pi
-        D = _certified_group_inverse(P, pi, R, P.settings)
+        D = _certified_group_inverse(P, R)
         out["deviation_identity"] = _deviation_residual(pair, pi, nu, D)
     return out
 
@@ -445,7 +439,7 @@ def _v_norm_setup(model, pi, skipped):
     if model.kind == "dtmc":
         try:
             V = 1.0 + hitting_times(chain, 0)
-            return fit_geometric_drift(chain, V, 0, pi=pi), pi
+            return fit_geometric_drift(chain, V, 0), pi
         except (DriftViolated, DivergentHittingTimes):
             return None, None
     if "a" not in model.extras or "b" not in model.extras:

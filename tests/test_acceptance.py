@@ -408,7 +408,7 @@ class TestCriterion10:
                 chain = uniformize(Q, h).matrix
                 lam_h = ergodicity_coefficient(chain.entries)
                 worst_lam = max(worst_lam, abs(lam_h - (1 - h * lam_q)))
-                D_h = deviation_matrix(chain, pi)
+                D_h = deviation_matrix(chain)
                 worst_dev = max(worst_dev, float(np.abs(h * D_h - D).max()))
         ok = worst_lam <= 1e-8 and worst_dev <= 1e-8
         verdict("10", ok,

@@ -5,15 +5,26 @@ import pytest
 
 from mcperturb import (
     Distribution,
+    DriftViolated,
+    HypothesisFailed,
     IntensityMatrix,
+    NumericSettings,
     PerturbationPair,
     StochasticMatrix,
+    UnitDriftCertificate,
     ValidationError,
     WeightFunction,
+    bound_catalog,
+    ctmc_lambda1_bound,
+    ctmc_small_set_bound,
+    ctmc_stationary,
+    seneta_bound,
+    unit_drift_bound,
 )
 from mcperturb import chains
 from mcperturb.chains import _period_by_bfs, _perturbed_chain
 from mcperturb.ctmc import uniformize
+from mcperturb.settings import DEFAULT
 
 
 class TestStochasticMatrix:
@@ -355,3 +366,59 @@ class TestInheritedIrreducibility:
         assert skeleton.entries[1, 0] == 0.0
         assert not skeleton.irreducible
         assert calls == [(2, 2)]
+
+
+class TestSettingsGovernEveryGate:
+    """A chain's NumericSettings govern every gate applied to it and to the
+    chains derived from it."""
+
+    LOOSE = NumericSettings(validation=1e-6)
+    # a row defect of 1e-8 also leaves stationarity and inverse residuals of
+    # that order, so a chain that carries one needs gates to match
+    LOOSE_ALL = NumericSettings(validation=1e-6, stationarity=1e-6, inverse=1e-6)
+
+    def _loose_generator(self, settings=LOOSE):
+        # row 0 sums to 1e-8: conservative within 1e-6, not within 1e-12
+        return IntensityMatrix([[-1.0, 1.0 + 1e-8], [1.0, -1.0]], settings=settings)
+
+    def test_uniformize_keeps_the_generators_settings(self):
+        Q = self._loose_generator()
+        skeleton = uniformize(Q).matrix
+        assert skeleton.settings is Q.settings
+        assert abs(skeleton.entries[0].sum() - 1.0) > DEFAULT.validation
+
+    def test_catalog_of_a_loose_generator_runs(self):
+        reports = bound_catalog(self._loose_generator(self.LOOSE_ALL))
+        assert [r.bound_name for r in reports][:2] == ["ctmc_deviation", "ctmc_lambda1"]
+        assert reports[0].hypotheses_hold
+
+    def test_stationary_distribution_carries_the_chains_settings(self):
+        Q = self._loose_generator(self.LOOSE_ALL)
+        assert ctmc_stationary(Q).n == 2
+        assert ctmc_stationary(Q, method="gth").n == 2
+
+    @pytest.mark.parametrize("bound,kind,entries,margin", [
+        # 1 - Lambda1(P) = 0.2
+        (seneta_bound, StochasticMatrix, [[0.9, 0.1], [0.1, 0.9]], 0.5),
+        # Lambda1(Q) = 2, and the common rate mass is 2
+        (ctmc_lambda1_bound, IntensityMatrix, [[-1.0, 1.0], [1.0, -1.0]], 3.0),
+        (ctmc_small_set_bound, IntensityMatrix, [[-1.0, 1.0], [1.0, -1.0]], 3.0),
+    ], ids=["seneta", "ctmc_lambda1", "ctmc_small_set"])
+    def test_hypothesis_margin_is_the_chains(self, bound, kind, entries, margin):
+        assert bound(kind(entries)).hypotheses_hold
+        with pytest.raises(HypothesisFailed):
+            bound(kind(entries, settings=NumericSettings(hypothesis_margin=margin)))
+
+    def test_drift_tolerance_is_the_chains(self):
+        # V = (0, 1.9) misses the unit drift at state 1 by 0.05
+        cert = UnitDriftCertificate(0, np.array([0.0, 1.9]))
+        entries = [[0.5, 0.5], [0.5, 0.5]]
+        with pytest.raises(DriftViolated):
+            unit_drift_bound(StochasticMatrix(entries), cert)
+        loose = StochasticMatrix(entries, settings=NumericSettings(drift=0.1))
+        assert unit_drift_bound(loose, cert).ell == pytest.approx(2 * 1.9**2)
+
+    def test_perturbed_chain_keeps_the_settings(self):
+        P = StochasticMatrix([[0.5, 0.5], [0.3, 0.7]], settings=self.LOOSE)
+        delta = np.array([[0.1, -0.1], [0.0, 0.0]])
+        assert _perturbed_chain(P, delta).settings is P.settings

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mcperturb import ParseError, StochasticMatrix, ValidationError
+from mcperturb import ParseError, StochasticMatrix, ValidationError, hitting_times
 from mcperturb.chainfile import load_chain_file, save_chain_file
 from mcperturb.cli import main
 from mcperturb.gallery import GalleryModel, meyer4
@@ -199,6 +199,20 @@ class TestHittingCommand:
         closed = np.array(payload["closed_form"])
         np.testing.assert_allclose(solved, closed, atol=1e-9)
         assert solved[0] == 0.0
+
+    def test_chain_file_named_like_a_gallery_model(self, tmp_path, monkeypatch):
+        # a relative path that starts with a gallery name is still a file,
+        # and a file carries no closed-form column
+        monkeypatch.chdir(tmp_path)
+        save_chain_file(meyer4(), "birth-death-copy.json")
+        code, text = run_cli("hitting", "birth-death-copy.json", "--target", "0",
+                             "--format", "json")
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["input"] == "birth-death-copy.json"
+        assert "closed_form" not in payload
+        np.testing.assert_array_equal(payload["hitting_times"],
+                                      hitting_times(meyer4().chain, 0))
 
     def test_target_row_zero(self, meyer_file):
         code, text = run_cli("hitting", meyer_file, "--target", "2",

@@ -323,3 +323,17 @@ def test_violation_seeds_replay_the_violating_cases(monkeypatch):
         replay = fuzz_bounds(meyer4(), n_cases=i + 1, magnitude=0.01, seed=seed).cases[-1]
         assert replay.seed == (seed, i) and replay.violations
         assert replay.gap == by_seed[seed, i].gap
+
+
+def test_dtmc_fuzz_solves_the_base_pi_once(monkeypatch):
+    # the fuzz and its catalog call share the chain's cached pi; every case
+    # solves its own perturbed chain
+    from mcperturb import solvers
+
+    solves = []
+    solve = solvers._stationary_solve
+    monkeypatch.setattr(solvers, "_stationary_solve",
+                        lambda M: solves.append(M.shape[0]) or solve(M))
+    summary = fuzz_bounds(meyer4(), n_cases=5)
+    assert summary.n_cases == 5 and summary.n_rejected == 0
+    assert len(solves) == 1 + summary.n_cases

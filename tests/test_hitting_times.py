@@ -3,13 +3,18 @@ import pytest
 
 from mcperturb import (
     DivergentHittingTimes,
+    IntensityMatrix,
     InvalidParameters,
+    NumericSettings,
+    SolverFailure,
     StochasticMatrix,
     birth_death_hitting_times,
+    ctmc_hitting_times,
     hitting_times,
     value_iteration_hitting,
 )
-from mcperturb.gallery import birth_death, geometric_return
+from mcperturb.gallery import birth_death, build_model, geometric_return, list_models, mm1
+from tests.conftest import gallery_model, random_irreducible_chain
 
 
 def drifted_birth_death_vectors(n, seed=0):
@@ -180,3 +185,72 @@ class TestPrintedFormulaDiscrepancy:
         quoted = 1 / (1 - q) - 1 / q ** np.arange(1, 10)
         assert not np.allclose(quoted, solved[1:10], atol=1e-3)
         assert quoted[3] < 0  # the quoted expression cannot be a hitting time
+
+
+def _reference_hitting_times(A, target):
+    """The solve both chain kinds ran before they shared one: the target row
+    of A = I - P or A = -Q replaced, then one dense solve."""
+    A = A.copy()
+    A[target, :] = 0.0
+    A[target, target] = 1.0
+    b = np.ones(A.shape[0])
+    b[target] = 0.0
+    v = np.linalg.solve(A, b)
+    v[target] = 0.0
+    return v
+
+
+def _offset_solve(monkeypatch, offset):
+    """Make every dense solve return its solution plus ``offset``."""
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: solve(A, b) + offset)
+
+
+GENERATOR_SPECS = [s for s in list_models() if build_model(s).kind == "ctmc"]
+CHAIN_SPECS = [s for s in list_models() if build_model(s).kind == "dtmc"]
+
+
+class TestSharedHittingSolve:
+    @pytest.mark.parametrize("truncation", [24, 200, 800])
+    @pytest.mark.parametrize("spec", GENERATOR_SPECS)
+    def test_generator_times_unchanged(self, spec, truncation):
+        Q = gallery_model(spec, truncation).chain
+        assert np.array_equal(ctmc_hitting_times(Q, 0),
+                              _reference_hitting_times(-Q.entries, 0))
+
+    @pytest.mark.parametrize("truncation", [24, 200])
+    @pytest.mark.parametrize("spec", CHAIN_SPECS)
+    def test_chain_times_unchanged(self, spec, truncation):
+        P = gallery_model(spec, truncation).chain
+        assert np.array_equal(hitting_times(P, 0),
+                              _reference_hitting_times(np.eye(P.n) - P.entries, 0))
+
+    def test_off_solution_fails_the_chain_residual_gate(self, monkeypatch, meyer):
+        _offset_solve(monkeypatch, 1e-3)
+        with pytest.raises(SolverFailure, match="hitting-time residual"):
+            hitting_times(meyer.chain, 0)
+
+    def test_off_solution_fails_the_generator_residual_gate(self, monkeypatch):
+        Q = mm1(truncation=24).chain
+        _offset_solve(monkeypatch, 1e-3)
+        with pytest.raises(SolverFailure, match="hitting-time residual"):
+            ctmc_hitting_times(Q, 0)
+
+    def test_negative_generator_time_uses_the_shared_wording(self, monkeypatch):
+        Q = mm1(truncation=24).chain
+        _offset_solve(monkeypatch, -1.0)
+        with pytest.raises(DivergentHittingTimes, match="transient or truncation pathology"):
+            ctmc_hitting_times(Q, 0)
+
+    def test_chain_gate_reads_the_chains_own_inverse_tolerance(self):
+        entries = random_irreducible_chain(np.random.default_rng(5), 12)
+        hitting_times(StochasticMatrix(entries), 0)     # residual ~3e-15 passes 1e-9
+        strict = StochasticMatrix(entries, settings=NumericSettings(inverse=1e-20))
+        with pytest.raises(SolverFailure, match="hitting-time residual"):
+            hitting_times(strict, 0)
+
+    def test_generator_gate_reads_the_generators_own_inverse_tolerance(self):
+        entries = mm1(truncation=24).chain.entries
+        strict = IntensityMatrix(entries, settings=NumericSettings(inverse=1e-20))
+        with pytest.raises(SolverFailure, match="hitting-time residual"):
+            ctmc_hitting_times(strict, 0)

@@ -9,14 +9,20 @@ from mcperturb import (
     ReducibleChain,
     SolverFailure,
     StochasticMatrix,
+    bound_catalog,
+    ctmc_stationary,
     deviation_matrix,
+    fit_geometric_drift,
     fundamental_matrix,
     group_inverse,
+    hitting_time_bound,
+    hitting_times,
+    seneta_best_bound,
     stationary_distribution,
     stationary_matrix,
     uniformize,
 )
-from mcperturb import gallery
+from mcperturb import ctmc, gallery, solvers
 from mcperturb.solvers import _stationary_gth
 from mcperturb.verify import canonical_pair
 from tests.conftest import gallery_model, random_irreducible_chain, sparse_irreducible_chain
@@ -71,7 +77,7 @@ class TestFundamentalMatrix:
     def test_periodic_chain_has_fundamental_matrix(self):
         P = StochasticMatrix([[0, 1], [1, 0]])
         pi = stationary_distribution(P)
-        R = fundamental_matrix(P, pi)
+        R = fundamental_matrix(P)
         M = np.eye(2) - P.entries + stationary_matrix(pi)
         np.testing.assert_allclose(R @ M, np.eye(2), atol=1e-9)
 
@@ -82,7 +88,7 @@ class TestFundamentalMatrix:
 
     def test_meyer_equals_group_inverse_plus_pi(self, meyer, meyer_group_inverse_exact):
         pi = stationary_distribution(meyer.chain)
-        R = fundamental_matrix(meyer.chain, pi)
+        R = fundamental_matrix(meyer.chain)
         np.testing.assert_allclose(
             R, meyer_group_inverse_exact + stationary_matrix(pi), atol=1e-12
         )
@@ -96,7 +102,7 @@ class TestGroupInverse:
     def test_identical_rows(self):
         P = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
         pi = stationary_distribution(P)
-        X = group_inverse(P, pi)
+        X = group_inverse(P)
         np.testing.assert_allclose(X, np.eye(2) - stationary_matrix(pi), atol=1e-12)
 
     def test_symmetric_two_state_closed_form(self):
@@ -111,7 +117,7 @@ class TestGroupInverse:
     def test_axioms_on_funderlic(self, funderlic):
         P = funderlic.chain
         pi = stationary_distribution(P)
-        X = group_inverse(P, pi)
+        X = group_inverse(P)
         A = np.eye(P.n) - P.entries
         np.testing.assert_allclose(A @ X @ A, A, atol=1e-9)
         np.testing.assert_allclose(X @ A @ X, X, atol=1e-9)
@@ -135,7 +141,7 @@ class TestDeviationMatrix:
     def test_identical_rows(self):
         P = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
         pi = stationary_distribution(P)
-        D = deviation_matrix(P, pi)
+        D = deviation_matrix(P)
         np.testing.assert_allclose(D, np.eye(2) - stationary_matrix(pi), atol=1e-12)
 
     def test_periodic_chain_rejected(self):
@@ -146,7 +152,7 @@ class TestDeviationMatrix:
     def test_partial_sums_converge_on_meyer(self, meyer):
         P = meyer.chain
         pi = stationary_distribution(P)
-        D = deviation_matrix(P, pi)
+        D = deviation_matrix(P)
         Pi = stationary_matrix(pi)
         acc = np.zeros_like(D)
         Pk = np.eye(P.n)
@@ -189,7 +195,7 @@ class TestDeviationMatrix:
             pi = stationary_distribution(P)
             assert np.abs(pi.values @ P.entries - pi.values).max() <= 1e-10, model.name
             assert abs(pi.values.sum() - 1.0) <= 1e-12, model.name
-            R = fundamental_matrix(P, pi)
+            R = fundamental_matrix(P)
             M = np.eye(P.n) - P.entries + stationary_matrix(pi)
             assert np.abs(R @ M - np.eye(P.n)).max() <= 1e-9, model.name
 
@@ -214,7 +220,7 @@ class TestDeviationMatrix:
         ):
             P = model.chain
             pi = stationary_distribution(P)
-            D = deviation_matrix(P, pi)
+            D = deviation_matrix(P)
             Pi = stationary_matrix(pi)
             acc = np.zeros_like(D)
             Pk = np.eye(P.n)
@@ -286,3 +292,59 @@ class TestSparseGth:
         with pytest.raises(SolverFailure, match="state-reduction stalled") as sparse:
             _stationary_gth(P)
         assert str(sparse.value) == str(dense.value)
+
+
+def count_solves(monkeypatch):
+    """Count the dense and state-reduction stationary solves of both chain kinds."""
+    counts = {"solve": 0, "gth": 0}
+    for module, name, key in ((solvers, "_stationary_solve", "solve"),
+                              (ctmc, "_stationary_solve", "solve"),
+                              (solvers, "_stationary_gth", "gth")):
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _key=key):
+            counts[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestStationaryCache:
+    def test_solved_once_per_chain_and_method(self, monkeypatch):
+        counts = count_solves(monkeypatch)
+        P = gallery.meyer4().chain
+        pi = stationary_distribution(P)
+        assert stationary_distribution(P) is pi
+        gth = stationary_distribution(P, method="gth")
+        assert stationary_distribution(P, method="gth") is gth
+        assert gth is not pi
+        assert counts == {"solve": 1, "gth": 1}
+
+    def test_generator_solved_once_per_method(self, monkeypatch):
+        counts = count_solves(monkeypatch)
+        Q = gallery.mm1(truncation=24).chain
+        pi = ctmc_stationary(Q)
+        assert ctmc_stationary(Q) is pi
+        gth = ctmc_stationary(Q, method="gth")
+        assert ctmc_stationary(Q, method="gth") is gth
+        assert counts == {"solve": 1, "gth": 1}
+
+    def test_every_quantity_of_a_chain_shares_one_solve(self, monkeypatch):
+        counts = count_solves(monkeypatch)
+        P = gallery.meyer4().chain
+        fundamental_matrix(P)
+        group_inverse(P)
+        deviation_matrix(P)
+        seneta_best_bound(P)
+        hitting_time_bound(P)
+        fit_geometric_drift(P, 1.0 + hitting_times(P, 0), 0)
+        bound_catalog(P)
+        assert counts == {"solve": 1, "gth": 0}
+
+    def test_a_failed_solve_is_not_cached(self):
+        P = StochasticMatrix([[1.0, 0.0], [0.0, 1.0]])
+        for _ in range(2):
+            with pytest.raises(ReducibleChain):
+                stationary_distribution(P)
+        assert P._stationary == {}
