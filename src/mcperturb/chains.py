@@ -108,6 +108,7 @@ class StochasticMatrix:
         self._irreducible: bool | None = None
         self._period: int | None = None
         self._stationary: dict = {}      # method -> Distribution
+        self._fundamental = None         # solvers._FundamentalSummary
 
     @property
     def irreducible(self) -> bool:
@@ -143,7 +144,8 @@ class IntensityMatrix:
 
     Off-diagonal entries must be nonnegative and every row must sum to 0
     within ``settings.validation``. The uniformization constant
-    ``max_i(-Q_ii)`` must be finite and strictly positive.
+    ``max_i(-Q_ii)`` must be finite and strictly positive, except for the
+    1-state generator ``[[0]]``, whose constant is 0.
     """
 
     def __init__(self, entries, settings: NumericSettings = DEFAULT):
@@ -167,8 +169,8 @@ class IntensityMatrix:
         if np.any(rates < -settings.validation):
             i = int(np.argmin(rates))
             raise ValidationError(f"diagonal entry at state {i} is positive")
-        uc = float(rates.max())
-        if not np.isfinite(uc) or uc <= 0.0:
+        uc = float(rates.max()) + 0.0     # + 0.0: a zero diagonal's -0.0 reads 0
+        if not (np.isfinite(uc) and (uc > 0.0 or (uc == 0.0 and Q.shape[0] == 1))):
             raise ValidationError("uniformization constant must be finite and positive")
         Q.setflags(write=False)
         self.entries = Q

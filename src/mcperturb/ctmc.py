@@ -93,14 +93,15 @@ def uniformize(Q: IntensityMatrix, h: float | None = None) -> UniformizedChain:
     """Build the step-h skeleton P_h = I + h Q, validated under ``Q.settings``.
 
     ``h`` must satisfy 0 < h < 1 / max_i(-Q_ii) strictly; when omitted it
-    defaults to 0.99 of that limit.
+    defaults to 0.99 of that limit. The 1-state generator has no rate, so
+    every h > 0 is admissible and the default is 0.99.
     """
     uc = Q.uniformization_constant
-    if not np.isfinite(uc) or uc <= 0:
+    if not (np.isfinite(uc) and (uc > 0 or (uc == 0 and Q.n == 1))):
         raise UnboundedGenerator("generator has no finite positive rate bound")
-    limit = 1.0 / uc
+    limit = 1.0 / uc if uc > 0 else np.inf
     if h is None:
-        h = DEFAULT_STEP_FRACTION * limit
+        h = DEFAULT_STEP_FRACTION * limit if uc > 0 else DEFAULT_STEP_FRACTION
     if not 0.0 < h < limit:
         raise InvalidStep(f"step {h:g} outside the open interval (0, {limit:g})")
     P_h = StochasticMatrix(np.eye(Q.n) + h * Q.entries, settings=Q.settings)
@@ -110,9 +111,9 @@ def uniformize(Q: IntensityMatrix, h: float | None = None) -> UniformizedChain:
 
 
 def pair_step(Q: IntensityMatrix, Q_tilde: IntensityMatrix) -> float:
-    """Common admissible step for a generator pair."""
+    """Common admissible step for a generator pair (0.99 for a 1-state pair)."""
     uc = max(Q.uniformization_constant, Q_tilde.uniformization_constant)
-    return DEFAULT_STEP_FRACTION / uc
+    return DEFAULT_STEP_FRACTION / uc if uc > 0 else DEFAULT_STEP_FRACTION
 
 
 def ctmc_stationary(Q: IntensityMatrix, method: str = "solve") -> Distribution:

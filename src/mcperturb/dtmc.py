@@ -14,8 +14,10 @@ The catalog:
 * ``unit_drift_bound``    gap <= 2 (sup V)^2 ||Delta|| under the unit drift
                           condition P V <= V - 1 off the taboo state
 * ``hitting_time_bound``  the same with the minimal drift function, scanning
-                          taboo states in decreasing pi, pruned by the
-                          return-time floor sup_i m(i -> j) >= 1 / pi_j - 1
+                          taboo states in increasing proven lower bound on
+                          sup_i m(i -> j): the return-time floor 1 / pi_j - 1
+                          or the Kemeny-Snell estimate from the fundamental
+                          matrix, less its certified error
 * ``v_bound_with_stationary`` / ``v_bound_drift_only``
                           weighted-norm bounds under a geometric drift
                           condition P V <= lambda V + b at the taboo state
@@ -42,7 +44,7 @@ from .errors import (
 )
 from .norms import _abs_row_differences, matrix_norm, v_norm_measure
 from .reports import BoundReport, Hypothesis
-from .solvers import _hitting_solve, group_inverse, stationary_distribution
+from .solvers import _hitting_solve, fundamental_matrix, group_inverse, stationary_distribution
 
 __all__ = [
     "ergodicity_coefficient",
@@ -62,6 +64,8 @@ __all__ = [
     "v_bound_with_stationary",
     "v_bound_drift_only",
 ]
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def ergodicity_coefficient(B) -> float:
@@ -364,34 +368,110 @@ def unit_drift_bound(
     )
 
 
+def _certified_lower_bounds(summary) -> np.ndarray | None:
+    """max(floor_j, est_j - err_j) from a fundamental-matrix summary, as
+    derived in ``hitting_time_bound``; None without a summary or when
+    eta >= 1."""
+    if summary is None:
+        return None
+    n = summary.diagonal.size
+    g = (n + 8) * _UNIT_ROUNDOFF / (1.0 - (n + 8) * _UNIT_ROUNDOFF)
+    norm = summary.norm * (1.0 + g)
+    eta = summary.residual * (1.0 + g) + g * (4.0 * norm + 1.0)
+    if not eta < 1.0:
+        return None
+    r_norm = norm / (1.0 - eta)
+    delta = r_norm * eta
+    eps = (summary.stationarity * (1.0 + g) + 3.0 * g) * r_norm
+    s = float(summary.pi.sum()) * (1.0 - g)
+    # inv_pi <= 1 / pi_j and num <= R_jj - min_i R_ij
+    inv_pi = (1.0 - g) * s / (summary.pi + eps)
+    num = (1.0 - g) * (summary.diagonal - summary.column_minima) - 2.0 * delta
+    estimates = np.where(num > 0.0, (1.0 - g) * num * inv_pi, -np.inf)
+    return np.fmax((1.0 - g) * (inv_pi - 1.0), estimates)
+
+
+def _taboo_lower_bounds(P: StochasticMatrix, pi: Distribution) -> np.ndarray:
+    """lower_j <= sup_i m(i -> j) for every candidate taboo state j; the
+    floors 1 / pi_j - 1 alone when the fundamental matrix is not certified."""
+    if P._fundamental is None:
+        try:
+            fundamental_matrix(P)       # leaves the summary on P
+        except SolverFailure:
+            pass
+    lower = _certified_lower_bounds(P._fundamental)
+    if lower is None:
+        with np.errstate(divide="ignore"):
+            lower = np.where(pi.values > 0.0, 1.0 / pi.values - 1.0, np.inf)
+    return lower
+
+
 def hitting_time_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundReport:
     """Drift bound from the best taboo state: ell = 2 min_i0 (sup_i m(i -> i0))^2.
 
-    The scan is pruned by the return-time identity
-    sum_k P(j, k) m(k -> j) = 1 / pi_j - 1, which floors every candidate:
-    sup_i m(i -> j) >= 1 / pi_j - 1. Candidates are visited in decreasing
-    pi_j (a candidate with pi_j <= 0 has an infinite floor), each with its
-    own certified dense hitting-time solve, and the scan stops once the
-    floor exceeds the best sup found so far by more than the relative
-    ``P.settings.inverse`` the solves are certified to. A chain with uniform
-    pi still needs n solves; a chain whose stationary mass sits on the best
-    taboo state needs one or two. ``pi`` is the chain's own, solved at most
-    once per chain.
+    Every candidate taboo state j gets a lower bound
+    lower_j = max(floor_j, est_j - err_j) on sup_j = sup_i m(i -> j).
+    Candidates are visited in increasing lower_j, each with its own
+    certified dense hitting-time solve, and the scan stops once lower_j
+    exceeds the lowest sup found so far by more than the relative
+    ``P.settings.inverse`` the solves are certified to. Then the minimum is
+    taken over the visited candidates in index order, ties breaking toward
+    the smallest state index, so the result equals the exhaustive
+    index-order scan. Candidates whose hitting times overflow the solver
+    (hard-to-reach states on truncated climb chains) are skipped: the bound
+    holds for each candidate separately, and an astronomically slow target
+    can never realize the minimum.
 
-    The minimum is then taken over the visited candidates in index order,
-    ties breaking toward the smallest state index, so the result equals the
-    exhaustive index-order scan. Candidates whose hitting times overflow the
-    solver (hard-to-reach states on truncated climb chains) are skipped: the
-    bound holds for each candidate separately, and an astronomically slow
-    target can never realize the minimum.
+    Both parts come from the Kemeny-Snell identities. Let p be a row vector
+    with M = I - P + 1 p nonsingular, R = M^-1, and pi the exact stationary
+    distribution (P is taken as exactly stochastic, as by the solves). The
+    hitting times m = m(. -> j) solve (I - P) m = 1 - e_j / pi_j with
+    m_j = 0, and R 1 = 1 / (p 1), so
+
+        sup_j = (R_jj - min_i R_ij) / pi_j >= 1 / pi_j - 1,
+
+    the floor being the return-time identity sum_k P(j, k) m(k -> j) =
+    1 / pi_j - 1. ``fundamental_matrix`` computes G ~ R with p = pi-hat, the
+    chain's certified pi, and leaves a summary on the chain (diag(G), the
+    column minima of G, ||G||_inf, ||M G - I||_inf and ||pi-hat P - pi-hat||_1
+    as computed). The estimate is est_j = (G_jj - min_i G_ij) / pi-hat_j.
+    Its error is bounded with u = 2^-53 and g = (n + 8) u / (1 - (n + 8) u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3 and 7):
+
+    * eta = ||M G - I||_inf is at most the computed residual norm plus
+      g (4 ||G||_inf + 1): forming M moves each entry by at most
+      g (|I| + |P| + |1 pi-hat|), whose rows sum to at most 4, and the
+      product M G by at most g (|M| |G| + I);
+    * if eta < 1, G - R = R (M G - I) gives ||R||_inf <= ||G||_inf / (1 - eta)
+      and max_ij |G_ij - R_ij| <= delta = ||G||_inf eta / (1 - eta);
+    * pi M = pi-hat and pi-hat M = s pi-hat - r, with s = sum(pi-hat) and the
+      stationarity residual r = pi-hat P - pi-hat, give s pi - pi-hat = r R
+      (pi-hat - (pi-hat 1) pi = -r A# in group-inverse terms), so
+      pi_j <= (pi-hat_j + eps) / s with eps = ||r||_1 ||R||_inf, where
+      ||r||_1 is at most its computed value plus 3 g.
+
+    Hence sup_j >= (G_jj - min_i G_ij - 2 delta) s / (pi-hat_j + eps), which
+    defines err_j, and floor_j = s / (pi-hat_j + eps) - 1. Every computed
+    norm and sum is moved by a factor 1 +- g in the safe direction, and so
+    is each step of the evaluation, which covers the rounding. On a
+    truncated tail pi-hat_j is far below eps, so err_j swamps est_j (which
+    may read NaN, inf or 1e42 there) and lower_j falls to the floor: the
+    estimate only orders and prunes candidates, and is never reported.
+    Without a certified G (a ``SolverFailure``, or eta >= 1) the scan uses
+    the floors 1 / pi-hat_j - 1 alone (infinite for pi-hat_j <= 0).
+
+    On a uniform-pi chain the floors tie but the estimates separate the
+    candidates, so a few solves suffice; on a cycle, where every sup ties,
+    all n run. ``seneta_best_bound`` certifies the same G, so in
+    ``bound_catalog`` the scan reads the summary it left and solves nothing
+    more than its hitting times.
     """
     pi = stationary_distribution(P)
-    with np.errstate(divide="ignore"):
-        floors = np.where(pi.values > 0.0, 1.0 / pi.values - 1.0, np.inf)
+    lower = _taboo_lower_bounds(P, pi)
     sups = {}
     lowest = np.inf
-    for i0 in np.argsort(-pi.values, kind="stable").tolist():
-        if floors[i0] > lowest * (1.0 + P.settings.inverse):
+    for i0 in np.argsort(lower, kind="stable").tolist():
+        if lower[i0] > lowest * (1.0 + P.settings.inverse):
             break
         try:
             sups[i0] = float(hitting_times(P, i0).max())

@@ -5,6 +5,14 @@ Every gate here reads the tolerances of the chain it is applied to
 chain and method and cached on the chain, so the matrices below, and every
 bound that needs pi, reuse the chain's own certified pi.
 
+A certified fundamental matrix G also leaves a small summary on the chain
+(``P._fundamental``): diag(G), the column minima of G, ||G||_inf, the
+residual norm ||(I - P + 1 pi) G - I||_inf and the stationarity residual
+||pi P - pi||_1, which bound the error of the Kemeny-Snell hitting-time
+estimates that screen ``hitting_time_bound``'s scan. It holds n-vectors and
+scalars only: no n x n matrix is cached, so G and the group inverse are
+recomputed by each call that returns them.
+
 The default stationary solver replaces one equation of the singular system
 ``x (I - P) = 0`` with the normalization row and solves densely, certifying
 the residual afterwards. Two independent routes are kept alongside it:
@@ -27,6 +35,8 @@ Mean hitting times of both chain kinds come from one certified solve,
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,11 +205,25 @@ def stationary_matrix(pi: Distribution) -> np.ndarray:
     return np.tile(pi.values, (pi.n, 1))
 
 
+@dataclass(frozen=True)
+class _FundamentalSummary:
+    """What the hitting-time scan needs of a certified fundamental matrix G
+    of P: n-vectors and scalars only, cached on P as ``P._fundamental``."""
+
+    pi: np.ndarray              # the pi that built M = I - P + 1 pi
+    diagonal: np.ndarray        # G_jj
+    column_minima: np.ndarray   # min_i G_ij
+    norm: float                 # ||G||_inf
+    residual: float             # ||M G - I||_inf, as computed
+    stationarity: float         # ||pi P - pi||_1, as computed
+
+
 def fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
     """Inverse of (I - P + Pi), certified on both sides.
 
     Well defined for periodic chains too, since I - P + Pi is nonsingular
-    for any irreducible chain.
+    for any irreducible chain. A certified result also leaves a
+    ``_FundamentalSummary`` on ``P`` for the hitting-time scan.
     """
     settings = P.settings
     pi = _stationary(P)
@@ -210,15 +234,24 @@ def fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
         R = np.linalg.solve(M, np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"fundamental system is singular: {exc}") from exc
+    right = np.abs(M @ R - np.eye(n))
     res = max(
         float(np.abs(R @ M - np.eye(n)).max()),
-        float(np.abs(M @ R - np.eye(n)).max()),
+        float(right.max()),
         float(np.abs(pi.values @ R - pi.values).max()),
     )
     if res > settings.inverse:
         raise SolverFailure(
             f"fundamental matrix residual {res:.3e} exceeds {settings.inverse:g}"
         )
+    P._fundamental = _FundamentalSummary(
+        pi=pi.values,
+        diagonal=R.diagonal().copy(),
+        column_minima=R.min(axis=0),
+        norm=float(np.abs(R).sum(axis=1).max()),
+        residual=float(right.sum(axis=1).max()),
+        stationarity=float(np.abs(pi.values @ P.entries - pi.values).sum()),
+    )
     return R
 
 

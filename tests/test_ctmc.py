@@ -11,7 +11,9 @@ from mcperturb import (
     NotErgodic,
     OutOfRadius,
     PerturbationPair,
+    ValidationError,
     batch_arrival_drift,
+    bound_catalog,
     ctmc_deviation_bound,
     ctmc_deviation_matrix,
     ctmc_ergodicity_coefficient,
@@ -27,6 +29,7 @@ from mcperturb import (
     fit_ctmc_geometric_drift,
     matrix_norm,
     mm1_coefficients,
+    pair_step,
     stationary_distribution,
     stationary_series_expansion,
     transfer_drift_to_skeleton,
@@ -497,3 +500,37 @@ class TestBatchArrivalOverflow:
         assert np.isfinite(cert.weights.values).all()
         with pytest.raises(InvalidParameters, match=f"at most {n_max} states"):
             batch_arrival_drift(a, b, n_states=n_max + 1)
+
+
+class TestOneStateGenerator:
+    def test_zero_uniformization_constant_is_accepted(self):
+        Q = IntensityMatrix([[0.0]])
+        assert Q.uniformization_constant == 0.0
+        assert not np.signbit(Q.uniformization_constant)
+
+    def test_stationary_distribution(self):
+        Q = IntensityMatrix([[0.0]])
+        np.testing.assert_array_equal(ctmc_stationary(Q).values, [1.0])
+        np.testing.assert_array_equal(ctmc_stationary(Q, method="gth").values, [1.0])
+
+    def test_uniformize_takes_a_finite_step(self):
+        Q = IntensityMatrix([[0.0]])
+        chain = uniformize(Q)
+        assert chain.h == 0.99
+        np.testing.assert_array_equal(chain.matrix.entries, [[1.0]])
+        assert uniformize(Q, h=5.0).h == 5.0
+        assert pair_step(Q, IntensityMatrix([[0.0]])) == 0.99
+
+    def test_bound_catalog_returns_a_table(self):
+        Q = IntensityMatrix([[0.0]])
+        reports = bound_catalog(Q)
+        assert [r.bound_name for r in reports] == [
+            "ctmc_deviation", "ctmc_lambda1", "ctmc_small_set", "ctmc_unit_drift"]
+        assert all(r.hypotheses_hold for r in reports)
+        paired = bound_catalog(Q, perturbed=IntensityMatrix([[0.0]]))
+        assert all(r.valid for r in paired)
+
+    def test_two_state_zero_generator_keeps_its_error(self):
+        with pytest.raises(ValidationError,
+                           match="^uniformization constant must be finite and positive$"):
+            IntensityMatrix([[0.0, 0.0], [0.0, 0.0]])

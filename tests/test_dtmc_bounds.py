@@ -17,6 +17,7 @@ from mcperturb import (
     WeightFunction,
     ergodicity_coefficient,
     fit_geometric_drift,
+    fundamental_matrix,
     group_inverse,
     hitting_time_bound,
     hitting_times,
@@ -375,17 +376,148 @@ class TestHittingTimeBound:
         assert len(calls) <= 2
         assert rep.info["taboo_state"] == 0
 
-    def test_uniform_stationary_mass_solves_every_candidate(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        n = 60
-        P = 0.5 * np.roll(np.eye(n), 1, axis=1)
-        for w in (0.3, 0.2):
-            P[np.arange(n), rng.permutation(n)] += w
-        chain = StochasticMatrix(P)
-        np.testing.assert_allclose(stationary_distribution(chain).values, 1.0 / n)
+    def test_uniform_stationary_mass_needs_at_most_three_solves(self, monkeypatch):
+        # every floor ties; the Kemeny-Snell estimates separate the candidates
+        chain = _uniform_pi_chain()
+        np.testing.assert_allclose(stationary_distribution(chain).values, 1.0 / chain.n)
         calls = _count_hitting_solves(monkeypatch)
-        hitting_time_bound(chain)
-        assert sorted(calls) == list(range(n))
+        assert _scan_result(chain) == exhaustive_hitting_scan(chain)
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("seed", [0, 23])
+    def test_doubly_stochastic_chain_needs_at_most_three_solves(self, seed, monkeypatch):
+        chain = _doubly_stochastic(seed, 400)
+        calls = _count_hitting_solves(monkeypatch)
+        assert _scan_result(chain) == exhaustive_hitting_scan(chain)
+        assert len(calls) <= 3
+
+    def test_ties_break_by_index_when_the_lower_bounds_reverse_the_visit_order(
+            self, monkeypatch):
+        # lower bounds decreasing in the index, within the certification
+        # slack of the tied sups, so every candidate is visited, last first
+        n = 7
+        lower = (n - 1.0) * (1.0 - 1e-12 * np.arange(1, n + 1))
+        monkeypatch.setattr(mcperturb.dtmc, "_taboo_lower_bounds", lambda P, pi: lower)
+        calls = _count_hitting_solves(monkeypatch)
+        assert _scan_result(_cycle(n)) == (n - 1.0, 0)
+        assert calls == list(range(n - 1, -1, -1))
+
+
+def _uniform_pi_chain():
+    """60 states, a cycle plus two random permutations: uniform pi."""
+    rng = np.random.default_rng(3)
+    n = 60
+    P = 0.5 * np.roll(np.eye(n), 1, axis=1)
+    for w in (0.3, 0.2):
+        P[np.arange(n), rng.permutation(n)] += w
+    return StochasticMatrix(P)
+
+
+def _doubly_stochastic(seed, n):
+    """Convex mix of 4 random permutation matrices, built as the benchmark's
+    catalog-dtmc workload builds its doubly stochastic chain: uniform pi."""
+    rng = np.random.default_rng([seed, 4])
+    weights = rng.dirichlet(np.full(4, 4.0))
+    P = np.zeros((n, n))
+    for w in weights:
+        P[np.arange(n), rng.permutation(n)] += w
+    chain = StochasticMatrix(P)
+    assert chain.irreducible
+    return chain
+
+
+def _assert_lower_bounds_hold(P):
+    """lower_j <= the certified sup_j for every j whose dense solve succeeds."""
+    lower = mcperturb.dtmc._taboo_lower_bounds(P, stationary_distribution(P))
+    assert P._fundamental is not None      # the screen, not the floors alone
+    solved = 0
+    for j in range(P.n):
+        try:
+            sup_j = float(hitting_times(P, j).max())
+        except (DivergentHittingTimes, SolverFailure):
+            continue
+        solved += 1
+        assert lower[j] <= sup_j, (j, lower[j], sup_j)
+    assert solved > 0
+
+
+def _kemeny_snell_estimates(P):
+    """est_j = (G_jj - min_i G_ij) / pi_j from the chain's fundamental matrix."""
+    G = fundamental_matrix(P)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (G.diagonal() - G.min(axis=0)) / stationary_distribution(P).values
+
+
+def _uncertified(P):
+    raise SolverFailure("fundamental matrix residual too large")
+
+
+class TestTabooLowerBounds:
+    @pytest.mark.parametrize("truncation", [24, 200])
+    @pytest.mark.parametrize("spec", DTMC_SPECS)
+    def test_gallery(self, spec, truncation):
+        _assert_lower_bounds_hold(gallery_model(spec, truncation).chain)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_chains(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        _assert_lower_bounds_hold(StochasticMatrix(random_irreducible_chain(rng, n, sparsity=0.6)))
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (5, 5), (1, 2, 3), (2, 2, 2, 3), (4, 1, 3, 2, 2)])
+    def test_periodic_chains(self, sizes):
+        _assert_lower_bounds_hold(_periodic_chain(np.random.default_rng(len(sizes)), sizes))
+
+    def test_periodic_gallery_chain(self):
+        _assert_lower_bounds_hold(odd_even(truncation=60, periodic=True).chain)
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 16, 31])
+    def test_cycles(self, n):
+        _assert_lower_bounds_hold(_cycle(n))
+
+    def test_uniform_pi_chains(self):
+        _assert_lower_bounds_hold(_uniform_pi_chain())
+        _assert_lower_bounds_hold(_doubly_stochastic(0, 120))
+
+    @pytest.mark.parametrize("spec", ["geometric-return", "hessenberg-gi-m-1", "odd-even-p"])
+    def test_truncated_tails_where_the_estimate_is_useless(self, spec):
+        # the raw estimate reads NaN, inf or 1e42 times the sup on these tails;
+        # its error bound swamps it there, so the lower bound stays sound
+        P = gallery_model(spec, 200).chain
+        est = _kemeny_snell_estimates(P)
+        sups = np.full(P.n, np.nan)
+        for j in range(P.n):
+            try:
+                sups[j] = hitting_times(P, j).max()
+            except (DivergentHittingTimes, SolverFailure):
+                pass
+        with np.errstate(invalid="ignore"):
+            useless = ~np.isfinite(est) | (est > 1e6 * sups)
+        assert useless.any()
+        _assert_lower_bounds_hold(P)
+
+    def test_without_a_fundamental_matrix_the_scan_uses_the_floors(self, monkeypatch):
+        monkeypatch.setattr(mcperturb.dtmc, "fundamental_matrix", _uncertified)
+        calls = _count_hitting_solves(monkeypatch)
+        chain = _uniform_pi_chain()
+        assert _scan_result(chain) == exhaustive_hitting_scan(chain)
+        assert sorted(calls) == list(range(chain.n))     # the tied floors prune nothing
+        assert chain._fundamental is None
+
+    @pytest.mark.parametrize("spec", ["geometric-return", "odd-even-p", "hessenberg-gi-m-1",
+                                      "birth-death"])
+    def test_floor_only_scan_gives_the_same_result(self, spec, monkeypatch):
+        screened = _scan_result(gallery_model(spec, 200).chain)
+        monkeypatch.setattr(mcperturb.dtmc, "fundamental_matrix", _uncertified)
+        assert _scan_result(gallery_model(spec, 200).chain) == screened
+
+    def test_uncertified_fundamental_matrix_falls_back_to_the_floors(self):
+        eps = 1e-9
+        P = StochasticMatrix([[1.0 - eps, eps], [eps, 1.0 - eps]])
+        with pytest.raises(SolverFailure, match="fundamental matrix residual"):
+            fundamental_matrix(P)
+        assert _scan_result(P) == exhaustive_hitting_scan(P)
+        assert P._fundamental is None
 
 
 class TestGeometricDrift:

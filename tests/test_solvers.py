@@ -22,7 +22,7 @@ from mcperturb import (
     stationary_matrix,
     uniformize,
 )
-from mcperturb import ctmc, gallery, solvers
+from mcperturb import ctmc, dtmc, gallery, solvers
 from mcperturb.solvers import _stationary_gth
 from mcperturb.verify import canonical_pair
 from tests.conftest import gallery_model, random_irreducible_chain, sparse_irreducible_chain
@@ -348,3 +348,53 @@ class TestStationaryCache:
             with pytest.raises(ReducibleChain):
                 stationary_distribution(P)
         assert P._stationary == {}
+
+
+def count_fundamental_solves(monkeypatch):
+    """Count ``fundamental_matrix`` calls from the solvers (group inverse) and
+    from the hitting-time scan."""
+    calls = []
+    solve = solvers.fundamental_matrix
+
+    def counted(P):
+        calls.append(P)
+        return solve(P)
+
+    monkeypatch.setattr(solvers, "fundamental_matrix", counted)
+    monkeypatch.setattr(dtmc, "fundamental_matrix", counted)
+    return calls
+
+
+class TestFundamentalSummary:
+    def test_catalog_solves_the_fundamental_matrix_once(self, monkeypatch):
+        calls = count_fundamental_solves(monkeypatch)
+        model = gallery_model("geometric-return", 200)
+        P = model.chain
+        bound_catalog(P, perturbed=canonical_pair(model, seed=0).perturbed)
+        assert calls == [P]
+
+    def test_seneta_best_bound_and_the_scan_share_one_solve(self, monkeypatch):
+        calls = count_fundamental_solves(monkeypatch)
+        P = gallery.meyer4().chain
+        seneta_best_bound(P)
+        hitting_time_bound(P)
+        hitting_time_bound(P)
+        assert len(calls) == 1
+
+    def test_the_scan_alone_solves_it_once(self, monkeypatch):
+        calls = count_fundamental_solves(monkeypatch)
+        P = gallery.funderlic8().chain
+        hitting_time_bound(P)
+        hitting_time_bound(P)
+        assert len(calls) == 1
+
+    def test_the_summary_holds_no_matrix(self):
+        P = gallery_model("odd-even-p", 60).chain
+        R = fundamental_matrix(P)
+        summary = P._fundamental
+        assert summary.pi is stationary_distribution(P).values
+        np.testing.assert_array_equal(summary.diagonal, R.diagonal())
+        np.testing.assert_array_equal(summary.column_minima, R.min(axis=0))
+        assert summary.norm == np.abs(R).sum(axis=1).max()
+        for value in vars(summary).values():
+            assert isinstance(value, float) or value.shape == (P.n,)
