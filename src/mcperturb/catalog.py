@@ -53,6 +53,8 @@ from .solvers import stationary_distribution
 
 __all__ = ["bound_catalog"]
 
+SKELETON_M = 2      # step count of the skeleton bound
+
 
 def _guard(reports, name, fn):
     try:
@@ -66,30 +68,43 @@ def _guard(reports, name, fn):
     return None
 
 
-def _v_norm_pair(chain, cert, pi, delta_v_norm) -> list[BoundReport]:
-    """The two weighted-norm drift bounds, failures rendered inline.
+def _weighted_stationary(chain):
+    """The stationary distribution a weighted-norm certificate is paired with.
 
-    ``pi`` is the stationary distribution the drift certificate is paired
-    with; the fuzz oracle evaluates the pair through this same function.
+    Growing weights amplify the plain solve's absolute tail errors, so a
+    generator is paired with the componentwise-accurate state-reduction
+    solve; a transition matrix keeps its cached solve.
     """
     if isinstance(chain, StochasticMatrix):
-        pair = (("v_norm_with_stationary",
-                 lambda: v_bound_with_stationary(chain, cert, pi, delta_v_norm)),
-                ("v_norm_drift_only", lambda: v_bound_drift_only(cert, delta_v_norm)))
+        return stationary_distribution(chain)
+    return ctmc_stationary(chain, method="gth")
+
+
+def _v_norm_pair(chain, perturbed, delta, cert) -> tuple[list[BoundReport], float]:
+    """The two weighted-norm drift bounds for the perturbation ``delta`` that
+    takes ``chain`` to ``perturbed``, failures rendered inline, and the
+    weighted gap ||nu - pi||_V they bound.
+
+    The catalog and the fuzz oracle both check the pair through this one
+    function.
+    """
+    pi, nu = _weighted_stationary(chain), _weighted_stationary(perturbed)
+    dv = v_norm_matrix(delta, cert.weights)
+    if isinstance(chain, StochasticMatrix):
+        prefix, with_pi, drift_only = "", v_bound_with_stationary, v_bound_drift_only
     else:
-        pair = (("ctmc_v_norm_with_stationary",
-                 lambda: ctmc_v_bound_with_stationary(chain, cert, pi, delta_v_norm)),
-                ("ctmc_v_norm_drift_only",
-                 lambda: ctmc_v_bound_drift_only(cert, delta_v_norm)))
+        prefix, with_pi, drift_only = ("ctmc_", ctmc_v_bound_with_stationary,
+                                       ctmc_v_bound_drift_only)
     reports: list[BoundReport] = []
-    for name, fn in pair:
-        rep = _guard(reports, name, fn)
+    for rep in (_guard(reports, f"{prefix}v_norm_with_stationary",
+                       lambda: with_pi(chain, cert, pi, dv)),
+                _guard(reports, f"{prefix}v_norm_drift_only", lambda: drift_only(cert, dv))):
         if rep is not None:
             rep.info["norm"] = "v"
-    return reports
+    return reports, v_norm_measure(nu.values - pi.values, cert.weights)
 
 
-def _dtmc_reports(P, perturbed, delta_norm, m_max, skeleton_m):
+def _dtmc_reports(P, perturbed, delta_norm, m_max):
     reports: list[BoundReport] = []
     _guard(reports, "seneta", lambda: seneta_bound(P, delta_norm))
     _guard(reports, "seneta_best", lambda: seneta_best_bound(P, delta_norm))
@@ -98,8 +113,8 @@ def _dtmc_reports(P, perturbed, delta_norm, m_max, skeleton_m):
                                    delta_norm=delta_norm)[0])
     _guard(reports, "hitting_time_drift", lambda: hitting_time_bound(P, delta_norm))
     if perturbed is not None:
-        _guard(reports, f"skeleton[m={skeleton_m}]",
-               lambda: skeleton_bound(P, perturbed, skeleton_m))
+        _guard(reports, f"skeleton[m={SKELETON_M}]",
+               lambda: skeleton_bound(P, perturbed, SKELETON_M))
     return reports
 
 
@@ -120,7 +135,6 @@ def bound_catalog(
     m_max: int = 8,
     weights: WeightFunction | None = None,
     taboo_state: int = 0,
-    skeleton_m: int = 2,
 ) -> list[BoundReport]:
     """Every applicable bound for the chain, with failures rendered inline.
 
@@ -138,7 +152,7 @@ def bound_catalog(
     solve = stationary_distribution if dtmc else ctmc_stationary
     if dtmc:
         solve(chain)        # raises here, before any bound, when pi cannot be certified
-        reports = _dtmc_reports(chain, perturbed, delta_norm, m_max, skeleton_m)
+        reports = _dtmc_reports(chain, perturbed, delta_norm, m_max)
     else:
         reports = _ctmc_reports(chain, delta_norm, taboo_state)
     for rep in reports:
@@ -180,16 +194,13 @@ def bound_catalog(
     nu = solve(perturbed)
     gap = {"tv": total_variation_norm(nu.values - pi.values), "v": None}
     if cert is not None:
-        # growing weights amplify the plain solve's absolute tail errors, so
-        # generators pair their certificate with the state-reduction solve
-        pi_v, nu_v = (pi, nu) if dtmc else (ctmc_stationary(chain, method="gth"),
-                                            ctmc_stationary(perturbed, method="gth"))
-        dv = v_norm_matrix(perturbed.entries - chain.entries, cert.weights)
-        reports += _v_norm_pair(chain, cert, pi_v, dv)
+        v_reports, gap_v = _v_norm_pair(chain, perturbed, perturbed.entries - chain.entries,
+                                        cert)
+        reports += v_reports
         # weights passed to a transition matrix as a plain array get the
         # weighted bounds but no weighted gap
         if not dtmc or isinstance(weights, WeightFunction):
-            gap["v"] = v_norm_measure(nu_v.values - pi_v.values, cert.weights)
+            gap["v"] = gap_v
     return [rep if rep.bound_value is None or gap[rep.info["norm"]] is None
             else rep.with_exact_gap(gap[rep.info["norm"]])
             for rep in reports]

@@ -16,9 +16,10 @@ import numpy as np
 from .catalog import bound_catalog
 from .chainfile import load_chain_file, save_chain_file
 from .chains import IntensityMatrix, StochasticMatrix
+from .ctmc import batch_arrival_drift
 from .dtmc import birth_death_hitting_times, hitting_times
 from .errors import McPerturbError, ParseError, ValidationError
-from .gallery import build_model, list_models
+from .gallery import GalleryModel, build_model, list_models
 from .settings import DEFAULT
 from .verify import fuzz_bounds, identity_residuals
 
@@ -63,12 +64,16 @@ def _table(rows, headers, out):
 
 
 def _load_input(spec: str, truncation):
-    """A path with a slash or .json suffix is a file; otherwise a gallery name."""
+    """``(model, perturbed chain, weights)`` for a chain file or a gallery name.
+
+    A path with a slash or .json suffix is a file, wrapped as a model named
+    by its path with no extras; otherwise ``spec`` names a gallery model.
+    """
     if spec.endswith(".json") or "/" in spec:
         cf = load_chain_file(spec)
-        return cf.chain, cf.perturbed, cf.weight_function, spec, {}
-    model = build_model(spec, truncation=truncation)
-    return model.chain, None, None, model.name, model.extras
+        kind = "dtmc" if isinstance(cf.chain, StochasticMatrix) else "ctmc"
+        return GalleryModel(name=spec, kind=kind, chain=cf.chain), cf.perturbed, cf.weight_function
+    return build_model(spec, truncation=truncation), None, None
 
 
 def cmd_validate(args, out) -> int:
@@ -120,7 +125,8 @@ def _load_drift_file(path, n):
 
 
 def cmd_bounds(args, out) -> int:
-    chain, perturbed, weights, name, extras = _load_input(args.path, args.truncation)
+    model, perturbed, weights = _load_input(args.path, args.truncation)
+    chain, extras = model.chain, model.extras
     taboo = 0
     if args.drift_file:
         values, taboo = _load_drift_file(args.drift_file, chain.n)
@@ -128,8 +134,6 @@ def cmd_bounds(args, out) -> int:
     if (args.v_norm and weights is None and isinstance(chain, IntensityMatrix)
             and "a" in extras and "b" in extras):
         # band generator models carry their drift weights implicitly
-        from .ctmc import batch_arrival_drift
-
         weights = batch_arrival_drift(extras["a"], extras["b"], n_states=chain.n).weights
     if not args.v_norm and args.drift_file is None:
         weights = None
@@ -138,7 +142,7 @@ def cmd_bounds(args, out) -> int:
         weights=weights, taboo_state=taboo,
     )
     if args.format == "json":
-        _emit_json({"input": name, "reports": [r.to_dict() for r in reports]}, out)
+        _emit_json({"input": model.name, "reports": [r.to_dict() for r in reports]}, out)
     else:
         rows = []
         for r in reports:
@@ -154,7 +158,8 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_hitting(args, out) -> int:
-    chain, _, _, name, extras = _load_input(args.path, args.truncation)
+    model = _load_input(args.path, args.truncation)[0]
+    chain, extras = model.chain, model.extras
     if not isinstance(chain, StochasticMatrix):
         raise ValidationError("hitting times are computed for transition matrices")
     m = hitting_times(chain, args.target)
@@ -163,7 +168,7 @@ def cmd_hitting(args, out) -> int:
         # only birth-death models carry their per-state move probabilities
         closed = birth_death_hitting_times(extras["a"], extras["b"], extras["c"], args.target)
     if args.format == "json":
-        payload = {"input": name, "target": args.target, "hitting_times": m.tolist()}
+        payload = {"input": model.name, "target": args.target, "hitting_times": m.tolist()}
         if closed is not None:
             payload["closed_form"] = closed.tolist()
         _emit_json(payload, out)
@@ -182,20 +187,14 @@ def cmd_verify(args, out) -> int:
     worst = EXIT_OK
     summary_payload = []
     for spec in names:
-        if spec.endswith(".json") or "/" in spec:
-            cf = load_chain_file(spec)
-            from .gallery import GalleryModel
-
-            kind = "dtmc" if isinstance(cf.chain, StochasticMatrix) else "ctmc"
-            model = GalleryModel(name=spec, kind=kind, chain=cf.chain)
-        else:
-            try:
-                model = build_model(spec, truncation=args.truncation)
-            except McPerturbError:
-                if args.truncation is None:
-                    raise
-                # fixed-size models ignore a sweep-wide truncation override
-                model = build_model(spec)
+        try:
+            model = _load_input(spec, args.truncation)[0]
+        except McPerturbError:
+            if args.truncation is None:
+                raise
+            # fixed-size models ignore a sweep-wide truncation override (a
+            # chain file takes none, so it raises the same error again)
+            model = _load_input(spec, None)[0]
         entry = {"model": model.name}
         residuals = identity_residuals(model, magnitude=args.magnitude, seed=args.seed)
         entry["identity_residuals"] = residuals

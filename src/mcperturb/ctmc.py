@@ -14,8 +14,9 @@ Q's stationary distribution. All discrete-time machinery transfers:
 
 The bound catalog mirrors the discrete one: deviation-norm, ergodicity
 coefficient, column-minima small set, unit drift, and the two
-weighted-norm drift bounds (whose continuous forms lose the (1 - lambda)
-factors of the discrete versions).
+weighted-norm drift bounds. Those are the discrete ones with the decay
+margin gamma = lambda in place of 1 - lambda, and share their code with
+:mod:`mcperturb.dtmc`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,14 @@ from .errors import (
     SolverFailure,
     UnboundedGenerator,
 )
-from .norms import _abs_row_differences, matrix_norm, v_norm_matrix, v_norm_measure
+from .dtmc import (
+    GeometricDriftCertificate,
+    _off_taboo,
+    _stationary_constant,
+    _v_bound_drift_only,
+    _v_bound_with_stationary,
+)
+from .norms import _abs_row_differences, matrix_norm, v_norm_matrix
 from .reports import BoundReport, Hypothesis
 from .settings import DEFAULT
 from .solvers import (
@@ -78,6 +86,7 @@ __all__ = [
 ]
 
 DEFAULT_STEP_FRACTION = 0.99  # keeps skeleton diagonals strictly positive
+_Z_GRID = 256                 # points of batch_arrival_drift's coarse scan
 
 
 @dataclass
@@ -339,8 +348,7 @@ def fit_ctmc_geometric_drift(
         raise InvalidParameters("weight length must match the generator size")
     qv = Q.entries @ V
     rates = -qv / V
-    off = np.delete(rates, taboo_state)
-    lam = float(off.min())
+    lam = float(_off_taboo(rates, taboo_state).min())
     if lam <= Q.settings.hypothesis_margin:
         raise NoPositiveLambda(f"best decay rate {lam:.3e} is not positive")
     b = max(0.0, float(qv[taboo_state] + lam * V[taboo_state]))
@@ -350,8 +358,6 @@ def fit_ctmc_geometric_drift(
 
 def transfer_drift_to_skeleton(cert: CtmcGeometricDriftCertificate, h: float):
     """Discrete certificate induced on P_h: P_h V <= (1 - lambda h) V + b h."""
-    from .dtmc import GeometricDriftCertificate
-
     return GeometricDriftCertificate(
         taboo_state=cert.taboo_state,
         weights=cert.weights,
@@ -371,29 +377,9 @@ def ctmc_v_bound_with_stationary(
     Requires d = ||Delta||_V < lambda / c with c = 1 + ||e||_V ||pi||_V.
     """
     cert.validate(Q)
-    V = cert.weights.values
-    pi_v = v_norm_measure(pi.values, V)
-    c = 1.0 + (1.0 / V.min()) * pi_v
-    threshold = cert.lam / c
-    if not delta_v_norm < threshold:
-        raise HypothesisFailed(
-            "||Delta||_V < lambda / c",
-            f"||Delta||_V = {delta_v_norm:.6g}, threshold = {threshold:.6g}",
-        )
-    value = c * pi_v * delta_v_norm / (cert.lam - c * delta_v_norm)
-    return BoundReport(
-        bound_name="ctmc_v_norm_with_stationary",
-        hypotheses=[
-            Hypothesis("generator drift certificate", True,
-                       f"lambda = {cert.lam:.6g}, b = {cert.b:.6g}"),
-            Hypothesis("||Delta||_V below threshold", True,
-                       f"{delta_v_norm:.6g} < {threshold:.6g}"),
-            Hypothesis("perturbed chain positive recurrent", True,
-                       "implied by the drift margin"),
-        ],
-        direct_value=value,
-        delta_norm=delta_v_norm,
-        info={"c": c, "pi_v": pi_v, "threshold": threshold},
+    return _v_bound_with_stationary(
+        cert, cert.lam, pi, delta_v_norm, name="ctmc_v_norm_with_stationary",
+        drift="generator drift certificate", hypothesis="||Delta||_V < lambda / c",
     )
 
 
@@ -406,30 +392,9 @@ def ctmc_v_bound_drift_only(
     Requires V >= 1 and d < lambda^2 / (b + lambda); reads
     gap_V <= b (b + lambda) d / (lambda^3 - lambda (b + lambda) d).
     """
-    V = cert.weights.values
-    if V.min() < 1.0 - 1e-12:
-        raise HypothesisFailed("V >= 1", f"min V = {V.min():.6g}")
-    lam, b = cert.lam, cert.b
-    threshold = lam**2 / (b + lam)
-    if not delta_v_norm < threshold:
-        raise HypothesisFailed(
-            "||Delta||_V < lambda^2 / (b + lambda)",
-            f"||Delta||_V = {delta_v_norm:.6g}, threshold = {threshold:.6g}",
-        )
-    num = b * (b + lam) * delta_v_norm
-    den = lam**3 - lam * (b + lam) * delta_v_norm
-    return BoundReport(
-        bound_name="ctmc_v_norm_drift_only",
-        hypotheses=[
-            Hypothesis("generator drift certificate", True,
-                       f"lambda = {lam:.6g}, b = {b:.6g}"),
-            Hypothesis("V >= 1", True, f"min V = {V.min():.6g}"),
-            Hypothesis("||Delta||_V below threshold", True,
-                       f"{delta_v_norm:.6g} < {threshold:.6g}"),
-        ],
-        direct_value=num / den,
-        delta_norm=delta_v_norm,
-        info={"threshold": threshold, "margin": threshold - delta_v_norm},
+    return _v_bound_drift_only(
+        cert, cert.lam, delta_v_norm, name="ctmc_v_norm_drift_only",
+        drift="generator drift certificate", hypothesis="||Delta||_V < lambda^2 / (b + lambda)",
     )
 
 
@@ -464,12 +429,7 @@ def _validate_band_coefficients(a, b):
     return a, b
 
 
-def batch_arrival_drift(
-    a,
-    b,
-    n_states: int = 200,
-    z_grid: int = 256,
-) -> CtmcGeometricDriftCertificate:
+def batch_arrival_drift(a, b, n_states: int = 200) -> CtmcGeometricDriftCertificate:
     """Geometric drift certificate for a batch-arrival band generator.
 
     The generator has row 0 equal to the ``a`` coefficients and every row
@@ -492,8 +452,6 @@ def batch_arrival_drift(
     a, b = _validate_band_coefficients(a, b)
     if n_states < 2:
         raise InvalidParameters("need at least two states")
-    if z_grid < 8:
-        raise InvalidParameters("grid resolution too coarse")
     b_prime_at_1 = float(npoly.polyval(1.0, npoly.polyder(b)))
     if not b_prime_at_1 < 0:
         raise NotErgodic(f"mean band drift B'(1) = {b_prime_at_1:.6g} is not negative")
@@ -526,7 +484,7 @@ def batch_arrival_drift(
     rho = lo
 
     # coarse scan of -B(z)/z, then bisection on the stationarity condition
-    zs = np.linspace(1.0, rho, z_grid)
+    zs = np.linspace(1.0, rho, _Z_GRID)
     vals = -npoly.polyval(zs, b) / zs
     z_best = float(zs[int(np.argmax(vals))])
     g = lambda z: z * Bp(z) - B(z)       # nondecreasing: g' = z B'' >= 0
@@ -588,8 +546,7 @@ def stationary_series_expansion(
             V = cert.weights.values
             g1 = v_norm_matrix(Gm, V)
             radii = [cert.lam**2 / ((cert.b + cert.lam) * g1)]
-            pi_v = v_norm_measure(pi.values, V)
-            c = 1.0 + (1.0 / V.min()) * pi_v
+            c = _stationary_constant(pi.values, V)[1]
             radii.append(cert.lam / (c * g1))
             if not any(abs(eps) < r for r in radii):
                 raise OutOfRadius(

@@ -24,6 +24,10 @@ The catalog:
 
 where ``Lambda1`` is the ergodicity coefficient (half the maximal l1
 distance between rows) and ``A#`` the group inverse of I - P.
+
+The two weighted-norm bounds are written once, in terms of the decay margin
+gamma = 1 - lambda; the generator forms in :mod:`mcperturb.ctmc`, under
+Q V <= -lambda V + b, reuse them with gamma = lambda.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .errors import (
     DriftViolated,
     HypothesisFailed,
     InvalidParameters,
+    NoPositiveLambda,
     NoSmallSet,
     ReducibleChain,
     SolverFailure,
@@ -210,11 +215,10 @@ def small_set_bound(
     """
     if m_max < 1:
         raise InvalidParameters("m_max must be a positive integer")
-    Pm = np.eye(P.n)
     best = None
     table = []
     for m in range(1, m_max + 1):
-        Pm = Pm @ P.entries
+        Pm = P.entries if m == 1 else Pm @ P.entries
         minima = Pm.min(axis=0)
         nu = float(minima.sum())
         table.append((m, nu))
@@ -533,6 +537,13 @@ class GeometricDriftCertificate:
             raise DriftViolated(self.taboo_state, self.lam - 1.0, "decay rate must be below 1")
 
 
+def _off_taboo(x: np.ndarray, taboo_state: int) -> np.ndarray:
+    """``x`` without its taboo entry: the states a decay rate is fitted on."""
+    if x.size == 1:
+        raise NoPositiveLambda("no state off the taboo state to fit a decay rate")
+    return np.delete(x, taboo_state)
+
+
 def fit_geometric_drift(
     P: StochasticMatrix,
     weights: WeightFunction,
@@ -542,7 +553,8 @@ def fit_geometric_drift(
 
     lambda is the largest ratio (P V)(i) / V(i) off the taboo state; b soaks
     up whatever the taboo row needs. Raises DriftViolated when lambda >= 1
-    (the weights are not a geometric drift function for this chain).
+    (the weights are not a geometric drift function for this chain), and
+    NoPositiveLambda on a 1-state chain, which has no state to fit on.
     """
     V = as_weight_array(weights)
     if V.shape != (P.n,):
@@ -551,8 +563,7 @@ def fit_geometric_drift(
         raise InvalidParameters(f"taboo state {taboo_state} out of range")
     pv = P.entries @ V
     ratios = pv / V
-    off = np.delete(ratios, taboo_state)
-    lam = float(off.max())
+    lam = float(_off_taboo(ratios, taboo_state).max())
     if lam >= 1.0 - P.settings.hypothesis_margin:
         state = int(np.argmax(np.where(np.arange(P.n) == taboo_state, -np.inf, ratios)))
         raise DriftViolated(state, lam - 1.0, "no geometric decay for these weights")
@@ -562,9 +573,62 @@ def fit_geometric_drift(
     return GeometricDriftCertificate(taboo_state, wf, lam, b, pi_value)
 
 
-def _weighted_ones_norm(V: np.ndarray) -> float:
-    # sup_i |1| / V(i)
-    return float(1.0 / V.min())
+def _stationary_constant(pi_values: np.ndarray, V: np.ndarray) -> tuple[float, float]:
+    """||pi||_V and c = 1 + ||e||_V ||pi||_V, where ||e||_V = sup_i 1 / V(i)."""
+    pi_v = v_norm_measure(pi_values, V)
+    return pi_v, 1.0 + float(1.0 / V.min()) * pi_v
+
+
+def _v_bound_with_stationary(cert, gamma: float, pi: Distribution, d: float, *,
+                             name: str, drift: str, hypothesis: str) -> BoundReport:
+    """gap_V <= c ||pi||_V d / (gamma - c d), which needs d < gamma / c.
+
+    ``gamma`` is the certificate's decay margin; ``name``, ``drift`` and
+    ``hypothesis`` are the chain kind's report name, certificate wording
+    and threshold wording.
+    """
+    V = cert.weights.values
+    pi_v, c = _stationary_constant(pi.values, V)
+    threshold = gamma / c
+    if not d < threshold:
+        raise HypothesisFailed(hypothesis, f"||Delta||_V = {d:.6g}, threshold = {threshold:.6g}")
+    return BoundReport(
+        bound_name=name,
+        hypotheses=[
+            Hypothesis(drift, True, f"lambda = {cert.lam:.6g}, b = {cert.b:.6g}"),
+            Hypothesis("||Delta||_V below threshold", True, f"{d:.6g} < {threshold:.6g}"),
+            Hypothesis("perturbed chain positive recurrent", True,
+                       "implied by the drift margin"),
+        ],
+        direct_value=c * pi_v * d / (gamma - c * d),
+        delta_norm=d,
+        info={"c": c, "pi_v": pi_v, "threshold": threshold, "margin": threshold - d},
+    )
+
+
+def _v_bound_drift_only(cert, gamma: float, d: float, *,
+                        name: str, drift: str, hypothesis: str) -> BoundReport:
+    """gap_V <= b (b + gamma) d / (gamma^3 - gamma (b + gamma) d), which
+    needs V >= 1 and d < gamma^2 / (b + gamma); arguments as in
+    ``_v_bound_with_stationary``."""
+    V = cert.weights.values
+    if V.min() < 1.0 - 1e-12:
+        raise HypothesisFailed("V >= 1", f"min V = {V.min():.6g}")
+    b = cert.b
+    threshold = gamma**2 / (b + gamma)
+    if not d < threshold:
+        raise HypothesisFailed(hypothesis, f"||Delta||_V = {d:.6g}, threshold = {threshold:.6g}")
+    return BoundReport(
+        bound_name=name,
+        hypotheses=[
+            Hypothesis(drift, True, f"lambda = {cert.lam:.6g}, b = {b:.6g}"),
+            Hypothesis("V >= 1", True, f"min V = {V.min():.6g}"),
+            Hypothesis("||Delta||_V below threshold", True, f"{d:.6g} < {threshold:.6g}"),
+        ],
+        direct_value=b * (b + gamma) * d / (gamma**3 - gamma * (b + gamma) * d),
+        delta_norm=d,
+        info={"threshold": threshold, "margin": threshold - d},
+    )
 
 
 def v_bound_with_stationary(
@@ -584,30 +648,9 @@ def v_bound_with_stationary(
     recurrent.
     """
     cert.validate(P)
-    V = cert.weights.values
-    pi_v = v_norm_measure(pi.values, V)
-    c = 1.0 + _weighted_ones_norm(V) * pi_v
-    threshold = (1.0 - cert.lam) / c
-    if not delta_v_norm < threshold:
-        raise HypothesisFailed(
-            "||Delta||_V < (1 - lambda) / c",
-            f"||Delta||_V = {delta_v_norm:.6g}, threshold = {threshold:.6g}",
-        )
-    value = c * pi_v * delta_v_norm / (1.0 - cert.lam - c * delta_v_norm)
-    return BoundReport(
-        bound_name="v_norm_with_stationary",
-        hypotheses=[
-            Hypothesis("geometric drift certificate", True,
-                       f"lambda = {cert.lam:.6g}, b = {cert.b:.6g}"),
-            Hypothesis("||Delta||_V below threshold", True,
-                       f"{delta_v_norm:.6g} < {threshold:.6g}"),
-            Hypothesis("perturbed chain positive recurrent", True,
-                       "implied by the drift margin"),
-        ],
-        direct_value=value,
-        delta_norm=delta_v_norm,
-        info={"c": c, "pi_v": pi_v, "threshold": threshold,
-              "margin": threshold - delta_v_norm},
+    return _v_bound_with_stationary(
+        cert, 1.0 - cert.lam, pi, delta_v_norm, name="v_norm_with_stationary",
+        drift="geometric drift certificate", hypothesis="||Delta||_V < (1 - lambda) / c",
     )
 
 
@@ -621,28 +664,8 @@ def v_bound_drift_only(
     looser than the pi(V) form by construction, since pi(V) and c are
     replaced by their drift upper bounds.
     """
-    V = cert.weights.values
-    if V.min() < 1.0 - 1e-12:
-        raise HypothesisFailed("V >= 1", f"min V = {V.min():.6g}")
-    one_minus = 1.0 - cert.lam
-    threshold = one_minus**2 / (cert.b + one_minus)
-    if not delta_v_norm < threshold:
-        raise HypothesisFailed(
-            "||Delta||_V < (1 - lambda)^2 / (b + 1 - lambda)",
-            f"||Delta||_V = {delta_v_norm:.6g}, threshold = {threshold:.6g}",
-        )
-    num = cert.b * (cert.b + one_minus) * delta_v_norm
-    den = one_minus**3 - one_minus * (cert.b + one_minus) * delta_v_norm
-    return BoundReport(
-        bound_name="v_norm_drift_only",
-        hypotheses=[
-            Hypothesis("geometric drift certificate", True,
-                       f"lambda = {cert.lam:.6g}, b = {cert.b:.6g}"),
-            Hypothesis("V >= 1", True, f"min V = {V.min():.6g}"),
-            Hypothesis("||Delta||_V below threshold", True,
-                       f"{delta_v_norm:.6g} < {threshold:.6g}"),
-        ],
-        direct_value=num / den,
-        delta_norm=delta_v_norm,
-        info={"threshold": threshold, "margin": threshold - delta_v_norm},
+    return _v_bound_drift_only(
+        cert, 1.0 - cert.lam, delta_v_norm, name="v_norm_drift_only",
+        drift="geometric drift certificate",
+        hypothesis="||Delta||_V < (1 - lambda)^2 / (b + 1 - lambda)",
     )

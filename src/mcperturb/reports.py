@@ -19,14 +19,15 @@ __all__ = ["Hypothesis", "BoundReport", "USELESS_THRESHOLD", "covers"]
 # probability measures never exceeds 2
 USELESS_THRESHOLD = 2.0
 
+# relative slack that absorbs floating-point ties between a tight bound and
+# the gap it bounds
+_REL_SLACK = 1e-9
 
-def covers(gap: float, value: float, rel_slack: float = 1e-9) -> bool:
-    """Whether a bound value covers an exactly computed gap.
 
-    A tiny relative slack (plus an absolute 1e-15) absorbs floating-point
-    ties between a tight bound and the gap it bounds.
-    """
-    return bool(gap <= value * (1.0 + rel_slack) + 1e-15)
+def covers(gap: float, value: float) -> bool:
+    """Whether a bound value covers an exactly computed gap, up to
+    ``_REL_SLACK`` relative plus 1e-15 absolute."""
+    return bool(gap <= value * (1.0 + _REL_SLACK) + 1e-15)
 
 
 @dataclass
@@ -69,16 +70,15 @@ class BoundReport:
         v = self.bound_value
         return None if v is None else bool(v >= USELESS_THRESHOLD)
 
-    def with_exact_gap(self, gap: float, rel_slack: float = 1e-9) -> "BoundReport":
+    def with_exact_gap(self, gap: float) -> "BoundReport":
         """Attach an exactly computed gap and the validity verdict.
 
-        ``valid`` is true when the bound value covers the gap up to a tiny
-        relative slack for floating-point ties.
+        ``valid`` is true when the bound value ``covers`` the gap.
         """
         out = dataclasses.replace(self, exact_gap=float(gap))
         v = out.bound_value
         if v is not None and out.hypotheses_hold:
-            out.valid = covers(gap, v, rel_slack)
+            out.valid = covers(gap, v)
         return out
 
     def to_dict(self) -> dict:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import _v_norm_pair, bound_catalog
+from .catalog import SKELETON_M, _v_norm_pair, _weighted_stationary, bound_catalog
 from .chains import IntensityMatrix, PerturbationPair, StochasticMatrix, _perturbed_chain
 from .ctmc import (
     batch_arrival_drift,
@@ -426,53 +426,47 @@ def _skip_reason(rep: BoundReport) -> str:
     return f"{h.name}: {h.detail}" if h.detail else h.name
 
 
-def _v_norm_setup(model, pi, skipped):
-    """Drift certificate of the weighted-norm checks and the stationary
-    distribution it is paired with, or (None, None).
+def _v_norm_setup(model, skipped):
+    """Drift certificate of the weighted-norm checks, or None.
 
     Transition matrices get a geometric certificate on 1 + hitting times
     onto state 0. Generators carrying band coefficients get the
-    batch-arrival certificate, paired with the componentwise-accurate
-    state-reduction solve.
+    batch-arrival certificate.
     """
     chain = model.chain
     if model.kind == "dtmc":
         try:
-            V = 1.0 + hitting_times(chain, 0)
-            return fit_geometric_drift(chain, V, 0), pi
-        except (DriftViolated, DivergentHittingTimes):
-            return None, None
+            return fit_geometric_drift(chain, 1.0 + hitting_times(chain, 0), 0)
+        except (DriftViolated, DivergentHittingTimes, NoPositiveLambda):
+            return None
     if "a" not in model.extras or "b" not in model.extras:
-        return None, None
+        return None
     try:
-        cert = batch_arrival_drift(model.extras["a"], model.extras["b"], n_states=chain.n)
-        return cert, ctmc_stationary(chain, method="gth")
+        return batch_arrival_drift(model.extras["a"], model.extras["b"], n_states=chain.n)
     except (InvalidParameters, NotErgodic, NoPositiveLambda) as exc:
         skipped["ctmc_v_norm"] = str(exc)
-        return None, None
+        return None
 
 
-def _v_norm_outcomes(chain, perturbed, delta, nu, cert, pi_v, skipped):
+def _v_norm_outcomes(chain, perturbed, delta, cert, skipped):
     """Weighted-norm checks of one case: the catalog's bound pair and, for
     generators, the same certificate transferred to the skeleton chain."""
-    dtmc = isinstance(chain, StochasticMatrix)
-    W = cert.weights.values
-    dv = v_norm_matrix(delta, W)
-    nu_v = nu if dtmc else ctmc_stationary(perturbed, method="gth")
-    gap_v = v_norm_measure(nu_v.values - pi_v.values, W)
+    reports, gap_v = _v_norm_pair(chain, perturbed, delta, cert)
     outcomes = []
-    for rep in _v_norm_pair(chain, cert, pi_v, dv):
+    for rep in reports:
         if rep.bound_value is None:
             skipped.setdefault(rep.bound_name, _skip_reason(rep))
         else:
             outcomes.append(_outcome(rep.bound_name, rep.bound_value, gap_v, weighted=True))
-    if not dtmc:
+    if isinstance(chain, IntensityMatrix):
         # the step cancels in the transfer, so the skeleton value must
         # coincide with the continuous form; checked against the same gap
         h = pair_step(chain, perturbed)
         try:
             rep = v_bound_with_stationary(uniformize(chain, h).matrix,
-                                          transfer_drift_to_skeleton(cert, h), pi_v, h * dv)
+                                          transfer_drift_to_skeleton(cert, h),
+                                          _weighted_stationary(chain),
+                                          h * v_norm_matrix(delta, cert.weights))
             outcomes.append(_outcome("v_norm_skeleton_transfer", rep.direct_value, gap_v,
                                      weighted=True))
         except HypothesisFailed as exc:
@@ -486,14 +480,12 @@ def fuzz_bounds(
     magnitude: float = 0.01,
     seed: int = 0,
     include_v_norm: bool = False,
-    m_max: int = 8,
-    skeleton_m: int = 2,
     skeleton_max_n: int = 32,
 ) -> FuzzSummary:
     """Randomized bound-validity check against exactly solved perturbations.
 
     The norm-wise coefficients come from one
-    ``bound_catalog(model.chain, m_max=m_max)`` call: every report with a
+    ``bound_catalog(model.chain)`` call: every report with a
     coefficient ``ell`` is checked in each case as ``ell * ||Delta||``, and
     every other report is listed in ``skipped_bounds`` with its failed
     hypothesis. Per case: draw an admissible perturbation of exact norm
@@ -504,8 +496,8 @@ def fuzz_bounds(
     exceeds it).
 
     Transition matrices with at most ``skeleton_max_n`` states also check
-    the ``skeleton_m``-step skeleton bound, whose value depends on the
-    perturbed chain itself.
+    the catalog's skeleton bound, whose value depends on the perturbed chain
+    itself.
 
     With ``include_v_norm`` the weighted-norm drift bounds run alongside:
     for transition-matrix models through a hitting-time-based certificate,
@@ -518,12 +510,10 @@ def fuzz_bounds(
     chain = model.chain
     solve = stationary_distribution if model.kind == "dtmc" else ctmc_stationary
     pi = solve(chain)
-    reports = bound_catalog(chain, m_max=m_max)
+    reports = bound_catalog(chain)
     linear = [rep for rep in reports if rep.ell is not None]
     skipped = {rep.bound_name: _skip_reason(rep) for rep in reports if rep.ell is None}
-    v_cert = v_pi = None
-    if include_v_norm:
-        v_cert, v_pi = _v_norm_setup(model, pi, skipped)
+    v_cert = _v_norm_setup(model, skipped) if include_v_norm else None
     use_skeleton = model.kind == "dtmc" and chain.n <= skeleton_max_n
 
     cases: list[FuzzCase] = []
@@ -540,12 +530,12 @@ def fuzz_bounds(
         outcomes = [_outcome(rep.bound_name, rep.ell * dn, gap) for rep in linear]
         if use_skeleton:
             try:
-                rep = skeleton_bound(chain, perturbed, skeleton_m)
+                rep = skeleton_bound(chain, perturbed, SKELETON_M)
                 outcomes.append(_outcome(rep.bound_name, rep.direct_value, gap))
             except HypothesisFailed as exc:
-                skipped.setdefault(f"skeleton[m={skeleton_m}]", str(exc))
+                skipped.setdefault(f"skeleton[m={SKELETON_M}]", str(exc))
         if v_cert is not None:
-            outcomes += _v_norm_outcomes(chain, perturbed, delta, nu, v_cert, v_pi, skipped)
+            outcomes += _v_norm_outcomes(chain, perturbed, delta, v_cert, skipped)
         cases.append(FuzzCase(seed=(seed, case_idx), delta_norm=dn, gap=gap,
                               outcomes=outcomes))
 

@@ -669,3 +669,57 @@ class TestLambda1ScanStop:
         rows = count_scanned_rows(monkeypatch, mcperturb.dtmc)
         seneta_best_bound(meyer.chain)
         assert rows == [0, 1, 2]
+
+
+def _reference_small_set_search(P, m_max):
+    """The search loop started from the identity: (table, best) as
+    ``small_set_bound`` reports them."""
+    Pm = np.eye(P.n)
+    best = None
+    table = []
+    for m in range(1, m_max + 1):
+        Pm = Pm @ P.entries
+        minima = Pm.min(axis=0)
+        nu = float(minima.sum())
+        table.append((m, nu))
+        if nu > 0.0 and (best is None or m / nu < best[0]):
+            best = (m / nu, m, nu, minima.copy())
+    return table, best
+
+
+class TestSmallSetPowerLoop:
+    """The power loop starts from P itself; the identity product it replaced
+    was exact, so every step, value and certificate is unchanged."""
+
+    @pytest.mark.parametrize("n", [24, 200])
+    @pytest.mark.parametrize("spec", ["birth-death", "funderlic8", "geometric-return",
+                                      "hessenberg-gi-m-1", "meyer4", "odd-even-p"])
+    def test_matches_the_identity_started_loop(self, spec, n):
+        from mcperturb.verify import canonical_pair
+
+        model = gallery_model(spec, n)
+        P = model.chain
+        table, best = _reference_small_set_search(P, 8)
+        if best is None:
+            with pytest.raises(NoSmallSet):
+                small_set_bound(P)
+            return
+        perturbed = canonical_pair(model, seed=0).perturbed
+        rep, cert = small_set_bound(P, perturbed=perturbed)
+        assert rep.info["search_table"] == table
+        assert (rep.ell, cert.m, cert.nu_mass) == best[:3]
+        assert np.array_equal(cert.per_state_minima, best[3])
+        assert rep.info["m_step_difference_norm"] == matrix_norm(
+            P.power(best[1]) - perturbed.power(best[1]))
+
+    def test_forms_no_identity(self, monkeypatch, funderlic):
+        calls = []
+        eye = np.eye
+
+        def counting_eye(*args, **kwargs):
+            calls.append(args)
+            return eye(*args, **kwargs)
+
+        monkeypatch.setattr(np, "eye", counting_eye)
+        small_set_bound(funderlic.chain)
+        assert calls == []
