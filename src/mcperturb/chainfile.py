@@ -50,6 +50,13 @@ def _require(data: dict, key: str, kinds, where: str):
     return value
 
 
+def _check_number(x, where: str, what: str) -> None:
+    """The one numeric-entry check of every parsed file: a JSON number, and
+    not a boolean."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ParseError(f"{where}: {what} is not numeric")
+
+
 def _parse_matrix(raw, n: int, key: str, where: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != n:
         raise ParseError(f"{where}: field {key!r} must be a list of {n} rows")
@@ -57,8 +64,16 @@ def _parse_matrix(raw, n: int, key: str, where: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{where}: field {key!r} row {i} must have {n} entries")
         for j, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise ParseError(f"{where}: field {key!r} entry ({i}, {j}) is not numeric")
+            _check_number(x, where, f"field {key!r} entry ({i}, {j})")
+    return np.array(raw, dtype=float)
+
+
+def _parse_vector(raw, n: int, key: str, where: str) -> np.ndarray:
+    """A list of ``n`` numbers, one per state, as a float vector."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ParseError(f"{where}: field {key!r} must be a list of {n} numbers")
+    for i, x in enumerate(raw):
+        _check_number(x, where, f"field {key!r} entry {i}")
     return np.array(raw, dtype=float)
 
 
@@ -93,10 +108,8 @@ def load_chain_file(path: str) -> ChainFile:
 
     weights = None
     if data.get("weight_function") is not None:
-        wraw = data["weight_function"]
-        if not isinstance(wraw, list) or len(wraw) != states:
-            raise ParseError(f"{where}: weight_function must have {states} entries")
-        weights = WeightFunction(np.array(wraw, dtype=float))
+        weights = WeightFunction(_parse_vector(data["weight_function"], states,
+                                               "weight_function", where))
 
     perturbed = None
     if data.get("perturbed_matrix") is not None:

@@ -63,7 +63,28 @@ def _period_by_bfs(support: np.ndarray) -> int:
     return int(np.gcd.reduce(np.abs(diff).astype(np.int64)))
 
 
-class StochasticMatrix:
+class _Chain:
+    """Frozen storage, settings and caches shared by both chain kinds."""
+
+    def __init__(self, entries: np.ndarray, settings: NumericSettings):
+        entries.setflags(write=False)
+        self.entries = entries
+        self.n = entries.shape[0]
+        self.settings = settings
+        self._irreducible: bool | None = None
+        self._stationary: dict = {}      # method -> Distribution
+
+    @property
+    def irreducible(self) -> bool:
+        """Whether the graph of positive entries is strongly connected;
+        computed once, on demand. Self-loops (a transition matrix's or a
+        generator's diagonal) do not change strong connectivity."""
+        if self._irreducible is None:
+            self._irreducible = _is_strongly_connected(self.entries > 0.0)
+        return self._irreducible
+
+
+class StochasticMatrix(_Chain):
     """Row-stochastic transition matrix of a discrete-time chain.
 
     Parameters
@@ -101,21 +122,9 @@ class StochasticMatrix:
             raise ValidationError(
                 f"row {i} sums to {row_sums[i]:.15f}, not 1 within {settings.validation:g}"
             )
-        P.setflags(write=False)
-        self.entries = P
-        self.n = P.shape[0]
-        self.settings = settings
-        self._irreducible: bool | None = None
+        super().__init__(P, settings)
         self._period: int | None = None
-        self._stationary: dict = {}      # method -> Distribution
         self._fundamental = None         # solvers._FundamentalSummary
-
-    @property
-    def irreducible(self) -> bool:
-        """Whether the transition graph is strongly connected; computed once, on demand."""
-        if self._irreducible is None:
-            self._irreducible = _is_strongly_connected(self.entries > 0.0)
-        return self._irreducible
 
     @property
     def period(self) -> int:
@@ -139,7 +148,7 @@ class StochasticMatrix:
         )
 
 
-class IntensityMatrix:
+class IntensityMatrix(_Chain):
     """Conservative generator of a continuous-time chain.
 
     Off-diagonal entries must be nonnegative and every row must sum to 0
@@ -172,23 +181,8 @@ class IntensityMatrix:
         uc = float(rates.max()) + 0.0     # + 0.0: a zero diagonal's -0.0 reads 0
         if not (np.isfinite(uc) and (uc > 0.0 or (uc == 0.0 and Q.shape[0] == 1))):
             raise ValidationError("uniformization constant must be finite and positive")
-        Q.setflags(write=False)
-        self.entries = Q
-        self.n = Q.shape[0]
-        self.settings = settings
+        super().__init__(Q, settings)
         self.uniformization_constant = uc
-        self._irreducible: bool | None = None
-        self._stationary: dict = {}      # method -> Distribution
-
-    @property
-    def irreducible(self) -> bool:
-        """Whether the graph of positive off-diagonal rates is strongly
-        connected; computed once, on demand."""
-        if self._irreducible is None:
-            support = self.entries > 0.0
-            np.fill_diagonal(support, False)
-            self._irreducible = _is_strongly_connected(support)
-        return self._irreducible
 
     def __repr__(self):
         return (

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .catalog import bound_catalog
-from .chainfile import load_chain_file, save_chain_file
+from .chainfile import _parse_vector, load_chain_file, save_chain_file
 from .chains import IntensityMatrix, StochasticMatrix
 from .ctmc import batch_arrival_drift
 from .dtmc import birth_death_hitting_times, hitting_times
@@ -110,6 +110,7 @@ def cmd_validate(args, out) -> int:
 
 
 def _load_drift_file(path, n):
+    """``(values, taboo_state)``: n numbers and a state of the n-state chain."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -117,10 +118,11 @@ def _load_drift_file(path, n):
         raise ParseError(f"{path}: cannot read drift file: {exc}") from exc
     if not isinstance(data, dict) or "values" not in data:
         raise ParseError(f"{path}: drift file needs a 'values' array")
-    values = np.asarray(data["values"], dtype=float)
-    if values.size != n:
-        raise ParseError(f"{path}: drift vector has {values.size} entries, chain has {n}")
-    taboo = int(data.get("taboo_state", 0))
+    values = _parse_vector(data["values"], n, "values", path)
+    taboo = data.get("taboo_state", 0)
+    if not isinstance(taboo, int) or isinstance(taboo, bool) or not 0 <= taboo < n:
+        raise ParseError(f"{path}: taboo_state must be an integer state in [0, {n}), "
+                         f"got {taboo!r}")
     return values, taboo
 
 
@@ -308,10 +310,7 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except McPerturbError as exc:
+    except McPerturbError as exc:      # parse, validation and parameter errors alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -16,7 +16,9 @@ The bound catalog mirrors the discrete one: deviation-norm, ergodicity
 coefficient, column-minima small set, unit drift, and the two
 weighted-norm drift bounds. Those are the discrete ones with the decay
 margin gamma = lambda in place of 1 - lambda, and share their code with
-:mod:`mcperturb.dtmc`.
+:mod:`mcperturb.dtmc`. So do the drift checks: Q V <= -1 and
+Q V <= -lambda V + b are checked by the discrete checks on the drift image
+Q V, with the uniformization constant as rate scale in the tolerance.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .chains import (
     StochasticMatrix,
     WeightFunction,
     _inherit_irreducibility,
-    as_weight_array,
 )
 from .errors import (
     DriftViolated,
@@ -44,12 +45,15 @@ from .errors import (
     OutOfRadius,
     ReducibleChain,
     SolverFailure,
-    UnboundedGenerator,
 )
 from .dtmc import (
     GeometricDriftCertificate,
+    _check_geometric_drift,
+    _check_unit_drift,
+    _drift_image,
     _off_taboo,
     _stationary_constant,
+    _unit_drift_report,
     _v_bound_drift_only,
     _v_bound_with_stationary,
 )
@@ -106,8 +110,6 @@ def uniformize(Q: IntensityMatrix, h: float | None = None) -> UniformizedChain:
     every h > 0 is admissible and the default is 0.99.
     """
     uc = Q.uniformization_constant
-    if not (np.isfinite(uc) and (uc > 0 or (uc == 0 and Q.n == 1))):
-        raise UnboundedGenerator("generator has no finite positive rate bound")
     limit = 1.0 / uc if uc > 0 else np.inf
     if h is None:
         h = DEFAULT_STEP_FRACTION * limit if uc > 0 else DEFAULT_STEP_FRACTION
@@ -163,23 +165,28 @@ def ctmc_ergodicity_coefficient(Q: IntensityMatrix) -> float:
     chosen so that the skeleton satisfies Lambda1(P_h) = 1 - h Lambda1(Q)
     for small enough h.
     """
-    best = np.inf
-    for _, v in _generator_row_defects(Q.entries):
-        best = min(best, v)
-    return 0.5 * best
+    return _generator_coefficient(Q.entries)
 
 
-def _generator_row_defects(Q: np.ndarray):
-    """Yield ``(i, min over j > i of the pair defect of rows i and j)``.
+def _generator_coefficient(Q: np.ndarray, margin: float | None = None) -> float:
+    """``ctmc_ergodicity_coefficient`` of the generator entries ``Q``; given
+    a margin, it must stay above it.
 
-    The minimum over all rows is twice ``ctmc_ergodicity_coefficient``.
+    The hypothesis scan stops at the first row whose defects already put
+    the coefficient at or below the margin, raising HypothesisFailed with
+    that upper bound and its row.
     """
+    best = np.inf
     for i, diff in _abs_row_differences(Q):
         tot = diff.sum(axis=1)
         d_i = diff[:, i]                    # |Q_ii - Q_ji| for j > i
         d_j = diff.diagonal(i + 1)          # |Q_ij - Q_jj| for j > i
         inner = tot - d_i - d_j
-        yield i, float((d_i + d_j - inner).min())
+        v = float((d_i + d_j - inner).min())
+        if margin is not None and 0.5 * v <= margin:
+            raise HypothesisFailed("Lambda1(Q) > 0", f"Lambda1(Q) <= {0.5 * v:.12g} (row {i})")
+        best = min(best, v)
+    return 0.5 * best
 
 
 def ctmc_deviation_matrix(Q: IntensityMatrix, h: float | None = None) -> np.ndarray:
@@ -223,12 +230,7 @@ def ctmc_lambda1_bound(Q: IntensityMatrix, delta_norm: float | None = None) -> B
     Lambda1(Q) at or below the margin; the failure then reports that upper
     bound on Lambda1(Q) and its row.
     """
-    best = np.inf
-    for i, v in _generator_row_defects(Q.entries):
-        if 0.5 * v <= Q.settings.hypothesis_margin:
-            raise HypothesisFailed("Lambda1(Q) > 0", f"Lambda1(Q) <= {0.5 * v:.12g} (row {i})")
-        best = min(best, v)
-    lam = 0.5 * best
+    lam = _generator_coefficient(Q.entries, Q.settings.hypothesis_margin)
     return BoundReport(
         bound_name="ctmc_lambda1",
         hypotheses=[Hypothesis("Lambda1(Q) > 0", True, f"Lambda1(Q) = {lam:.12g}")],
@@ -267,12 +269,7 @@ def ctmc_hitting_times(Q: IntensityMatrix, target: int) -> np.ndarray:
     Certified like :func:`~mcperturb.dtmc.hitting_times`, against
     ``Q.settings.inverse``.
     """
-    if not Q.irreducible:
-        raise ReducibleChain("hitting times require an irreducible generator")
-    n = Q.n
-    if not 0 <= target < n:
-        raise InvalidParameters(f"target state {target} out of range [0, {n})")
-    return _hitting_solve(-Q.entries, target, Q.settings)
+    return _hitting_solve(Q, -Q.entries, target)
 
 
 def ctmc_unit_drift_bound(
@@ -282,33 +279,10 @@ def ctmc_unit_drift_bound(
     delta_norm: float | None = None,
 ) -> BoundReport:
     """Unit drift bound: ell = 2 (sup V)^2 under Q V <= -1 off the taboo state."""
-    tol = Q.settings.drift
     V = np.asarray(drift_values, dtype=float).ravel()
-    if V.shape != (Q.n,):
-        raise InvalidParameters("drift vector length must match the generator size")
-    if abs(V[taboo_state]) > tol:
-        raise DriftViolated(taboo_state, float(abs(V[taboo_state])), "taboo value must be zero")
-    if np.any(V < -tol):
-        state = int(np.argmin(V))
-        raise DriftViolated(state, float(-V[state]), "drift vector must be nonnegative")
-    qv = Q.entries @ V
-    slack = qv + 1.0                     # require <= 0 off the taboo state
-    slack[taboo_state] = -np.inf
-    worst = int(np.argmax(slack))
-    scale = max(1.0, Q.uniformization_constant * float(V.max()))
-    if slack[worst] > tol * scale:
-        raise DriftViolated(worst, float(slack[worst]), "unit drift inequality violated")
-    sup_v = float(V.max())
-    return BoundReport(
-        bound_name="ctmc_unit_drift",
-        hypotheses=[
-            Hypothesis("Q V <= -1 off taboo", True,
-                       f"taboo state {taboo_state}, sup V = {sup_v:.12g}")
-        ],
-        ell=2.0 * sup_v**2,
-        delta_norm=delta_norm,
-        info={"taboo_state": taboo_state, "sup_value": sup_v},
-    )
+    _check_unit_drift(Q, V, taboo_state, -1.0, Q.uniformization_constant)
+    return _unit_drift_report("ctmc_unit_drift", "Q V <= -1 off taboo", taboo_state,
+                              float(V.max()), delta_norm)
 
 
 @dataclass
@@ -322,17 +296,7 @@ class CtmcGeometricDriftCertificate:
 
     def validate(self, Q: IntensityMatrix) -> None:
         """Check the witness on ``Q`` to ``Q.settings.drift``."""
-        tol = Q.settings.drift
-        V = self.weights.values
-        if V.shape != (Q.n,):
-            raise InvalidParameters("weight length must match the generator size")
-        rhs = -self.lam * V
-        rhs[self.taboo_state] += self.b
-        slack = Q.entries @ V - rhs
-        scale = max(1.0, Q.uniformization_constant * float(V.max()))
-        worst = int(np.argmax(slack))
-        if slack[worst] > tol * scale:
-            raise DriftViolated(worst, float(slack[worst]), "generator drift inequality violated")
+        _check_geometric_drift(Q, self, -self.lam, Q.uniformization_constant, "generator")
         if self.lam <= 0:
             raise DriftViolated(self.taboo_state, -self.lam, "decay rate must be positive")
 
@@ -343,10 +307,7 @@ def fit_ctmc_geometric_drift(
     taboo_state: int,
 ) -> CtmcGeometricDriftCertificate:
     """Fit the largest decay rate lambda for given weights; b soaks the taboo row."""
-    V = as_weight_array(weights)
-    if V.shape != (Q.n,):
-        raise InvalidParameters("weight length must match the generator size")
-    qv = Q.entries @ V
+    V, qv = _drift_image(Q, weights, taboo_state)
     rates = -qv / V
     lam = float(_off_taboo(rates, taboo_state).min())
     if lam <= Q.settings.hypothesis_margin:

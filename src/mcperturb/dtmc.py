@@ -27,7 +27,12 @@ distance between rows) and ``A#`` the group inverse of I - P.
 
 The two weighted-norm bounds are written once, in terms of the decay margin
 gamma = 1 - lambda; the generator forms in :mod:`mcperturb.ctmc`, under
-Q V <= -lambda V + b, reuse them with gamma = lambda.
+Q V <= -lambda V + b, reuse them with gamma = lambda. So are the drift
+checks: the unit and geometric inequalities are checked on the drift image
+(P V here, Q V for a generator) to ``settings.drift`` relative to
+max(1, r sup V), with the rate scale r = 1 for P and the uniformization
+constant for Q, and every drift entry point requires the taboo state to be
+a state of the chain.
 """
 
 from __future__ import annotations
@@ -79,33 +84,22 @@ def ergodicity_coefficient(B) -> float:
     Zero for matrices with identical rows; at most 1 for stochastic
     matrices; computed over all row pairs.
     """
-    best = 0.0
-    for _, d in _row_distances(np.asarray(B, dtype=float)):
-        if d > best:
-            best = d
-    return 0.5 * best
+    return _contraction_coefficient(np.asarray(B, dtype=float))
 
 
-def _row_distances(M: np.ndarray):
-    """Yield ``(i, max over j > i of the l1 distance between rows i and j)``.
+def _contraction_coefficient(M: np.ndarray, hypothesis: str | None = None, label: str = "",
+                             margin: float = 0.0) -> float:
+    """``ergodicity_coefficient(M)``; given a hypothesis, it must stay below
+    1 by the margin.
 
-    The maximum over all rows is twice ``ergodicity_coefficient``.
+    The hypothesis scan stops at the first row whose distances already put
+    the coefficient at or above ``1 - margin``, raising HypothesisFailed
+    with that lower bound and its row.
     """
+    best = 0.0
     for i, diff in _abs_row_differences(M):
-        yield i, float(diff.sum(axis=1).max())
-
-
-def _contraction_coefficient(M: np.ndarray, hypothesis: str, label: str,
-                             margin: float) -> float:
-    """``ergodicity_coefficient(M)``, which must stay below 1 by the margin.
-
-    The row scan stops at the first row whose distances already put the
-    coefficient at or above ``1 - margin``, raising HypothesisFailed with
-    that lower bound and its row.
-    """
-    best = 0.0
-    for i, d in _row_distances(M):
-        if 0.5 * d >= 1.0 - margin:
+        d = float(diff.sum(axis=1).max())
+        if hypothesis is not None and 0.5 * d >= 1.0 - margin:
             raise HypothesisFailed(hypothesis, f"{label} >= {0.5 * d:.12g} (row {i})")
         if d > best:
             best = d
@@ -256,12 +250,7 @@ def hitting_times(P: StochasticMatrix, target: int) -> np.ndarray:
     of the returned solution is the job of the value-iteration oracle in
     :mod:`mcperturb.verify`.
     """
-    if not P.irreducible:
-        raise ReducibleChain("hitting times require an irreducible chain")
-    n = P.n
-    if not 0 <= target < n:
-        raise InvalidParameters(f"target state {target} out of range [0, {n})")
-    return _hitting_solve(np.eye(n) - P.entries, target, P.settings)
+    return _hitting_solve(P, np.eye(P.n) - P.entries, target)
 
 
 def birth_death_hitting_times(a, b, c, j: int) -> np.ndarray:
@@ -325,21 +314,54 @@ class UnitDriftCertificate:
 
     def validate(self, P: StochasticMatrix) -> None:
         """Check the witness on ``P`` to ``P.settings.drift``."""
-        tol = P.settings.drift
-        V = self.values
-        i0 = self.taboo_state
-        if V.shape != (P.n,):
-            raise InvalidParameters("drift vector length must match the chain size")
-        if abs(V[i0]) > tol:
-            raise DriftViolated(i0, float(abs(V[i0])), "taboo value must be zero")
-        if np.any(V < -tol):
-            state = int(np.argmin(V))
-            raise DriftViolated(state, float(-V[state]), "drift vector must be nonnegative")
-        slack = P.entries @ V - (V - 1.0)   # require <= 0 off the taboo state
-        slack[i0] = -np.inf
-        worst = int(np.argmax(slack))
-        if slack[worst] > tol * max(1.0, self.sup_value):
-            raise DriftViolated(worst, float(slack[worst]), "unit drift inequality violated")
+        _check_unit_drift(P, self.values, self.taboo_state, self.values - 1.0, 1.0)
+
+
+def _check_drift_vector(chain, V: np.ndarray, taboo_state: int, what: str) -> None:
+    """Every drift entry point's input check: one value per state of the
+    chain, and a taboo state that is one of its states."""
+    if V.shape != (chain.n,):
+        raise InvalidParameters(f"{what} length must match the chain size")
+    if not 0 <= taboo_state < chain.n:
+        raise InvalidParameters(f"taboo state {taboo_state} out of range [0, {chain.n})")
+
+
+def _check_slack(chain, V: np.ndarray, slack: np.ndarray, rate: float, message: str) -> None:
+    """Raise DriftViolated at the largest ``slack`` when it exceeds
+    ``chain.settings.drift`` relative to max(1, rate sup V)."""
+    worst = int(np.argmax(slack))
+    if slack[worst] > chain.settings.drift * max(1.0, rate * float(V.max())):
+        raise DriftViolated(worst, float(slack[worst]), message)
+
+
+def _check_unit_drift(chain, V: np.ndarray, taboo_state: int, rhs, rate: float) -> None:
+    """V >= 0, V(taboo) = 0 and the unit drift inequality on the drift image,
+    chain V <= rhs off the taboo state, with rhs = V - 1 for P and -1 for
+    Q; ``rate`` is the rate scale, 1 for P and the uniformization constant
+    for Q."""
+    _check_drift_vector(chain, V, taboo_state, "drift vector")
+    tol = chain.settings.drift
+    if abs(V[taboo_state]) > tol:
+        raise DriftViolated(taboo_state, float(abs(V[taboo_state])), "taboo value must be zero")
+    if np.any(V < -tol):
+        state = int(np.argmin(V))
+        raise DriftViolated(state, float(-V[state]), "drift vector must be nonnegative")
+    slack = chain.entries @ V - rhs      # require <= 0 off the taboo state
+    slack[taboo_state] = -np.inf
+    _check_slack(chain, V, slack, rate, "unit drift inequality violated")
+
+
+def _unit_drift_report(name: str, inequality: str, taboo_state: int, sup_v: float,
+                       delta_norm: float | None) -> BoundReport:
+    """ell = 2 (sup V)^2 under a checked unit drift inequality."""
+    return BoundReport(
+        bound_name=name,
+        hypotheses=[Hypothesis(inequality, True,
+                               f"taboo state {taboo_state}, sup V = {sup_v:.12g}")],
+        ell=2.0 * sup_v**2,
+        delta_norm=delta_norm,
+        info={"taboo_state": taboo_state, "sup_value": sup_v},
+    )
 
 
 def unit_drift_from_hitting_times(
@@ -356,20 +378,8 @@ def unit_drift_bound(
 ) -> BoundReport:
     """Drift-based bound ell = 2 (sup V)^2; valid for periodic chains too."""
     cert.validate(P)
-    sup_v = cert.sup_value
-    return BoundReport(
-        bound_name="unit_drift",
-        hypotheses=[
-            Hypothesis(
-                "P V <= V - 1 off taboo",
-                True,
-                f"taboo state {cert.taboo_state}, sup V = {sup_v:.12g}",
-            )
-        ],
-        ell=2.0 * sup_v**2,
-        delta_norm=delta_norm,
-        info={"taboo_state": cert.taboo_state, "sup_value": sup_v},
-    )
+    return _unit_drift_report("unit_drift", "P V <= V - 1 off taboo", cert.taboo_state,
+                              cert.sup_value, delta_norm)
 
 
 def _certified_lower_bounds(summary) -> np.ndarray | None:
@@ -523,18 +533,28 @@ class GeometricDriftCertificate:
 
     def validate(self, P: StochasticMatrix) -> None:
         """Check the witness on ``P`` to ``P.settings.drift``."""
-        tol = P.settings.drift
-        V = self.weights.values
-        if V.shape != (P.n,):
-            raise InvalidParameters("weight length must match the chain size")
-        rhs = self.lam * V
-        rhs[self.taboo_state] += self.b
-        slack = P.entries @ V - rhs
-        worst = int(np.argmax(slack))
-        if slack[worst] > tol * max(1.0, float(V.max())):
-            raise DriftViolated(worst, float(slack[worst]), "geometric drift inequality violated")
+        _check_geometric_drift(P, self, self.lam, 1.0, "geometric")
         if not self.lam < 1.0:
             raise DriftViolated(self.taboo_state, self.lam - 1.0, "decay rate must be below 1")
+
+
+def _check_geometric_drift(chain, cert, decay: float, rate: float, what: str) -> None:
+    """chain V <= decay V + b at the taboo state, with decay = lambda for P
+    and -lambda for Q, to ``chain.settings.drift``; ``rate`` as in
+    ``_check_unit_drift``."""
+    V = cert.weights.values
+    _check_drift_vector(chain, V, cert.taboo_state, "weight")
+    rhs = decay * V
+    rhs[cert.taboo_state] += cert.b
+    _check_slack(chain, V, chain.entries @ V - rhs, rate, f"{what} drift inequality violated")
+
+
+def _drift_image(chain, weights, taboo_state: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fits' prologue: ``weights`` as a positive vector V, checked
+    against the chain and the taboo state, and its image chain V."""
+    V = as_weight_array(weights)
+    _check_drift_vector(chain, V, taboo_state, "weight")
+    return V, chain.entries @ V
 
 
 def _off_taboo(x: np.ndarray, taboo_state: int) -> np.ndarray:
@@ -556,12 +576,7 @@ def fit_geometric_drift(
     (the weights are not a geometric drift function for this chain), and
     NoPositiveLambda on a 1-state chain, which has no state to fit on.
     """
-    V = as_weight_array(weights)
-    if V.shape != (P.n,):
-        raise InvalidParameters("weight length must match the chain size")
-    if not 0 <= taboo_state < P.n:
-        raise InvalidParameters(f"taboo state {taboo_state} out of range")
-    pv = P.entries @ V
+    V, pv = _drift_image(P, weights, taboo_state)
     ratios = pv / V
     lam = float(_off_taboo(ratios, taboo_state).max())
     if lam >= 1.0 - P.settings.hypothesis_margin:

@@ -31,7 +31,8 @@ them: a failed hypothesis costs the rows up to that one, not the whole
 O(n^3) pair scan.
 
 Mean hitting times of both chain kinds come from one certified solve,
-``_hitting_solve``, on M = I - P or M = -Q.
+``_hitting_solve``, on M = I - P or M = -Q, which also makes their entry
+checks: an irreducible chain and a target that is one of its states.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Distribution, StochasticMatrix
-from .errors import DivergentHittingTimes, PeriodicChain, ReducibleChain, SolverFailure
-from .settings import NumericSettings
+from .errors import (DivergentHittingTimes, InvalidParameters, PeriodicChain, ReducibleChain,
+                     SolverFailure)
 
 __all__ = [
     "stationary_distribution",
@@ -71,15 +72,21 @@ def _stationary_solve(M: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hitting_solve(M: np.ndarray, target: int, settings: NumericSettings) -> np.ndarray:
-    """Mean hitting times onto ``target``: M x = 1 off the target and
-    x(target) = 0, with M = I - P (steps) or M = -Q (time).
+def _hitting_solve(chain, M: np.ndarray, target: int) -> np.ndarray:
+    """Mean hitting times onto ``target`` of an irreducible ``chain``:
+    M x = 1 off the target and x(target) = 0, with M = I - P (steps) or
+    M = -Q (time).
 
     The target row is replaced with the identity row, overwriting ``M``.
-    Both gates are ``settings.inverse`` relative to the largest time: a
-    negative time raises DivergentHittingTimes, a residual SolverFailure.
+    Both gates are ``chain.settings.inverse`` relative to the largest time:
+    a negative time raises DivergentHittingTimes, a residual SolverFailure.
     """
-    n = M.shape[0]
+    if not chain.irreducible:
+        raise ReducibleChain("hitting times require an irreducible chain")
+    n = chain.n
+    if not 0 <= target < n:
+        raise InvalidParameters(f"target state {target} out of range [0, {n})")
+    tol = chain.settings.inverse
     M[target, :] = 0.0
     M[target, target] = 1.0
     b = np.ones(n)
@@ -89,12 +96,12 @@ def _hitting_solve(M: np.ndarray, target: int, settings: NumericSettings) -> np.
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"hitting-time system is singular: {exc}") from exc
     scale = max(1.0, float(np.abs(x).max()))
-    if np.any(x < -settings.inverse * scale):
+    if np.any(x < -tol * scale):
         raise DivergentHittingTimes(
             f"negative hitting time {x.min():.3e}: transient or truncation pathology"
         )
     residual = float(np.abs(M @ x - b).max())
-    if residual > settings.inverse * scale:
+    if residual > tol * scale:
         raise SolverFailure(f"hitting-time residual {residual:.3e} exceeds tolerance")
     x[target] = 0.0
     return x

@@ -89,16 +89,14 @@ def _pair_stationary(pair: PerturbationPair, method: str):
     return solve(pair.base, method=method), solve(pair.perturbed, method=method)
 
 
-def exact_gap(pair: PerturbationPair, weights=None, method: str | None = None) -> float:
+def exact_gap(pair: PerturbationPair, weights=None) -> float:
     """Exactly computed stationary gap ||nu - pi||, weighted when asked.
 
     With weights the solves route through the componentwise-accurate
-    state-reduction method by default, since growing weights amplify
-    absolute tail errors of the plain solve.
+    state-reduction method, since growing weights amplify absolute tail
+    errors of the plain solve.
     """
-    if method is None:
-        method = "gth" if weights is not None else "solve"
-    pi, nu = _pair_stationary(pair, method)
+    pi, nu = _pair_stationary(pair, "gth" if weights is not None else "solve")
     diff = nu.values - pi.values
     if weights is None:
         return total_variation_norm(diff)
@@ -242,13 +240,12 @@ def identity_residuals(
     model: GalleryModel,
     magnitude: float = 0.01,
     seed: int = 0,
-    taboo_state: int = 0,
 ) -> dict:
     """Residuals of the exact identities on a canonical perturbation.
 
-    Returns the perturbation-identity and taboo-resolvent residuals for
-    every model, plus the deviation-identity residual for aperiodic ones.
-    Generator models are checked through their skeleton chains, where the
+    Returns the perturbation-identity and taboo-resolvent (taboo state 0)
+    residuals for every model, plus the deviation-identity residual for
+    aperiodic ones. Generator models are checked through their skeleton chains, where the
     identities live. Each call solves ``pi``, ``nu`` and the fundamental
     matrix once and shares them between the three residuals.
     """
@@ -261,7 +258,7 @@ def identity_residuals(
     R = fundamental_matrix(P)
     out = {
         "perturbation_identity": _perturbation_residual(pair, pi, nu, R),
-        "taboo_inverse_identity": _taboo_residual(_taboo_resolvent(P, taboo_state), pi, R),
+        "taboo_inverse_identity": _taboo_residual(_taboo_resolvent(P, 0), pi, R),
     }
     if P.aperiodic:
         # on an aperiodic chain the deviation matrix is the group inverse R - Pi

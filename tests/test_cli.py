@@ -77,6 +77,16 @@ class TestChainFile:
         with pytest.raises(ParseError, match=r"\(0, 1\)"):
             load_chain_file(str(p))
 
+    @pytest.mark.parametrize("entry", ["1.0", True, None, [1.0]])
+    def test_non_numeric_weight(self, perturbed_meyer_file, entry):
+        payload = json.loads(open(perturbed_meyer_file).read())
+        payload["weight_function"][2] = entry
+        with open(perturbed_meyer_file, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ParseError, match="field 'weight_function' entry 2 is not numeric"):
+            load_chain_file(perturbed_meyer_file)
+        assert run_cli("validate", perturbed_meyer_file)[0] == 2
+
     def test_nonstochastic_row_names_row(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"kind": "dtmc", "states": 2,
@@ -187,6 +197,23 @@ class TestBoundsCommand:
         drift.write_text(json.dumps({"taboo_state": 0, "values": [0.0, 1.0]}))
         code, _ = run_cli("bounds", meyer_file, "--drift-file", str(drift))
         assert code == 2
+
+    @pytest.mark.parametrize("taboo", [4, 7, -1, "x", 1.7, True, None])
+    def test_drift_file_taboo_state_must_be_a_state(self, meyer_file, tmp_path, capsys, taboo):
+        drift = tmp_path / "drift.json"
+        drift.write_text(json.dumps({"taboo_state": taboo, "values": [0.0, 1.0, 2.0, 3.0]}))
+        code, _ = run_cli("bounds", meyer_file, "--drift-file", str(drift))
+        assert code == 2
+        assert "taboo_state must be an integer state in [0, 4)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [[0.0, "a", 1.0, 2.0], [0.0, True, 1.0, 2.0],
+                                        [0.0, [1.0], 1.0, 2.0], {"0": 1.0}])
+    def test_drift_file_values_must_be_numbers(self, meyer_file, tmp_path, capsys, values):
+        drift = tmp_path / "drift.json"
+        drift.write_text(json.dumps({"taboo_state": 0, "values": values}))
+        code, _ = run_cli("bounds", meyer_file, "--drift-file", str(drift))
+        assert code == 2
+        assert "field 'values'" in capsys.readouterr().err
 
 
 class TestHittingCommand:

@@ -1,0 +1,50 @@
+"""Every name a library module imports is used in that module: the check a
+linter makes, so that folding code leaves no dead import behind. The
+package ``__init__`` is exempt, since its imports are its re-exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mcperturb"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree) -> dict[str, int]:
+    """Bound name -> line of every import in the module, nested ones too."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree) -> set[str]:
+    """Names read anywhere in the module, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("import numpy as np\nfrom .errors import ParseError, ValidationError\n"
+                     "def f(x: 'np.ndarray'):\n    raise ParseError(x)\n")
+    assert {n for n in _imported(tree) if n not in _used(tree)} == {"ValidationError"}
