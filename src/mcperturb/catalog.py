@@ -104,7 +104,7 @@ def _v_norm_pair(chain, perturbed, delta, cert) -> tuple[list[BoundReport], floa
     return reports, v_norm_measure(nu.values - pi.values, cert.weights)
 
 
-def _dtmc_reports(P, perturbed, delta_norm, m_max):
+def _dtmc_reports(P, perturbed, delta_norm, m_max, unit, taboo_state):
     reports: list[BoundReport] = []
     _guard(reports, "seneta", lambda: seneta_bound(P, delta_norm))
     _guard(reports, "seneta_best", lambda: seneta_best_bound(P, delta_norm))
@@ -115,17 +115,21 @@ def _dtmc_reports(P, perturbed, delta_norm, m_max):
     if perturbed is not None:
         _guard(reports, f"skeleton[m={SKELETON_M}]",
                lambda: skeleton_bound(P, perturbed, SKELETON_M))
+    if unit is not None:
+        _guard(reports, "unit_drift",
+               lambda: unit_drift_bound(P, UnitDriftCertificate(taboo_state, unit), delta_norm))
     return reports
 
 
-def _ctmc_reports(Q, delta_norm, taboo_state):
+def _ctmc_reports(Q, delta_norm, unit, taboo_state):
     reports: list[BoundReport] = []
     _guard(reports, "ctmc_deviation", lambda: ctmc_deviation_bound(Q, delta_norm))
     _guard(reports, "ctmc_lambda1", lambda: ctmc_lambda1_bound(Q, delta_norm))
     _guard(reports, "ctmc_small_set", lambda: ctmc_small_set_bound(Q, delta_norm))
     _guard(reports, "ctmc_unit_drift",
-           lambda: ctmc_unit_drift_bound(Q, ctmc_hitting_times(Q, taboo_state),
-                                         taboo_state, delta_norm))
+           lambda: ctmc_unit_drift_bound(
+               Q, ctmc_hitting_times(Q, taboo_state) if unit is None else unit,
+               taboo_state, delta_norm))
     return reports
 
 
@@ -141,7 +145,8 @@ def bound_catalog(
     ``weights`` switches on the drift-based bounds: strictly positive
     weights are fitted as a geometric drift certificate (weighted-norm
     bounds); a vector with zeros is treated as a unit-drift function with
-    ``taboo_state`` as its zero.
+    ``taboo_state`` as its zero (for a generator, in place of the hitting
+    times onto ``taboo_state``).
     """
     dtmc = isinstance(chain, StochasticMatrix)
     if not dtmc and not isinstance(chain, IntensityMatrix):
@@ -149,33 +154,31 @@ def bound_catalog(
     delta_norm = None
     if perturbed is not None:
         delta_norm = matrix_norm(perturbed.entries - chain.entries)
+    unit = None
+    if weights is not None and not isinstance(weights, WeightFunction):
+        V = np.asarray(weights, dtype=float)
+        if float(np.min(V)) <= 0:
+            unit, weights = V, None         # a unit-drift function, not weights
+        else:
+            weights = WeightFunction(V)
     solve = stationary_distribution if dtmc else ctmc_stationary
     if dtmc:
         solve(chain)        # raises here, before any bound, when pi cannot be certified
-        reports = _dtmc_reports(chain, perturbed, delta_norm, m_max)
+        reports = _dtmc_reports(chain, perturbed, delta_norm, m_max, unit, taboo_state)
     else:
-        reports = _ctmc_reports(chain, delta_norm, taboo_state)
+        reports = _ctmc_reports(chain, delta_norm, unit, taboo_state)
     for rep in reports:
         rep.info.setdefault("norm", "tv")
 
     prefix, drift = ("", "geometric") if dtmc else ("ctmc_", "generator")
     cert = None
     if weights is not None:
-        W = weights.values if isinstance(weights, WeightFunction) else np.asarray(weights)
-        if dtmc and float(np.min(W)) <= 0:
-            cert_unit = UnitDriftCertificate(taboo_state, np.asarray(W, dtype=float))
-            rep = _guard(reports, "unit_drift",
-                         lambda: unit_drift_bound(chain, cert_unit, delta_norm))
-            if rep is not None:
-                rep.info["norm"] = "tv"
-        else:
-            wf = weights if isinstance(weights, WeightFunction) else WeightFunction(W)
-            try:
-                cert = (fit_geometric_drift(chain, wf, taboo_state) if dtmc
-                        else fit_ctmc_geometric_drift(chain, wf, taboo_state))
-            except (DriftViolated, NoPositiveLambda) as exc:
-                reports.append(failed_report(f"{prefix}v_norm_drift_fit", f"{drift} drift",
-                                             str(exc)))
+        try:
+            cert = (fit_geometric_drift(chain, weights, taboo_state) if dtmc
+                    else fit_ctmc_geometric_drift(chain, weights, taboo_state))
+        except (DriftViolated, NoPositiveLambda) as exc:
+            reports.append(failed_report(f"{prefix}v_norm_drift_fit", f"{drift} drift",
+                                         str(exc)))
 
     if perturbed is None:
         if cert is not None:
@@ -190,17 +193,10 @@ def bound_catalog(
             ))
         return reports
 
-    pi = solve(chain)
-    nu = solve(perturbed)
-    gap = {"tv": total_variation_norm(nu.values - pi.values), "v": None}
+    gap = {"tv": total_variation_norm(solve(perturbed).values - solve(chain).values)}
     if cert is not None:
-        v_reports, gap_v = _v_norm_pair(chain, perturbed, perturbed.entries - chain.entries,
-                                        cert)
+        v_reports, gap["v"] = _v_norm_pair(chain, perturbed, perturbed.entries - chain.entries,
+                                           cert)
         reports += v_reports
-        # weights passed to a transition matrix as a plain array get the
-        # weighted bounds but no weighted gap
-        if not dtmc or isinstance(weights, WeightFunction):
-            gap["v"] = gap_v
-    return [rep if rep.bound_value is None or gap[rep.info["norm"]] is None
-            else rep.with_exact_gap(gap[rep.info["norm"]])
+    return [rep if rep.bound_value is None else rep.with_exact_gap(gap[rep.info["norm"]])
             for rep in reports]

@@ -307,13 +307,13 @@ def fit_ctmc_geometric_drift(
     taboo_state: int,
 ) -> CtmcGeometricDriftCertificate:
     """Fit the largest decay rate lambda for given weights; b soaks the taboo row."""
-    V, qv = _drift_image(Q, weights, taboo_state)
+    wf, qv = _drift_image(Q, weights, taboo_state)
+    V = wf.values
     rates = -qv / V
     lam = float(_off_taboo(rates, taboo_state).min())
     if lam <= Q.settings.hypothesis_margin:
         raise NoPositiveLambda(f"best decay rate {lam:.3e} is not positive")
     b = max(0.0, float(qv[taboo_state] + lam * V[taboo_state]))
-    wf = weights if isinstance(weights, WeightFunction) else WeightFunction(V)
     return CtmcGeometricDriftCertificate(taboo_state, wf, lam, b)
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Distribution, StochasticMatrix, WeightFunction, as_weight_array
+from .chains import Distribution, StochasticMatrix, WeightFunction
 from .errors import (
     DivergentHittingTimes,
     DriftViolated,
@@ -549,12 +549,12 @@ def _check_geometric_drift(chain, cert, decay: float, rate: float, what: str) ->
     _check_slack(chain, V, chain.entries @ V - rhs, rate, f"{what} drift inequality violated")
 
 
-def _drift_image(chain, weights, taboo_state: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fits' prologue: ``weights`` as a positive vector V, checked
+def _drift_image(chain, weights, taboo_state: int) -> tuple[WeightFunction, np.ndarray]:
+    """The fits' prologue: ``weights`` as a WeightFunction V, checked
     against the chain and the taboo state, and its image chain V."""
-    V = as_weight_array(weights)
-    _check_drift_vector(chain, V, taboo_state, "weight")
-    return V, chain.entries @ V
+    wf = weights if isinstance(weights, WeightFunction) else WeightFunction(weights)
+    _check_drift_vector(chain, wf.values, taboo_state, "weight")
+    return wf, chain.entries @ wf.values
 
 
 def _off_taboo(x: np.ndarray, taboo_state: int) -> np.ndarray:
@@ -576,7 +576,8 @@ def fit_geometric_drift(
     (the weights are not a geometric drift function for this chain), and
     NoPositiveLambda on a 1-state chain, which has no state to fit on.
     """
-    V, pv = _drift_image(P, weights, taboo_state)
+    wf, pv = _drift_image(P, weights, taboo_state)
+    V = wf.values
     ratios = pv / V
     lam = float(_off_taboo(ratios, taboo_state).max())
     if lam >= 1.0 - P.settings.hypothesis_margin:
@@ -584,7 +585,6 @@ def fit_geometric_drift(
         raise DriftViolated(state, lam - 1.0, "no geometric decay for these weights")
     b = max(0.0, float(pv[taboo_state] - lam * V[taboo_state]))
     pi_value = float(stationary_distribution(P).values @ V) if P.irreducible else None
-    wf = weights if isinstance(weights, WeightFunction) else WeightFunction(V)
     return GeometricDriftCertificate(taboo_state, wf, lam, b, pi_value)
 
 

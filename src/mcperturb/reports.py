@@ -67,17 +67,26 @@ class BoundReport:
 
     @property
     def useless(self) -> bool | None:
+        """Whether a total-variation value is vacuous; weighted values have
+        no trivial cap. A report without a ``norm`` entry is total variation."""
         v = self.bound_value
-        return None if v is None else bool(v >= USELESS_THRESHOLD)
+        if v is None:
+            return None
+        return self.info.get("norm", "tv") == "tv" and bool(v >= USELESS_THRESHOLD)
 
-    def with_exact_gap(self, gap: float) -> "BoundReport":
-        """Attach an exactly computed gap and the validity verdict.
+    def with_exact_gap(self, gap: float, delta_norm: float | None = None) -> "BoundReport":
+        """A copy with an exactly computed gap and the validity verdict.
 
-        ``valid`` is true when the bound value ``covers`` the gap.
+        ``delta_norm``, when given, is the perturbation norm the copy's
+        ``ell`` is applied to. ``valid`` is set on every report that has a
+        value: true when the value ``covers`` the gap. This is the one
+        verdict rule of the catalog and the fuzz oracle.
         """
-        out = dataclasses.replace(self, exact_gap=float(gap))
+        out = BoundReport(self.bound_name, self.hypotheses, self.ell, self.direct_value,
+                          self.delta_norm if delta_norm is None else delta_norm,
+                          float(gap), None, self.info)
         v = out.bound_value
-        if v is not None and out.hypotheses_hold:
+        if v is not None:
             out.valid = covers(gap, v)
         return out
 

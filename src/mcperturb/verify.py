@@ -14,7 +14,8 @@ The fuzzer draws row-sum-zero perturbations of exact target norm, solves
 the perturbed stationary distribution exactly, and confirms that every
 norm-wise bound of :func:`~mcperturb.catalog.bound_catalog` covers the
 exact gap: the coefficients come from one catalog call per run, so the
-oracle checks the same bound list users see. Seeds are recorded per case
+oracle checks the same bound list users see, and each case judges them by
+the catalog's own rule, :meth:`~mcperturb.reports.BoundReport.with_exact_gap`. Seeds are recorded per case
 for bit-reproducible reruns; the summary lists the seeds of the cases with
 a violation.
 
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .gallery import GalleryModel
 from .norms import matrix_norm, total_variation_norm, v_norm_matrix, v_norm_measure
-from .reports import USELESS_THRESHOLD, BoundReport, covers
+from .reports import BoundReport
 from .solvers import (
     _certified_group_inverse,
     deviation_matrix,
@@ -75,7 +76,6 @@ __all__ = [
     "canonical_pair",
     "skeleton_pair",
     "identity_residuals",
-    "BoundOutcome",
     "FuzzCase",
     "FuzzSummary",
     "sample_dtmc_delta",
@@ -272,24 +272,19 @@ def identity_residuals(
 
 
 @dataclass
-class BoundOutcome:
-    bound_name: str
-    bound_value: float
-    gap: float
-    ok: bool
-    useless: bool
-
-
-@dataclass
 class FuzzCase:
+    """One drawn perturbation: its seed, its norm, the exact total-variation
+    gap, and every checked bound as a report judged by
+    :meth:`BoundReport.with_exact_gap`."""
+
     seed: tuple
     delta_norm: float
     gap: float
-    outcomes: list[BoundOutcome] = field(default_factory=list)
+    outcomes: list[BoundReport] = field(default_factory=list)
 
     @property
-    def violations(self) -> list[BoundOutcome]:
-        return [o for o in self.outcomes if not o.ok]
+    def violations(self) -> list[BoundReport]:
+        return [o for o in self.outcomes if o.valid is False]
 
 
 @dataclass
@@ -314,12 +309,13 @@ class FuzzSummary:
         return [c.seed for c in self.cases if c.violations]
 
     def tightness(self) -> dict:
-        """Per-bound min/mean of bound_value / gap over cases with gap > 0."""
+        """Per-bound min/mean of bound_value / exact_gap over cases with a
+        positive gap."""
         ratios: dict[str, list[float]] = {}
         for c in self.cases:
             for o in c.outcomes:
-                if o.gap > 0:
-                    ratios.setdefault(o.bound_name, []).append(o.bound_value / o.gap)
+                if o.exact_gap > 0:
+                    ratios.setdefault(o.bound_name, []).append(o.bound_value / o.exact_gap)
         return {
             k: {"min": float(np.min(v)), "mean": float(np.mean(v)), "n": len(v)}
             for k, v in sorted(ratios.items())
@@ -336,47 +332,45 @@ def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float) -> np.ndarray 
     Returns None when the draw degenerates (caller retries), and always for
     a 1-state chain, which has no nonzero row-sum-zero perturbation.
     """
-    n = P.n
-    if n == 1:
-        return None
-    delta = np.zeros((n, n))
-    n_rows = int(rng.integers(1, min(3, n) + 1))
-    rows = rng.choice(n, size=n_rows, replace=False)
-    for i in rows:
-        off = P.entries[i].copy()
-        off[i] = -1.0
-        j_star = int(np.argmax(off))
-        if P.entries[i, j_star] < 1.5 * magnitude:
-            return None
-        k = int(rng.integers(1, min(3, n - 1) + 1))
-        for idx in rng.choice(n - 1, size=k, replace=False):
-            j = idx + (idx >= j_star)          # the idx-th column other than j_star
-            v = rng.normal()
-            if P.entries[i, j] < 1.5 * magnitude:
-                v = abs(v)
-            delta[i, j] += v
-        delta[i, j_star] -= delta[i].sum()
-    return _scaled(delta, rows, magnitude)
+    return _sample_delta(rng, P, magnitude, generator=False)
 
 
 def sample_ctmc_delta(rng, Q: IntensityMatrix, magnitude: float) -> np.ndarray | None:
-    """Conservative perturbation of exact norm: off-diagonal bumps balanced
-    on the diagonal; negative bumps only where the rate can absorb them."""
-    n = Q.n
-    scale = Q.uniformization_constant
+    """Conservative perturbation of exact norm: off-diagonal bumps, scaled by
+    the uniformization constant, balanced on the diagonal; negative bumps
+    only where the rate can absorb them. None as for ``sample_dtmc_delta``."""
+    return _sample_delta(rng, Q, magnitude, generator=True)
+
+
+def _sample_delta(rng, chain, magnitude: float, generator: bool) -> np.ndarray | None:
+    """The body of both samplers. A row is balanced on its diagonal for a
+    generator, and on its largest off-diagonal entry for a transition
+    matrix, which must absorb the balance (else None)."""
+    n = chain.n
+    if n == 1:
+        return None
+    scale = chain.uniformization_constant if generator else 1.0
+    floor = 1.5 * magnitude
     delta = np.zeros((n, n))
     n_rows = int(rng.integers(1, min(3, n) + 1))
     rows = rng.choice(n, size=n_rows, replace=False)
-    floor = 1.5 * magnitude
     for i in rows:
+        if generator:
+            j_star = i
+        else:
+            off = chain.entries[i].copy()
+            off[i] = -1.0
+            j_star = int(np.argmax(off))
+            if chain.entries[i, j_star] < floor:
+                return None
         k = int(rng.integers(1, min(3, n - 1) + 1))
         for idx in rng.choice(n - 1, size=k, replace=False):
-            j = idx + (idx >= i)               # the idx-th column other than i
+            j = idx + (idx >= j_star)          # the idx-th column other than j_star
             v = rng.normal() * scale
-            if Q.entries[i, j] < floor:
+            if chain.entries[i, j] < floor:
                 v = abs(v)
             delta[i, j] += v
-        delta[i, i] = -delta[i].sum()
+        delta[i, j_star] -= delta[i].sum()
     return _scaled(delta, rows, magnitude)
 
 
@@ -410,12 +404,6 @@ def _perturbed(rng, chain, magnitude, tries=50):
         if perturbed.irreducible:
             return perturbed, delta
     return None, None
-
-
-def _outcome(name, value, gap, weighted=False) -> BoundOutcome:
-    # only total-variation values have the trivial cap of 2
-    return BoundOutcome(name, value, gap, covers(gap, value),
-                        not weighted and value >= USELESS_THRESHOLD)
 
 
 def _skip_reason(rep: BoundReport) -> str:
@@ -454,7 +442,7 @@ def _v_norm_outcomes(chain, perturbed, delta, cert, skipped):
         if rep.bound_value is None:
             skipped.setdefault(rep.bound_name, _skip_reason(rep))
         else:
-            outcomes.append(_outcome(rep.bound_name, rep.bound_value, gap_v, weighted=True))
+            outcomes.append(rep.with_exact_gap(gap_v))
     if isinstance(chain, IntensityMatrix):
         # the step cancels in the transfer, so the skeleton value must
         # coincide with the continuous form; checked against the same gap
@@ -464,8 +452,8 @@ def _v_norm_outcomes(chain, perturbed, delta, cert, skipped):
                                           transfer_drift_to_skeleton(cert, h),
                                           _weighted_stationary(chain),
                                           h * v_norm_matrix(delta, cert.weights))
-            outcomes.append(_outcome("v_norm_skeleton_transfer", rep.direct_value, gap_v,
-                                     weighted=True))
+            rep.bound_name, rep.info["norm"] = "v_norm_skeleton_transfer", "v"
+            outcomes.append(rep.with_exact_gap(gap_v))
         except HypothesisFailed as exc:
             skipped.setdefault("v_norm_skeleton_transfer", str(exc))
     return outcomes
@@ -487,10 +475,12 @@ def fuzz_bounds(
     every other report is listed in ``skipped_bounds`` with its failed
     hypothesis. Per case: draw an admissible perturbation of exact norm
     ``magnitude``, solve the perturbed stationary distribution, and check
-    each bound against the exact gap. Violations are recorded, not raised;
-    the summary must show zero of them. Any bound value at or above 2 is
-    flagged useless (the gap between two probability measures never
-    exceeds it).
+    each bound against the exact gap. Every check is a report judged by
+    :meth:`~mcperturb.reports.BoundReport.with_exact_gap`, the catalog's
+    rule: a violation is a report with ``valid`` false. Violations are
+    recorded, not raised; the summary must show zero of them. Any
+    total-variation value at or above 2 is flagged useless (the gap between
+    two probability measures never exceeds it).
 
     Transition matrices with at most ``skeleton_max_n`` states also check
     the catalog's skeleton bound, whose value depends on the perturbed chain
@@ -524,11 +514,10 @@ def fuzz_bounds(
         nu = solve(perturbed)
         gap = total_variation_norm(nu.values - pi.values)
         dn = matrix_norm(delta[delta.any(axis=1)])     # untouched rows add nothing
-        outcomes = [_outcome(rep.bound_name, rep.ell * dn, gap) for rep in linear]
+        outcomes = [rep.with_exact_gap(gap, dn) for rep in linear]
         if use_skeleton:
             try:
-                rep = skeleton_bound(chain, perturbed, SKELETON_M)
-                outcomes.append(_outcome(rep.bound_name, rep.direct_value, gap))
+                outcomes.append(skeleton_bound(chain, perturbed, SKELETON_M).with_exact_gap(gap))
             except HypothesisFailed as exc:
                 skipped.setdefault(f"skeleton[m={SKELETON_M}]", str(exc))
         if v_cert is not None:

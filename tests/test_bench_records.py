@@ -1,0 +1,34 @@
+"""The benchmark's records read the library's reports and fuzz summaries;
+every timed operation of each workload, built small, must record and pass
+the benchmark's own checks."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module          # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_smoke_operations_pass_the_benchmark_checks(name, seed):
+    workload = workloads.build(name, seed, workloads.SMOKE)
+    assert workload.ops
+    for op in workload.ops:
+        result = op.bind()()
+        json.dumps(workloads.record(op.kind, result))
+        assert workloads.check(op, result) == (0, []), op.name

@@ -4,10 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from mcperturb import ParseError, StochasticMatrix, ValidationError, hitting_times
+from mcperturb import (
+    IntensityMatrix,
+    ParseError,
+    StochasticMatrix,
+    ValidationError,
+    ctmc_hitting_times,
+    hitting_times,
+)
 from mcperturb.chainfile import load_chain_file, save_chain_file
 from mcperturb.cli import main
-from mcperturb.gallery import GalleryModel, meyer4
+from mcperturb.gallery import GalleryModel, meyer4, mm1
 from tests.conftest import shrink_coefficient
 
 
@@ -192,6 +199,27 @@ class TestBoundsCommand:
         by_name = {r["bound_name"]: r for r in payload["reports"]}
         assert by_name["unit_drift"]["ell"] == pytest.approx(2 * m.max() ** 2, rel=1e-9)
 
+    @pytest.mark.parametrize("model,hitting,name,exit_code", [
+        (meyer4, hitting_times, "unit_drift", 0),
+        (lambda: mm1(truncation=6), ctmc_hitting_times, "ctmc_unit_drift", 1),
+    ], ids=["dtmc", "ctmc"])
+    def test_drift_file_unit_drift_on_both_kinds(self, tmp_path, model, hitting, name,
+                                                 exit_code):
+        # a drift vector with its zero at the taboo state is a unit-drift
+        # function for transition matrices and generators alike
+        chain_file = tmp_path / "chain.json"
+        save_chain_file(model(), str(chain_file))
+        h = hitting(model().chain, 1)
+        drift = tmp_path / "drift.json"
+        drift.write_text(json.dumps({"taboo_state": 1, "values": list(map(float, h))}))
+        code, text = run_cli("bounds", str(chain_file), "--drift-file", str(drift),
+                             "--format", "json")
+        assert code == exit_code
+        by_name = {r["bound_name"]: r for r in json.loads(text)["reports"]}
+        assert by_name[name]["hypotheses_hold"]
+        assert by_name[name]["info"]["taboo_state"] == 1
+        assert by_name[name]["ell"] == 2 * h.max() ** 2
+
     def test_drift_file_size_mismatch(self, meyer_file, tmp_path):
         drift = tmp_path / "drift.json"
         drift.write_text(json.dumps({"taboo_state": 0, "values": [0.0, 1.0]}))
@@ -292,10 +320,14 @@ class TestVerifyCommand:
         assert code == 3
         assert "    violation seeds: (7, 0), (7, 1), (7, 2), (7, 3)\n" in text
 
-    def test_one_state_chain_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind,chain", [
+        ("dtmc", lambda: StochasticMatrix([[1.0]])),
+        ("ctmc", lambda: IntensityMatrix([[0.0]])),
+    ], ids=["dtmc", "ctmc"])
+    def test_one_state_chain_file(self, tmp_path, capsys, kind, chain):
         # a 1x1 matrix has no nonzero perturbation: a library error, not a crash
         path = tmp_path / "one.json"
-        model = GalleryModel(name="one-state", kind="dtmc", chain=StochasticMatrix([[1.0]]))
+        model = GalleryModel(name="one-state", kind=kind, chain=chain())
         save_chain_file(model, str(path))
         code, _ = run_cli("verify", str(path), "--cases", "3")
         assert code == 2

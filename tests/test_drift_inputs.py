@@ -190,6 +190,7 @@ def _ctmc_entry_points():
         "ctmc_v_bound_with_stationary":
             lambda t: ctmc_v_bound_with_stationary(Q, geometric(t), pi, 0.0),
         "bound_catalog": lambda t: bound_catalog(Q, weights=fit.weights, taboo_state=t),
+        "bound_catalog, unit weights": lambda t: bound_catalog(Q, weights=h, taboo_state=t),
     }
 
 

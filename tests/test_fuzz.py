@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcperturb import (
+    IntensityMatrix,
     InvalidParameters,
     McPerturbError,
     StochasticMatrix,
@@ -287,29 +288,40 @@ def test_removed_edge_is_rejected_by_the_fuzz(monkeypatch):
     assert summary.n_cases == 0 and summary.n_rejected == 3
 
 
+ONE_STATE = {
+    "dtmc": (StochasticMatrix([[1.0]]), sample_dtmc_delta),
+    "ctmc": (IntensityMatrix([[0.0]]), sample_ctmc_delta),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_STATE))
 class TestOneStateChain:
-    model = GalleryModel(name="one-state", kind="dtmc", chain=StochasticMatrix([[1.0]]))
+    # a 1-state chain has no nonzero row-sum-zero perturbation, of either kind
 
-    def test_sampler_returns_none(self):
+    def model(self, kind):
+        return GalleryModel(name="one-state", kind=kind, chain=ONE_STATE[kind][0])
+
+    def test_sampler_returns_none(self, kind):
         rng = np.random.default_rng(0)
-        assert sample_dtmc_delta(rng, self.model.chain, 0.01) is None
+        chain, sample = ONE_STATE[kind]
+        assert sample(rng, chain, 0.01) is None
 
-    def test_fuzz_rejects_every_case(self):
-        summary = fuzz_bounds(self.model, n_cases=4, magnitude=0.01, seed=0)
+    def test_fuzz_rejects_every_case(self, kind):
+        summary = fuzz_bounds(self.model(kind), n_cases=4, magnitude=0.01, seed=0)
         assert summary.n_cases == 0
         assert summary.n_rejected == 4
         assert summary.violation_seeds == []
 
-    def test_canonical_pair_raises(self):
+    def test_canonical_pair_raises(self, kind):
         with pytest.raises(InvalidParameters, match="could not perturb model one-state"):
-            canonical_pair(self.model)
+            canonical_pair(self.model(kind))
 
 
 def test_violation_seeds_replay_the_violating_cases(monkeypatch):
     clean = fuzz_bounds(meyer4(), n_cases=30, magnitude=0.01, seed=7)
     assert clean.violation_seeds == []
     # cover about half the cases: below the median tightness of seneta_best
-    ratios = [o.bound_value / o.gap for c in clean.cases for o in c.outcomes
+    ratios = [o.bound_value / o.exact_gap for c in clean.cases for o in c.outcomes
               if o.bound_name == "seneta_best"]
     shrink_coefficient(monkeypatch, "seneta_best", 1.0 / float(np.median(ratios)))
     summary = fuzz_bounds(meyer4(), n_cases=30, magnitude=0.01, seed=7)

@@ -1,0 +1,95 @@
+"""One verdict rule: ``BoundReport.with_exact_gap`` judges the catalog's
+reports and every fuzz case alike. ``valid`` is set on every report with a
+value, ``useless`` flags total-variation values of at least 2 only, and every
+weighted report with a value gets the weighted gap."""
+
+import numpy as np
+import pytest
+
+from mcperturb import BoundReport, Hypothesis, WeightFunction, bound_catalog, hitting_times
+from mcperturb.gallery import build_model, geometric_return, meyer4
+from mcperturb.verify import _perturbed, canonical_pair, fuzz_bounds
+
+
+class TestWithExactGap:
+    def test_fills_the_linear_value_from_a_perturbation_norm(self):
+        rep = BoundReport("b", ell=4.0, info={"norm": "tv"})
+        judged = rep.with_exact_gap(0.03, 0.01)
+        assert (judged.delta_norm, judged.bound_value, judged.exact_gap) == (0.01, 0.04, 0.03)
+        assert judged.valid is True
+        assert rep.delta_norm is None and rep.exact_gap is None and rep.valid is None
+        assert rep.with_exact_gap(0.05, 0.01).valid is False
+
+    def test_a_report_without_a_value_gets_no_verdict(self):
+        judged = BoundReport("b", ell=4.0).with_exact_gap(0.03)
+        assert judged.exact_gap == 0.03 and judged.valid is None
+
+    def test_a_failed_hypothesis_does_not_withhold_the_verdict(self):
+        rep = BoundReport("b", hypotheses=[Hypothesis("aperiodic", False)], ell=1.0)
+        assert rep.with_exact_gap(0.5, 1.0).valid is True
+
+    @pytest.mark.parametrize("norm,useless", [("tv", True), ("v", False), (None, True)])
+    def test_only_total_variation_values_are_useless(self, norm, useless):
+        info = {} if norm is None else {"norm": norm}
+        assert BoundReport("b", direct_value=2.0, info=info).useless is useless
+        assert BoundReport("b", direct_value=1.5, info=info).useless is False
+        assert BoundReport("b", info=info).useless is None
+
+
+def test_periodic_seneta_best_gets_a_verdict():
+    model = build_model("odd-even-p(0.5, 40, True)")
+    assert not model.chain.aperiodic
+    perturbed = canonical_pair(model, seed=0).perturbed
+    rep = next(r for r in bound_catalog(model.chain, perturbed=perturbed)
+               if r.bound_name == "seneta_best")
+    assert not rep.hypotheses_hold            # the aperiodic entry is for information only
+    assert rep.valid is True
+
+
+def _weighted_geometric_return():
+    model = geometric_return(truncation=10)
+    P = model.chain
+    perturbed = canonical_pair(model, magnitude=0.03, seed=0).perturbed
+    return P, perturbed, 1.0 + hitting_times(P, 0)
+
+
+def test_a_weighted_value_above_two_is_not_useless():
+    P, perturbed, W = _weighted_geometric_return()
+    reports = {r.bound_name: r for r in bound_catalog(P, perturbed=perturbed,
+                                                      weights=WeightFunction(W))}
+    rep = reports["v_norm_drift_only"]
+    assert rep.bound_value == pytest.approx(6.4615, rel=1e-4)
+    assert rep.useless is False and rep.valid is True
+
+
+def test_plain_array_weights_get_the_weighted_gap():
+    P, perturbed, W = _weighted_geometric_return()
+    as_array = bound_catalog(P, perturbed=perturbed, weights=W)
+    as_function = bound_catalog(P, perturbed=perturbed, weights=WeightFunction(W))
+    assert [r.to_dict() for r in as_array] == [r.to_dict() for r in as_function]
+    weighted = [r for r in as_array if r.info["norm"] == "v"]
+    assert len(weighted) == 2
+    assert all(r.exact_gap > 0 and r.valid is True for r in weighted)
+
+
+@pytest.mark.parametrize("model,magnitude", [
+    (lambda: build_model("odd-even-p(0.5, 40, True)"), 0.01),
+    (lambda: geometric_return(truncation=10), 0.03),
+    (meyer4, 0.01),
+], ids=["odd-even-p-periodic", "geometric-return", "meyer4"])
+def test_the_catalog_and_the_fuzz_judge_alike(model, magnitude):
+    # the catalog, given a fuzz case's perturbed chain, reaches the case's
+    # verdicts on every bound both check
+    model = model()
+    P = model.chain
+    W = WeightFunction(1.0 + hitting_times(P, 0))
+    summary = fuzz_bounds(model, n_cases=4, magnitude=magnitude, seed=0,
+                          include_v_norm=True, skeleton_max_n=0)
+    assert summary.n_cases > 0
+    for case in summary.cases:
+        perturbed, _ = _perturbed(np.random.default_rng(case.seed), P, magnitude)
+        catalog = {r.bound_name: r for r in bound_catalog(P, perturbed=perturbed, weights=W)}
+        for o in case.outcomes:
+            rep = catalog[o.bound_name]
+            assert (rep.valid, rep.useless) == (o.valid, o.useless), o.bound_name
+            assert rep.exact_gap == pytest.approx(o.exact_gap, rel=1e-9, abs=1e-15)
