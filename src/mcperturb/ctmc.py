@@ -498,7 +498,7 @@ def stationary_series_expansion(
     if Gm.shape != (Q.n, Q.n):
         raise InvalidParameters("direction matrix must match the generator size")
     scale = max(1.0, float(np.abs(Gm).max()))
-    if np.abs(Gm.sum(axis=1)).max() > 1e-12 * scale:
+    if np.abs(Gm.sum(axis=1)).max() > Q.settings.validation * scale:
         raise InvalidParameters("direction matrix rows must sum to zero")
     pi = ctmc_stationary(Q)
     D = ctmc_deviation_matrix(Q)

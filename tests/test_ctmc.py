@@ -37,7 +37,7 @@ from mcperturb import (
     v_norm_matrix,
 )
 from mcperturb.gallery import batch_arrival, mm1
-from mcperturb.settings import DEFAULT
+from mcperturb.settings import DEFAULT, NumericSettings
 from tests.conftest import count_scanned_rows
 
 
@@ -376,6 +376,15 @@ class TestSeriesExpansion:
         Q = two_state_generator()
         with pytest.raises(InvalidParameters):
             stationary_series_expansion(Q, np.array([[1.0, 0.0], [0.0, 1.0]]), eps=0.1)
+
+    def test_conservativity_gate_reads_the_chain_settings(self):
+        G = np.array([[-1.0, 1.0 + 1e-9], [0.5, -0.5]])    # row sums 1e-9, 0
+        loose = IntensityMatrix([[-1.0, 1.0], [2.0, -2.0]],
+                                settings=NumericSettings(validation=1e-6))
+        nu = stationary_series_expansion(loose, G, eps=0.05, n_terms=30)
+        assert nu.values.sum() == pytest.approx(1.0)
+        with pytest.raises(InvalidParameters, match="rows must sum to zero"):
+            stationary_series_expansion(two_state_generator(1.0, 2.0), G, eps=0.05)
 
 
 class TestFitGeneratorDrift:

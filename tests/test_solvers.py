@@ -398,3 +398,189 @@ class TestFundamentalSummary:
         assert summary.norm == np.abs(R).sum(axis=1).max()
         for value in vars(summary).values():
             assert isinstance(value, float) or value.shape == (P.n,)
+
+
+# ---------------------------------------------------------------------------
+# Certification on the CSR path (sparse A = I - P) and on the dense path
+
+
+def ref_fundamental_matrix(P):
+    """The dense certification of ``fundamental_matrix``, every product with M."""
+    pi = stationary_distribution(P)
+    n = P.n
+    M = np.eye(n) - P.entries + stationary_matrix(pi)
+    R = np.linalg.solve(M, np.eye(n))
+    res = max(np.abs(R @ M - np.eye(n)).max(), np.abs(M @ R - np.eye(n)).max(),
+              np.abs(pi.values @ R - pi.values).max())
+    if res > P.settings.inverse:
+        raise SolverFailure(f"fundamental matrix residual {res:.3e}")
+    return R
+
+
+def ref_group_inverse(P):
+    """The dense certification of ``group_inverse``, every product dense."""
+    pi = stationary_distribution(P)
+    X = ref_fundamental_matrix(P) - stationary_matrix(pi)
+    A = np.eye(P.n) - P.entries
+    AX, XA = A @ X, X @ A
+    res = max(np.abs(A @ XA - A).max(), np.abs(X @ AX - X).max(), np.abs(AX - XA).max(),
+              np.abs(X.sum(axis=1)).max(), np.abs(pi.values @ X).max())
+    if res > P.settings.inverse:
+        raise SolverFailure(f"group-inverse axiom residual {res:.3e}")
+    return X
+
+
+DENSE, SPARSE = 0.0, np.inf         # values of _SPARSE_DENSITY that force each path
+
+
+def _cut_chain(side):
+    """A random chain just below (sparse) or above (dense) the density cut."""
+    density = {"sparse": 0.04, "dense": 0.12}[side]
+    rng = np.random.default_rng(11)
+    return StochasticMatrix(sparse_irreducible_chain(rng, 200, density))
+
+
+def _certified_chains():
+    """(tag, chain, generator or None): every gallery model at 24 and 200
+    states and the generators' skeletons at 800, a periodic chain, a dense
+    random chain and one chain on each side of the density cut."""
+    out = []
+    for spec in gallery.list_models():
+        for n in (24, 200, 800):
+            model = gallery_model(spec, n)
+            fixed_size = model.chain.n != n
+            if (fixed_size and n != 24) or (n == 800 and model.kind == "dtmc"):
+                continue
+            Q = model.chain if model.kind == "ctmc" else None
+            P = uniformize(Q).matrix if Q is not None else model.chain
+            out.append((f"{spec}[{model.chain.n}]", P, Q))
+    out.append(("odd-even-p periodic", gallery.build_model("odd-even-p(0.5, 40, True)").chain,
+                None))
+    rng = np.random.default_rng(5)
+    out.append(("dense random", StochasticMatrix(random_irreducible_chain(rng, 120)), None))
+    out += [(f"cut {side}", _cut_chain(side), None) for side in ("sparse", "dense")]
+    return out
+
+
+CERTIFIED_CHAINS = _certified_chains()
+
+
+def _fresh(chain):
+    return type(chain)(chain.entries, settings=chain.settings)
+
+
+class TestSparseCertification:
+    def test_the_cut_chains_sit_on_each_side(self):
+        assert not isinstance(solvers._difference(_cut_chain("sparse")), np.ndarray)
+        assert isinstance(solvers._difference(_cut_chain("dense")), np.ndarray)
+        assert isinstance(solvers._difference(gallery_model("hessenberg-gi-m-1", 200).chain),
+                          np.ndarray)
+
+    @pytest.mark.parametrize("density", [DENSE, SPARSE, solvers._SPARSE_DENSITY],
+                             ids=["dense", "sparse", "default"])
+    @pytest.mark.parametrize("tag,P,Q", CERTIFIED_CHAINS, ids=[c[0] for c in CERTIFIED_CHAINS])
+    def test_both_paths_give_the_same_matrices(self, monkeypatch, tag, P, Q, density):
+        want_R, want_X = ref_fundamental_matrix(_fresh(P)), ref_group_inverse(_fresh(P))
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
+        assert np.array_equal(fundamental_matrix(_fresh(P)), want_R)
+        assert np.array_equal(group_inverse(_fresh(P)), want_X)
+        if P.aperiodic:
+            assert np.array_equal(deviation_matrix(_fresh(P)), want_X)
+
+    @pytest.mark.parametrize("tag,P,Q", [c for c in CERTIFIED_CHAINS if c[2] is not None],
+                             ids=[c[0] for c in CERTIFIED_CHAINS if c[2] is not None])
+    def test_generator_deviation_matrix_is_the_same(self, monkeypatch, tag, P, Q):
+        want = ctmc.ctmc_deviation_matrix(_fresh(Q))
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", DENSE)
+        assert np.array_equal(ctmc.ctmc_deviation_matrix(_fresh(Q)), want)
+
+    @pytest.mark.parametrize("n", [24, 200])
+    @pytest.mark.parametrize("spec", gallery.list_models())
+    def test_catalog_is_the_same_on_the_dense_path(self, monkeypatch, spec, n):
+        model = gallery_model(spec, n)
+        pair = canonical_pair(model, magnitude=0.03, seed=0)
+
+        def catalogs():
+            return [[r.to_dict() for r in bound_catalog(_fresh(model.chain), perturbed=p)]
+                    for p in (None, pair.perturbed)]
+
+        want = catalogs()
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", DENSE)
+        assert catalogs() == want
+
+    @pytest.mark.parametrize("spec", ["mm1", "batch-arrival"])
+    def test_catalog_is_the_same_on_800_state_generators(self, monkeypatch, spec):
+        model = gallery_model(spec, 800)
+        pair = canonical_pair(model, magnitude=0.01, seed=0)
+        want = [r.to_dict() for r in bound_catalog(_fresh(model.chain), perturbed=pair.perturbed)]
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", DENSE)
+        got = [r.to_dict() for r in bound_catalog(_fresh(model.chain), perturbed=pair.perturbed)]
+        assert got == want
+
+
+def _mm1_skeleton():
+    return uniformize(gallery_model("mm1", 800).chain).matrix
+
+
+class TestNoGateGotWeaker:
+    DEFECT = 1e-8
+
+    @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("make,cells", [
+        (_mm1_skeleton, [(0, 799), (790, 795), (400, 798)]),
+        (lambda: gallery_model("odd-even-p", 200).chain, [(0, 0), (150, 3)]),
+        (lambda: _cut_chain("dense"), [(7, 120)]),
+    ], ids=["mm1-800", "odd-even-p-200", "dense-random"])
+    def test_a_defect_in_R_fails_the_group_inverse(self, monkeypatch, density, make, cells):
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
+        P = make()
+        R = fundamental_matrix(P)
+        solvers._certified_group_inverse(P, R)
+        for i, j in cells:
+            bad = R.copy()
+            bad[i, j] += self.DEFECT
+            with pytest.raises(SolverFailure, match="group-inverse axiom residual"):
+                solvers._certified_group_inverse(P, bad)
+
+    @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
+    def test_a_row_sum_free_defect_in_the_tail_fails_the_products(self, monkeypatch, density):
+        """+d and -d in one tail row of X leave X e = 0 and (up to pi's
+        tail mass) pi X = 0: only the product axioms can see them."""
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
+        P = _mm1_skeleton()
+        R = fundamental_matrix(P)
+        bad = R.copy()
+        bad[790, 795] += self.DEFECT
+        bad[790, 799] -= self.DEFECT
+        with pytest.raises(SolverFailure, match="group-inverse axiom residual"):
+            solvers._certified_group_inverse(P, bad)
+
+    def test_the_mm1_group_inverse_has_subnormal_entries(self):
+        X = group_inverse(_mm1_skeleton())
+        assert np.any((X != 0.0) & (np.abs(X) < np.finfo(float).tiny))
+        assert np.any((X != 0.0) & (np.abs(X) < solvers._TINY))
+
+    @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("make,cell", [
+        (_mm1_skeleton, (0, 799)),
+        (_mm1_skeleton, (790, 795)),
+        (lambda: gallery_model("geometric-return", 200).chain, (0, 0)),
+        (lambda: gallery_model("geometric-return", 200).chain, (199, 150)),
+    ], ids=["mm1-800-head", "mm1-800-tail", "geometric-return-200-head",
+            "geometric-return-200-tail"])
+    def test_a_defect_in_the_solve_fails_the_fundamental(self, monkeypatch, density, make,
+                                                         cell):
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
+        P = make()
+        stationary_distribution(P)          # solved before the defective solve goes in
+        solve = np.linalg.solve
+
+        def defective(a, b):
+            x = solve(a, b)
+            if x.ndim == 2:
+                x[cell] += self.DEFECT
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", defective)
+        with pytest.raises(SolverFailure, match="fundamental matrix residual"):
+            fundamental_matrix(P)
