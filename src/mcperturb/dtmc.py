@@ -453,12 +453,11 @@ def hitting_time_bound(P: StochasticMatrix, delta_norm: float | None = None) -> 
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3 and 7):
 
     * eta = ||M G - I||_inf is at most the computed residual norm plus
-      g (4 ||G||_inf + 1). The residual is fl(M) G - I on a dense P and
-      A G + 1 (pi-hat G) - I, with A = I - P, on a sparse one: both are
-      M G - I in exact arithmetic, each entry a sum of terms of
-      (|A| + |1 pi-hat|) |G| and I rounded at most n + 3 times. A row of
-      |A| sums to 2 (1 - P_ii) and ||pi-hat||_1 <= 2, so the error rows sum
-      to at most g ((2 + ||pi-hat||_1) ||G||_inf + 1) <= g (4 ||G||_inf + 1);
+      g (4 ||G||_inf + 1). The residual is computed as A G + 1 (pi-hat G) - I
+      with A = I - P (M G - I in exact arithmetic), each entry a sum of terms
+      of (|A| + |1 pi-hat|) |G| and I rounded at most n + 3 times. Rows of |A|
+      sum to 2 (1 - P_ii) <= 2 up to P's row-sum tolerance and ||pi-hat||_1 is
+      1 up to rounding, so the error rows sum to at most g (4 ||G||_inf + 1);
     * if eta < 1, G - R = R (M G - I) gives ||R||_inf <= ||G||_inf / (1 - eta)
       and max_ij |G_ij - R_ij| <= delta = ||G||_inf eta / (1 - eta);
     * pi M = pi-hat and pi-hat M = s pi-hat - r, with s = sum(pi-hat) and the

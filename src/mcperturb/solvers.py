@@ -31,9 +31,9 @@ them: a failed hypothesis costs the rows up to that one, not the whole
 O(n^3) pair scan.
 
 Certifying G and the group inverse costs one dense solve and one dense
-product, X (A X). The other residual products multiply by A = I - P, a CSR
-array below ``_SPARSE_DENSITY`` (O(nnz n) each, not O(n^3)), with M = A + 1 pi
-as A plus a rank-one term. Only residuals depend on the path, not matrices.
+product, X (A X). Every other residual product multiplies by A = I - P (with
+M = A + 1 pi as A plus a rank-one term), a CSR array below
+``_SPARSE_DENSITY``: O(nnz n) per product, not O(n^3).
 
 Mean hitting times of both chain kinds come from one certified solve,
 ``_hitting_solve``, on M = I - P or M = -Q, which also makes their entry
@@ -60,15 +60,14 @@ __all__ = [
 ]
 
 
-# Share of nonzero entries of I - P below which the certificates multiply by
-# it as a CSR array: at n = 800, one BLAS thread, CSR and dense products of
-# A = I - P break even at about 64 nonzeros per row.
-_SPARSE_DENSITY = 0.08
+# Share of nonzero entries of I - P below which it is stored as CSR: group_inverse's break-even
+# at n = 200-800 on two BLAS threads; on one it is higher and grows with n (BENCH_11.json).
+_SPARSE_DENSITY = 0.05
 _TINY = 2.0 ** -511     # sqrt(smallest normal): no product of two larger underflows
 
 
 def _difference(P: StochasticMatrix) -> np.ndarray | csr_array:
-    """A = I - P: a CSR array below ``_SPARSE_DENSITY``, else dense."""
+    """A = I - P, CSR below ``_SPARSE_DENSITY``; built by hand, 6x faster than csr_array(A)."""
     A = np.eye(P.n) - P.entries
     nz = np.flatnonzero(A != 0.0)
     if nz.size >= _SPARSE_DENSITY * A.size:
@@ -245,7 +244,7 @@ class _FundamentalSummary:
     diagonal: np.ndarray        # G_jj
     column_minima: np.ndarray   # min_i G_ij
     norm: float                 # ||G||_inf
-    residual: float             # ||M G - I||_inf as computed (A G + 1 (pi G) - I if sparse)
+    residual: float             # ||A G + 1 (pi G) - I||_inf, as computed (= M G - I)
     stationarity: float         # ||pi P - pi||_1, as computed
 
 
@@ -256,6 +255,10 @@ def fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
     for any irreducible chain. A certified result also leaves a
     ``_FundamentalSummary`` on ``P`` for the hitting-time scan.
     """
+    return _fundamental_matrix(P, _difference(P))
+
+
+def _fundamental_matrix(P: StochasticMatrix, A) -> np.ndarray:
     settings = P.settings
     pi = _stationary(P)
     n = P.n
@@ -264,17 +267,14 @@ def fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
         R = np.linalg.solve(M, np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"fundamental system is singular: {exc}") from exc
+    del M                           # M = A + 1 pi: M R = A R + 1 (pi R), R M = R A + (R 1) pi
     piR = pi.values @ R
-    A = _difference(P)
-    sparse = not isinstance(A, np.ndarray)
-    if sparse:                      # M = A + 1 pi: M R = A R + 1 (pi R)
-        del M
-    right = A @ R + piR if sparse else M @ R
+    right = A @ R + piR
     right[np.diag_indices(n)] -= 1.0
     np.abs(right, out=right)
     res, residual = float(right.max()), float(right.sum(axis=1).max())
     del right
-    left = R @ A + np.outer(R.sum(axis=1), pi.values) if sparse else R @ M
+    left = R @ A + np.outer(R.sum(axis=1), pi.values)
     left[np.diag_indices(n)] -= 1.0
     res = max(res, float(np.abs(left).max()), float(np.abs(piR - pi.values).max()))
     if res > settings.inverse:
@@ -298,10 +298,11 @@ def group_inverse(P: StochasticMatrix) -> np.ndarray:
     The three group-inverse axioms (A X A = A, X A X = X, A X = X A) plus
     X e = 0 and pi X = 0 are certified before returning.
     """
-    return _certified_group_inverse(P, fundamental_matrix(P))
+    A = _difference(P)
+    return _certified_group_inverse(P, _fundamental_matrix(P, A), A)
 
 
-def _certified_group_inverse(P, R) -> np.ndarray:
+def _certified_group_inverse(P, R, A) -> np.ndarray:
     """R - Pi from the fundamental matrix R of P, certified as in group_inverse.
 
     Each residual is reduced before the next is formed. In X (A X), the one
@@ -312,7 +313,6 @@ def _certified_group_inverse(P, R) -> np.ndarray:
     settings = P.settings
     pi = _stationary(P)
     X = R - stationary_matrix(pi)
-    A = _difference(P)
     AX = A @ X
     XA = np.ascontiguousarray(X @ A)     # scipy forms X A as (A^T X^T)^T
     res = max(float(np.abs(AX - XA).max()), float(np.abs(A @ XA - A).max()))

@@ -61,6 +61,7 @@ from .norms import matrix_norm, total_variation_norm, v_norm_matrix, v_norm_meas
 from .reports import BoundReport
 from .solvers import (
     _certified_group_inverse,
+    _difference,
     deviation_matrix,
     fundamental_matrix,
     stationary_distribution,
@@ -262,7 +263,7 @@ def identity_residuals(
     }
     if P.aperiodic:
         # on an aperiodic chain the deviation matrix is the group inverse R - Pi
-        D = _certified_group_inverse(P, R)
+        D = _certified_group_inverse(P, R, _difference(P))
         out["deviation_identity"] = _deviation_residual(pair, pi, nu, D)
     return out
 

@@ -22,7 +22,7 @@ from mcperturb import (
     stationary_matrix,
     uniformize,
 )
-from mcperturb import ctmc, dtmc, gallery, solvers
+from mcperturb import ctmc, gallery, solvers
 from mcperturb.solvers import _stationary_gth
 from mcperturb.verify import canonical_pair
 from tests.conftest import gallery_model, random_irreducible_chain, sparse_irreducible_chain
@@ -351,17 +351,16 @@ class TestStationaryCache:
 
 
 def count_fundamental_solves(monkeypatch):
-    """Count ``fundamental_matrix`` calls from the solvers (group inverse) and
-    from the hitting-time scan."""
+    """Count fundamental-matrix solves from the solvers (group inverse) and
+    from the hitting-time scan: both reach ``_fundamental_matrix``."""
     calls = []
-    solve = solvers.fundamental_matrix
+    solve = solvers._fundamental_matrix
 
-    def counted(P):
+    def counted(P, A):
         calls.append(P)
-        return solve(P)
+        return solve(P, A)
 
-    monkeypatch.setattr(solvers, "fundamental_matrix", counted)
-    monkeypatch.setattr(dtmc, "fundamental_matrix", counted)
+    monkeypatch.setattr(solvers, "_fundamental_matrix", counted)
     return calls
 
 
@@ -487,6 +486,40 @@ class TestSparseCertification:
         if P.aperiodic:
             assert np.array_equal(deviation_matrix(_fresh(P)), want_X)
 
+    @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("tag,P,Q", CERTIFIED_CHAINS, ids=[c[0] for c in CERTIFIED_CHAINS])
+    def test_the_summary_residual_is_the_dense_one_within_rounding(self, monkeypatch, tag, P,
+                                                                   Q, density):
+        """hitting_time_bound allows g (4 ||G||_inf + 1) between a computed
+        residual and ||M G - I||_inf, so two computed forms differ by at most
+        twice that."""
+        P = _fresh(P)
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
+        G = fundamental_matrix(P)
+        M = np.eye(P.n) - P.entries + stationary_matrix(stationary_distribution(P))
+        want = np.abs(M @ G - np.eye(P.n)).sum(axis=1).max()
+        g = (P.n + 8) * 2.0 ** -53 / (1.0 - (P.n + 8) * 2.0 ** -53)
+        assert abs(P._fundamental.residual - want) <= 2.0 * g * (4.0 * P._fundamental.norm + 1.0)
+
+    @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
+    def test_the_summary_residual_is_a_row_sum_norm(self, monkeypatch, density):
+        """A defect d in row r of G makes row i of M G - I equal to M_ir d
+        in every column: a row sum n times its largest entry."""
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
+        P, r, d = gallery_model("geometric-return", 200).chain, 0, 1e-12
+        stationary_distribution(P)          # solved before the defective solve goes in
+        solve = np.linalg.solve
+
+        def defective(a, b):
+            x = solve(a, b)
+            x[r] += d
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", defective)
+        fundamental_matrix(P)
+        M = np.eye(P.n) - P.entries + stationary_matrix(stationary_distribution(P))
+        assert P._fundamental.residual > 0.9 * P.n * d * np.abs(M[:, r]).max()
+
     @pytest.mark.parametrize("tag,P,Q", [c for c in CERTIFIED_CHAINS if c[2] is not None],
                              ids=[c[0] for c in CERTIFIED_CHAINS if c[2] is not None])
     def test_generator_deviation_matrix_is_the_same(self, monkeypatch, tag, P, Q):
@@ -534,13 +567,14 @@ class TestNoGateGotWeaker:
     def test_a_defect_in_R_fails_the_group_inverse(self, monkeypatch, density, make, cells):
         monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
         P = make()
+        A = solvers._difference(P)
         R = fundamental_matrix(P)
-        solvers._certified_group_inverse(P, R)
+        solvers._certified_group_inverse(P, R, A)
         for i, j in cells:
             bad = R.copy()
             bad[i, j] += self.DEFECT
             with pytest.raises(SolverFailure, match="group-inverse axiom residual"):
-                solvers._certified_group_inverse(P, bad)
+                solvers._certified_group_inverse(P, bad, A)
 
     @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
     def test_a_row_sum_free_defect_in_the_tail_fails_the_products(self, monkeypatch, density):
@@ -553,7 +587,7 @@ class TestNoGateGotWeaker:
         bad[790, 795] += self.DEFECT
         bad[790, 799] -= self.DEFECT
         with pytest.raises(SolverFailure, match="group-inverse axiom residual"):
-            solvers._certified_group_inverse(P, bad)
+            solvers._certified_group_inverse(P, bad, solvers._difference(P))
 
     def test_the_mm1_group_inverse_has_subnormal_entries(self):
         X = group_inverse(_mm1_skeleton())
