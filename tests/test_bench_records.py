@@ -59,3 +59,22 @@ def test_operations_on_the_sparse_path_pass_the_benchmark_checks(monkeypatch, na
         result = op.bind()()
         assert workloads.check(op, result) == (0, []), op.name
     assert any(paths)
+
+
+SMOKE_RECORDS = Path(__file__).resolve().parent / "data" / "smoke_records.json"
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_smoke_records_match_the_recorded_golden(name, seed):
+    """Every operation's record at SMOKE size matches the records in
+    ``tests/data/smoke_records.json`` at the benchmark's golden tolerances,
+    so a change that moves a benchmark number fails tier-1 too."""
+    golden = json.loads(SMOKE_RECORDS.read_text())["seeds"][str(seed)][name]
+    workload = workloads.build(name, seed, workloads.SMOKE)
+    assert sorted(op.name for op in workload.ops) == sorted(golden)
+    for op in workload.ops:
+        rec = workloads.record(op.kind, op.bind()())
+        tol = ((0.0, workloads.RESIDUAL_ATOL) if op.kind == "identity"
+               else (workloads.RTOL, workloads.ATOL))
+        assert workloads.golden_diffs(rec, golden[op.name], *tol) == [], op.name
