@@ -10,6 +10,10 @@ the weighted-norm drift certificate, the weighted-norm bound pair and the
 gap attachment are shared, with a ``ctmc_`` prefix on generator names.
 Every bound that needs the stationary distribution reads the chain's own,
 which is solved once and cached on the chain.
+
+Every exact gap, here, in the fuzz and in ``verify.exact_gap``, follows one
+rule, ``_exact_gap``: the plain solve in total variation, the state-reduction
+solve under weights, whose pi the weighted pair is given too.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .ctmc import (
     ctmc_hitting_times,
     ctmc_lambda1_bound,
     ctmc_small_set_bound,
-    ctmc_stationary,
     ctmc_unit_drift_bound,
     ctmc_v_bound_drift_only,
     ctmc_v_bound_with_stationary,
@@ -54,6 +57,7 @@ from .solvers import stationary_distribution
 __all__ = ["bound_catalog"]
 
 SKELETON_M = 2      # step count of the skeleton bound
+SKELETON_MAX_N = 32     # largest transition matrix whose fuzz cases check the skeleton bound
 
 
 def _guard(reports, name, fn):
@@ -68,16 +72,14 @@ def _guard(reports, name, fn):
     return None
 
 
-def _weighted_stationary(chain):
-    """The stationary distribution a weighted-norm certificate is paired with.
-
-    Growing weights amplify the plain solve's absolute tail errors, so a
-    generator is paired with the componentwise-accurate state-reduction
-    solve; a transition matrix keeps its cached solve.
-    """
-    if isinstance(chain, StochasticMatrix):
-        return stationary_distribution(chain)
-    return ctmc_stationary(chain, method="gth")
+def _exact_gap(chain, perturbed, weights=None) -> float:
+    """||nu - pi|| of ``perturbed`` and ``chain``: in total variation from the
+    plain solve, or weighted from the state-reduction solve, since growing
+    weights amplify the plain solve's absolute tail errors."""
+    method = "solve" if weights is None else "gth"
+    diff = (stationary_distribution(perturbed, method).values
+            - stationary_distribution(chain, method).values)
+    return total_variation_norm(diff) if weights is None else v_norm_measure(diff, weights)
 
 
 def _v_norm_pair(chain, perturbed, delta, cert) -> tuple[list[BoundReport], float]:
@@ -88,7 +90,7 @@ def _v_norm_pair(chain, perturbed, delta, cert) -> tuple[list[BoundReport], floa
     The catalog and the fuzz oracle both check the pair through this one
     function.
     """
-    pi, nu = _weighted_stationary(chain), _weighted_stationary(perturbed)
+    pi = stationary_distribution(chain, "gth")
     dv = v_norm_matrix(delta, cert.weights)
     if isinstance(chain, StochasticMatrix):
         prefix, with_pi, drift_only = "", v_bound_with_stationary, v_bound_drift_only
@@ -101,7 +103,7 @@ def _v_norm_pair(chain, perturbed, delta, cert) -> tuple[list[BoundReport], floa
                 _guard(reports, f"{prefix}v_norm_drift_only", lambda: drift_only(cert, dv))):
         if rep is not None:
             rep.info["norm"] = "v"
-    return reports, v_norm_measure(nu.values - pi.values, cert.weights)
+    return reports, _exact_gap(chain, perturbed, cert.weights)
 
 
 def _dtmc_reports(P, perturbed, delta_norm, m_max, unit, taboo_state):
@@ -161,9 +163,9 @@ def bound_catalog(
             unit, weights = V, None         # a unit-drift function, not weights
         else:
             weights = WeightFunction(V)
-    solve = stationary_distribution if dtmc else ctmc_stationary
     if dtmc:
-        solve(chain)        # raises here, before any bound, when pi cannot be certified
+        # raises here, before any bound, when pi cannot be certified
+        stationary_distribution(chain)
         reports = _dtmc_reports(chain, perturbed, delta_norm, m_max, unit, taboo_state)
     else:
         reports = _ctmc_reports(chain, delta_norm, unit, taboo_state)
@@ -193,7 +195,7 @@ def bound_catalog(
             ))
         return reports
 
-    gap = {"tv": total_variation_norm(solve(perturbed).values - solve(chain).values)}
+    gap = {"tv": _exact_gap(chain, perturbed)}
     if cert is not None:
         v_reports, gap["v"] = _v_norm_pair(chain, perturbed, perturbed.entries - chain.entries,
                                            cert)

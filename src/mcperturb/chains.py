@@ -4,11 +4,11 @@ All types validate their structural invariants at construction and freeze
 their numpy storage, so instances are immutable and safe to share across
 threads. Irreducibility and (for discrete chains) the period are computed
 once, on first read, and cached on the instance; so is the stationary
-distribution, per solve method, by :mod:`mcperturb.solvers` and
-:mod:`mcperturb.ctmc`. A chain's ``settings`` govern every gate applied to
-it, and a perturbed chain or a uniformized skeleton takes the settings of
-the chain it is built from. It also inherits irreducibility from that
-chain, without a graph search, when no edge of that chain is lost.
+distribution, per solve method, by ``solvers.stationary_distribution``. A
+chain's ``settings`` govern every gate applied to it, and a perturbed chain
+or a uniformized skeleton takes the settings of the chain it is built from.
+It also inherits irreducibility from that chain, without a graph search,
+when no edge of that chain is lost.
 """
 
 from __future__ import annotations
@@ -271,14 +271,9 @@ class WeightFunction:
         return f"WeightFunction(n={self.n}, lower_bound={self.lower_bound:g})"
 
 
-def as_weight_array(weights) -> np.ndarray:
-    """Coerce a WeightFunction or array-like to a plain positive vector."""
-    if isinstance(weights, WeightFunction):
-        return weights.values
-    v = np.asarray(weights, dtype=float).ravel()
-    if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise ValidationError("weights must be strictly positive and finite")
-    return v
+def _weight_function(weights) -> WeightFunction:
+    """``weights`` as a WeightFunction, validated by it unless it is one."""
+    return weights if isinstance(weights, WeightFunction) else WeightFunction(weights)
 
 
 class PerturbationPair:

@@ -12,6 +12,10 @@ Q's stationary distribution. All discrete-time machinery transfers:
 * a drift inequality Q V <= -lambda V + b at the taboo state becomes
   P_h V <= (1 - lambda h) V + b h there.
 
+Q's own pi comes from :func:`~mcperturb.solvers.stationary_distribution`,
+the solve both chain kinds share (``ctmc_stationary`` names it for
+generators); the default step is written once, in ``solvers._default_step``.
+
 The bound catalog mirrors the discrete one: deviation-norm, ergodicity
 coefficient, column-minima small set, unit drift, and the two
 weighted-norm drift bounds. Those are the discrete ones with the decay
@@ -43,7 +47,6 @@ from .errors import (
     NoPositiveLambda,
     NotErgodic,
     OutOfRadius,
-    ReducibleChain,
     SolverFailure,
 )
 from .dtmc import (
@@ -61,8 +64,8 @@ from .norms import _abs_row_differences, matrix_norm, v_norm_matrix
 from .reports import BoundReport, Hypothesis
 from .settings import DEFAULT
 from .solvers import (
+    _default_step,
     _hitting_solve,
-    _stationary_solve,
     deviation_matrix,
     stationary_distribution,
 )
@@ -89,7 +92,6 @@ __all__ = [
     "stationary_series_expansion",
 ]
 
-DEFAULT_STEP_FRACTION = 0.99  # keeps skeleton diagonals strictly positive
 _Z_GRID = 256                 # points of batch_arrival_drift's coarse scan
 
 
@@ -112,7 +114,7 @@ def uniformize(Q: IntensityMatrix, h: float | None = None) -> UniformizedChain:
     uc = Q.uniformization_constant
     limit = 1.0 / uc if uc > 0 else np.inf
     if h is None:
-        h = DEFAULT_STEP_FRACTION * limit if uc > 0 else DEFAULT_STEP_FRACTION
+        h = _default_step(uc)
     if not 0.0 < h < limit:
         raise InvalidStep(f"step {h:g} outside the open interval (0, {limit:g})")
     P_h = StochasticMatrix(np.eye(Q.n) + h * Q.entries, settings=Q.settings)
@@ -122,37 +124,15 @@ def uniformize(Q: IntensityMatrix, h: float | None = None) -> UniformizedChain:
 
 
 def pair_step(Q: IntensityMatrix, Q_tilde: IntensityMatrix) -> float:
-    """Common admissible step for a generator pair (0.99 for a 1-state pair)."""
-    uc = max(Q.uniformization_constant, Q_tilde.uniformization_constant)
-    return DEFAULT_STEP_FRACTION / uc if uc > 0 else DEFAULT_STEP_FRACTION
+    """Common admissible step for a generator pair: ``uniformize``'s default
+    step for the larger uniformization constant (0.99 for a 1-state pair)."""
+    return _default_step(max(Q.uniformization_constant, Q_tilde.uniformization_constant))
 
 
 def ctmc_stationary(Q: IntensityMatrix, method: str = "solve") -> Distribution:
-    """Solve pi Q = 0, sum(pi) = 1 for an irreducible bounded generator.
-
-    ``method="solve"`` replaces one equation with the normalization row;
-    ``method="gth"`` routes through the skeleton chain's state-reduction
-    solve for componentwise accuracy (required under growing weights).
-    Solved once per generator and method and cached on ``Q``.
-    """
-    if method not in Q._stationary:
-        Q._stationary[method] = _certified_ctmc_stationary(Q, method)
-    return Q._stationary[method]
-
-
-def _certified_ctmc_stationary(Q: IntensityMatrix, method: str) -> Distribution:
-    if not Q.irreducible:
-        raise ReducibleChain("stationary measure requires an irreducible generator")
-    if method == "gth":
-        return stationary_distribution(uniformize(Q).matrix, method="gth")
-    if method != "solve":
-        raise ValueError(f"unknown method {method!r}")
-    x = _stationary_solve(Q.entries.copy())
-    scale = max(1.0, Q.uniformization_constant)
-    residual = float(np.abs(x @ Q.entries).max())
-    if residual > Q.settings.stationarity * scale:
-        raise SolverFailure(f"stationary residual {residual:.3e} too large")
-    return Distribution(x, settings=Q.settings)
+    """Solve pi Q = 0, sum(pi) = 1 for an irreducible bounded generator:
+    :func:`~mcperturb.solvers.stationary_distribution` of ``Q``."""
+    return stationary_distribution(Q, method)
 
 
 def ctmc_ergodicity_coefficient(Q: IntensityMatrix) -> float:
@@ -500,7 +480,7 @@ def stationary_series_expansion(
     scale = max(1.0, float(np.abs(Gm).max()))
     if np.abs(Gm.sum(axis=1)).max() > Q.settings.validation * scale:
         raise InvalidParameters("direction matrix rows must sum to zero")
-    pi = ctmc_stationary(Q)
+    pi = stationary_distribution(Q)
     D = ctmc_deviation_matrix(Q)
     if eps != 0.0:
         if cert is not None:

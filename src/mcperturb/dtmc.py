@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Distribution, StochasticMatrix, WeightFunction
+from .chains import Distribution, StochasticMatrix, WeightFunction, _weight_function
 from .errors import (
     DivergentHittingTimes,
     DriftViolated,
@@ -522,9 +522,9 @@ def hitting_time_bound(P: StochasticMatrix, delta_norm: float | None = None) -> 
 class GeometricDriftCertificate:
     """Geometric drift witness: P V <= lambda V + b at the taboo state only.
 
-    ``pi_value`` stores pi(V) for the chain's own pi when the chain the
-    certificate was fitted to is irreducible; it always satisfies
-    pi(V) <= b / (1 - lambda).
+    ``pi_value`` stores pi(V) for the chain's own state-reduction pi, which
+    every weighted quantity reads, when the chain the certificate was fitted
+    to is irreducible; it always satisfies pi(V) <= b / (1 - lambda).
     """
 
     taboo_state: int
@@ -554,7 +554,7 @@ def _check_geometric_drift(chain, cert, decay: float, rate: float, what: str) ->
 def _drift_image(chain, weights, taboo_state: int) -> tuple[WeightFunction, np.ndarray]:
     """The fits' prologue: ``weights`` as a WeightFunction V, checked
     against the chain and the taboo state, and its image chain V."""
-    wf = weights if isinstance(weights, WeightFunction) else WeightFunction(weights)
+    wf = _weight_function(weights)
     _check_drift_vector(chain, wf.values, taboo_state, "weight")
     return wf, chain.entries @ wf.values
 
@@ -586,7 +586,7 @@ def fit_geometric_drift(
         state = int(np.argmax(np.where(np.arange(P.n) == taboo_state, -np.inf, ratios)))
         raise DriftViolated(state, lam - 1.0, "no geometric decay for these weights")
     b = max(0.0, float(pv[taboo_state] - lam * V[taboo_state]))
-    pi_value = float(stationary_distribution(P).values @ V) if P.irreducible else None
+    pi_value = float(stationary_distribution(P, "gth").values @ V) if P.irreducible else None
     return GeometricDriftCertificate(taboo_state, wf, lam, b, pi_value)
 
 

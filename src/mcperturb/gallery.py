@@ -14,6 +14,7 @@ the caller.
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass, field
 
@@ -312,8 +313,8 @@ def build_model(spec: str, truncation: int | None = None) -> GalleryModel:
     """Build a gallery model from a name like ``"mm1"`` or ``"mm1(1, 4)"``.
 
     Positional arguments inside the parentheses are parsed as Python
-    literals; ``truncation`` overrides the model default when the model
-    takes one.
+    literals; ``truncation`` overrides the model default when the model's
+    factory has a ``truncation`` parameter, and is rejected otherwise.
     """
     m = _NAME_RE.match(spec)
     if not m:
@@ -323,6 +324,7 @@ def build_model(spec: str, truncation: int | None = None) -> GalleryModel:
         raise InvalidParameters(
             f"unknown gallery model {name!r}; known: {', '.join(list_models())}"
         )
+    factory = GALLERY[name]
     args = []
     if argstr:
         import ast
@@ -333,7 +335,7 @@ def build_model(spec: str, truncation: int | None = None) -> GalleryModel:
             raise InvalidParameters(f"cannot parse model arguments {argstr!r}: {exc}") from exc
     kwargs = {}
     if truncation is not None:
-        if name in ("funderlic8", "meyer4", "birth-death"):
+        if "truncation" not in inspect.signature(factory).parameters:
             raise InvalidParameters(f"model {name!r} does not take a truncation level")
         kwargs["truncation"] = truncation
-    return GALLERY[name](*args, **kwargs)
+    return factory(*args, **kwargs)

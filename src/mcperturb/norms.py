@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import as_weight_array
+from .chains import _weight_function
 
 __all__ = [
     "total_variation_norm",
@@ -33,17 +33,17 @@ def matrix_norm(L) -> float:
 
 
 def v_norm_measure(mu, weights) -> float:
-    V = as_weight_array(weights)
+    V = _weight_function(weights).values
     return float(np.abs(np.asarray(mu, dtype=float)) @ V)
 
 
 def v_norm_vector(x, weights) -> float:
-    V = as_weight_array(weights)
+    V = _weight_function(weights).values
     return float((np.abs(np.asarray(x, dtype=float)) / V).max())
 
 
 def v_norm_matrix(L, weights) -> float:
-    V = as_weight_array(weights)
+    V = _weight_function(weights).values
     rows = np.abs(np.asarray(L, dtype=float)) @ V
     return float((rows / V).max())
 

@@ -1,8 +1,9 @@
 """Stationary distributions and the fundamental/group-inverse/deviation matrices.
 
 Every gate here reads the tolerances of the chain it is applied to
-(``P.settings``). The stationary distribution is solved at most once per
-chain and method and cached on the chain, so the matrices below, and every
+(``P.settings``). ``stationary_distribution`` is the one certified
+stationary solve of both chain kinds. It solves pi at most once per chain
+and method and caches it on the chain, so the matrices below, and every
 bound that needs pi, reuse the chain's own certified pi.
 
 A certified fundamental matrix G also leaves a small summary on the chain
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .chains import Distribution, StochasticMatrix
+from .chains import Distribution, IntensityMatrix, StochasticMatrix
 from .errors import (DivergentHittingTimes, InvalidParameters, PeriodicChain, ReducibleChain,
                      SolverFailure)
 
@@ -64,6 +65,13 @@ __all__ = [
 # at n = 200-800 on two BLAS threads; on one it is higher and grows with n (BENCH_11.json).
 _SPARSE_DENSITY = 0.05
 _TINY = 2.0 ** -511     # sqrt(smallest normal): no product of two larger underflows
+DEFAULT_STEP_FRACTION = 0.99  # of the largest skeleton step: keeps its diagonal positive
+
+
+def _default_step(uc: float) -> float:
+    """The skeleton step ``uniformize`` defaults to for uniformization constant
+    ``uc``, rounded as 0.99 * (1 / uc); 0.99 for the 1-state generator (uc = 0)."""
+    return DEFAULT_STEP_FRACTION * (1.0 / uc) if uc > 0 else DEFAULT_STEP_FRACTION
 
 
 def _difference(P: StochasticMatrix) -> np.ndarray | csr_array:
@@ -178,56 +186,48 @@ def _stationary_power(P: np.ndarray, tol: float = 1e-14,
     )
 
 
-def stationary_distribution(P: StochasticMatrix, method: str = "solve") -> Distribution:
-    """Solve pi P = pi, sum(pi) = 1 for an irreducible chain.
+def stationary_distribution(chain: StochasticMatrix | IntensityMatrix,
+                            method: str = "solve") -> Distribution:
+    """Solve pi P = pi (pi Q = 0 for a generator), sum(pi) = 1 for an
+    irreducible chain; solved once per chain and method and cached on it.
 
-    Parameters
-    ----------
-    P : StochasticMatrix
-        Must be irreducible.
-    method : {"solve", "gth", "power"}
-        "solve" is the dense normalized solve (fast, absolute-error
-        accurate); "gth" is componentwise accurate and strictly positive;
-        "power" iterates x P until the l1 increment drops below 1e-14
-        (aperiodic chains only).
-
-    Returns
-    -------
-    Distribution
-        Certified so that the residual max|pi P - pi| is at most
-        ``P.settings.stationarity``. It is solved once per chain and method
-        and cached on ``P``; later calls return the same object.
+    ``method`` is "solve", the dense normalized solve (fast, absolute-error
+    accurate); "gth", componentwise accurate and strictly positive; or
+    "power", which iterates x P until the l1 increment drops below 1e-14
+    (aperiodic transition matrices only). A generator's "gth" eliminates
+    h Q at ``ctmc.uniformize``'s default step h: state reduction reads only
+    off-diagonal entries, so that is the skeleton I + h Q's solve. The
+    residual max|pi P - pi| (max|pi Q|) is certified to at most
+    ``settings.stationarity`` times max(1, rate), the rate being 1 for P and
+    the uniformization constant for Q, and no entry below
+    ``-settings.validation``.
     """
-    return _stationary(P, method)
-
-
-def _stationary(P: StochasticMatrix, method: str = "solve") -> Distribution:
-    """The cached, certified solve behind ``stationary_distribution``; this
-    module's own callers read pi through it."""
-    if method in P._stationary:
-        return P._stationary[method]
-    settings = P.settings
-    if not P.irreducible:
+    if method in chain._stationary:
+        return chain._stationary[method]
+    settings = chain.settings
+    if not chain.irreducible:
         raise ReducibleChain("stationary distribution requires an irreducible chain")
+    E = chain.entries
+    generator = isinstance(chain, IntensityMatrix)
+    rate = chain.uniformization_constant if generator else 1.0
     if method == "solve":
-        x = _stationary_solve(np.eye(P.n) - P.entries)
+        x = _stationary_solve(E.copy() if generator else np.eye(chain.n) - E)
     elif method == "gth":
-        x = _stationary_gth(P.entries)
-    elif method == "power":
-        x = _stationary_power(P.entries)
+        x = _stationary_gth(_default_step(rate) * E if generator else E)
+    elif method == "power" and not generator:
+        x = _stationary_power(E)
     else:
         raise ValueError(f"unknown method {method!r}")
-    residual = float(np.abs(x @ P.entries - x).max())
-    if residual > settings.stationarity:
-        raise SolverFailure(
-            f"stationary residual {residual:.3e} exceeds {settings.stationarity:g}"
-        )
+    residual = float(np.abs(x @ E if generator else x @ E - x).max())
+    tol = settings.stationarity * max(1.0, rate)
+    if residual > tol:
+        raise SolverFailure(f"stationary residual {residual:.3e} exceeds {tol:g}")
     if x.min() < -settings.validation:
         raise SolverFailure(
             f"stationary solve produced negative mass {x.min():.3e}"
         )
-    P._stationary[method] = Distribution(x, settings=settings)
-    return P._stationary[method]
+    chain._stationary[method] = Distribution(x, settings=settings)
+    return chain._stationary[method]
 
 
 def stationary_matrix(pi: Distribution) -> np.ndarray:
@@ -260,7 +260,7 @@ def fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
 
 def _fundamental_matrix(P: StochasticMatrix, A) -> np.ndarray:
     settings = P.settings
-    pi = _stationary(P)
+    pi = stationary_distribution(P)
     n = P.n
     M = np.eye(n) - P.entries + stationary_matrix(pi)
     try:
@@ -311,7 +311,7 @@ def _certified_group_inverse(P, R, A) -> np.ndarray:
     moves by at most n 2^-511 max(||X||_max, ||A X||_max), 1.2e-148 on mm1(800).
     """
     settings = P.settings
-    pi = _stationary(P)
+    pi = stationary_distribution(P)
     X = R - stationary_matrix(pi)
     AX = A @ X
     XA = np.ascontiguousarray(X @ A)     # scipy forms X A as (A^T X^T)^T

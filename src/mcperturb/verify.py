@@ -31,11 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import SKELETON_M, _v_norm_pair, _weighted_stationary, bound_catalog
+from . import catalog
+from .catalog import SKELETON_M, _exact_gap, _v_norm_pair, bound_catalog
 from .chains import IntensityMatrix, PerturbationPair, StochasticMatrix, _perturbed_chain
 from .ctmc import (
     batch_arrival_drift,
-    ctmc_stationary,
+    fit_ctmc_geometric_drift,
     pair_step,
     transfer_drift_to_skeleton,
     uniformize,
@@ -57,7 +58,7 @@ from .errors import (
     ValidationError,
 )
 from .gallery import GalleryModel
-from .norms import matrix_norm, total_variation_norm, v_norm_matrix, v_norm_measure
+from .norms import matrix_norm, v_norm_matrix
 from .reports import BoundReport
 from .solvers import (
     _certified_group_inverse,
@@ -85,23 +86,15 @@ __all__ = [
 ]
 
 
-def _pair_stationary(pair: PerturbationPair, method: str):
-    solve = stationary_distribution if pair.kind == "dtmc" else ctmc_stationary
-    return solve(pair.base, method=method), solve(pair.perturbed, method=method)
-
-
 def exact_gap(pair: PerturbationPair, weights=None) -> float:
     """Exactly computed stationary gap ||nu - pi||, weighted when asked.
 
-    With weights the solves route through the componentwise-accurate
+    The gap ``bound_catalog`` and ``fuzz_bounds`` judge their bounds by:
+    with weights the solves route through the componentwise-accurate
     state-reduction method, since growing weights amplify absolute tail
     errors of the plain solve.
     """
-    pi, nu = _pair_stationary(pair, "gth" if weights is not None else "solve")
-    diff = nu.values - pi.values
-    if weights is None:
-        return total_variation_norm(diff)
-    return v_norm_measure(diff, weights)
+    return _exact_gap(pair.base, pair.perturbed, weights)
 
 
 def residual_perturbation_identity(pair: PerturbationPair) -> float:
@@ -413,24 +406,21 @@ def _skip_reason(rep: BoundReport) -> str:
 
 
 def _v_norm_setup(model, skipped):
-    """Drift certificate of the weighted-norm checks, or None.
-
-    Transition matrices get a geometric certificate on 1 + hitting times
-    onto state 0. Generators carrying band coefficients get the
-    batch-arrival certificate.
-    """
-    chain = model.chain
-    if model.kind == "dtmc":
-        try:
-            return fit_geometric_drift(chain, 1.0 + hitting_times(chain, 0), 0)
-        except (DriftViolated, DivergentHittingTimes, NoPositiveLambda):
-            return None
-    if "a" not in model.extras or "b" not in model.extras:
-        return None
+    """Drift certificate of the weighted-norm checks, fitted as the catalog
+    fits it: on 1 + hitting times onto state 0 for a transition matrix, on
+    the batch-arrival weights for a generator. None when it cannot be
+    fitted, with the reason in ``skipped`` under the catalog's name."""
+    chain, extras = model.chain, model.extras
     try:
-        return batch_arrival_drift(model.extras["a"], model.extras["b"], n_states=chain.n)
-    except (InvalidParameters, NotErgodic, NoPositiveLambda) as exc:
-        skipped["ctmc_v_norm"] = str(exc)
+        if model.kind == "dtmc":
+            return fit_geometric_drift(chain, 1.0 + hitting_times(chain, 0), 0)
+        if "a" not in extras or "b" not in extras:
+            raise InvalidParameters("no band coefficients to build drift weights from")
+        weights = batch_arrival_drift(extras["a"], extras["b"], n_states=chain.n).weights
+        return fit_ctmc_geometric_drift(chain, weights, 0)
+    except (DriftViolated, DivergentHittingTimes, InvalidParameters, NoPositiveLambda,
+            NotErgodic) as exc:
+        skipped["v_norm_drift_fit" if model.kind == "dtmc" else "ctmc_v_norm_drift_fit"] = str(exc)
         return None
 
 
@@ -451,7 +441,7 @@ def _v_norm_outcomes(chain, perturbed, delta, cert, skipped):
         try:
             rep = v_bound_with_stationary(uniformize(chain, h).matrix,
                                           transfer_drift_to_skeleton(cert, h),
-                                          _weighted_stationary(chain),
+                                          stationary_distribution(chain, "gth"),
                                           h * v_norm_matrix(delta, cert.weights))
             rep.bound_name, rep.info["norm"] = "v_norm_skeleton_transfer", "v"
             outcomes.append(rep.with_exact_gap(gap_v))
@@ -466,7 +456,6 @@ def fuzz_bounds(
     magnitude: float = 0.01,
     seed: int = 0,
     include_v_norm: bool = False,
-    skeleton_max_n: int = 32,
 ) -> FuzzSummary:
     """Randomized bound-validity check against exactly solved perturbations.
 
@@ -483,26 +472,22 @@ def fuzz_bounds(
     total-variation value at or above 2 is flagged useless (the gap between
     two probability measures never exceeds it).
 
-    Transition matrices with at most ``skeleton_max_n`` states also check
-    the catalog's skeleton bound, whose value depends on the perturbed chain
-    itself.
+    Transition matrices with at most ``catalog.SKELETON_MAX_N`` states also
+    check the catalog's skeleton bound, whose value depends on the perturbed
+    chain itself.
 
-    With ``include_v_norm`` the weighted-norm drift bounds run alongside:
-    for transition-matrix models through a hitting-time-based certificate,
-    for generator models through the batch-arrival certificate (when the
-    model carries band coefficients), evaluated both in continuous form and
-    transferred to the skeleton chain.
+    With ``include_v_norm`` the weighted-norm drift bounds run alongside,
+    through ``_v_norm_setup``'s certificate; generators check them both in
+    continuous form and transferred to the skeleton chain.
     """
     if model.kind not in ("dtmc", "ctmc"):
         raise InvalidParameters(f"unknown model kind {model.kind!r}")
     chain = model.chain
-    solve = stationary_distribution if model.kind == "dtmc" else ctmc_stationary
-    pi = solve(chain)
     reports = bound_catalog(chain)
     linear = [rep for rep in reports if rep.ell is not None]
     skipped = {rep.bound_name: _skip_reason(rep) for rep in reports if rep.ell is None}
     v_cert = _v_norm_setup(model, skipped) if include_v_norm else None
-    use_skeleton = model.kind == "dtmc" and chain.n <= skeleton_max_n
+    use_skeleton = model.kind == "dtmc" and chain.n <= catalog.SKELETON_MAX_N
 
     cases: list[FuzzCase] = []
     n_rejected = 0
@@ -512,8 +497,7 @@ def fuzz_bounds(
         if perturbed is None:
             n_rejected += 1
             continue
-        nu = solve(perturbed)
-        gap = total_variation_norm(nu.values - pi.values)
+        gap = _exact_gap(chain, perturbed)
         dn = matrix_norm(delta[delta.any(axis=1)])     # untouched rows add nothing
         outcomes = [rep.with_exact_gap(gap, dn) for rep in linear]
         if use_skeleton:

@@ -63,6 +63,12 @@ class TestUniformize:
         chain = uniformize(Q)
         assert chain.h == pytest.approx(0.99 / 2.0)
 
+    def test_pair_step_is_the_default_step(self):
+        # 0.99 / 3 and 0.99 * (1 / 3) differ in the last bit; both read the latter
+        Q = IntensityMatrix([[-3.0, 3.0], [1.0, -1.0]])
+        assert uniformize(Q).h == 0.32999999999999996
+        assert pair_step(Q, Q) == uniformize(Q).h
+
     def test_invalid_steps_rejected(self):
         Q = two_state_generator()
         with pytest.raises(InvalidStep):

@@ -148,15 +148,16 @@ class TestFuzzHarness:
 
 
 @pytest.mark.parametrize("name", list_models())
-def test_fuzz_checks_the_catalog_bounds(name):
+def test_fuzz_checks_the_catalog_bounds(monkeypatch, name):
     # the fuzz takes its norm-wise coefficients from the catalog: every
     # report with a coefficient is checked, every failed one is skipped
+    monkeypatch.setattr("mcperturb.catalog.SKELETON_MAX_N", 0)
     try:
         model = build_model(name, truncation=24)
     except McPerturbError:
         model = build_model(name)         # fixed-size models keep their own size
     summary = fuzz_bounds(model, n_cases=3, magnitude=0.01, seed=0,
-                          include_v_norm=False, skeleton_max_n=0)
+                          include_v_norm=False)
     reports = bound_catalog(model.chain)
     assert summary.cases
     with_ell = [r.bound_name for r in reports if r.ell is not None]

@@ -135,3 +135,19 @@ def test_registry_and_parser():
         build_model("mm1(bad syntax !)")
     with pytest.raises(InvalidParameters):
         build_model("meyer4", truncation=10)
+
+
+def test_truncation_is_rejected_by_any_factory_without_the_parameter(monkeypatch):
+    # the rule is read from the factory's signature, so a new fixed-size
+    # model needs no entry in a hard-coded list
+    from mcperturb import gallery
+
+    monkeypatch.setitem(gallery.GALLERY, "fixed-size", lambda k=2: meyer4())
+    assert build_model("fixed-size(3)").chain.n == 4
+    with pytest.raises(InvalidParameters, match="does not take a truncation level"):
+        build_model("fixed-size", truncation=10)
+    for name in ("funderlic8", "meyer4", "birth-death"):
+        with pytest.raises(InvalidParameters):
+            build_model(name, truncation=10)
+    for name in ("hessenberg-gi-m-1", "odd-even-p", "geometric-return", "batch-arrival", "mm1"):
+        assert build_model(name, truncation=12).truncation == 12

@@ -159,8 +159,9 @@ def test_identity_residuals_solve_once_and_equal_the_public_residuals(
     }
     if pair.base.aperiodic:
         want["deviation_identity"] = residual_deviation_identity(pair)
+    # solvers' own reads of the cached pi are not counted: they solve nothing
     counts = count_calls(monkeypatch, [
-        (verify, "stationary_distribution"), (solvers, "stationary_distribution"),
+        (verify, "stationary_distribution"),
         (verify, "fundamental_matrix"), (solvers, "fundamental_matrix"),
     ])
     assert identity_residuals(model, magnitude=0.01, seed=0) == want

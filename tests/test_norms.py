@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mcperturb import (
+    ValidationError,
     WeightFunction,
     matrix_norm,
     total_variation_norm,
@@ -62,6 +63,15 @@ def test_weighted_measure_example():
 def test_weight_function_object_accepted():
     w = WeightFunction([2.0, 3.0])
     assert v_norm_measure([1.0, -1.0], w) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("norm", [v_norm_measure, v_norm_vector, v_norm_matrix])
+def test_weight_arrays_are_validated_as_weight_functions(norm):
+    arg = [[1.0, 0.0], [0.0, 1.0]] if norm is v_norm_matrix else [1.0, -1.0]
+    with pytest.raises(ValidationError, match=r"^weight 0\.000e\+00 at state 1 is not positive$"):
+        norm(arg, [1.0, 0.0])
+    with pytest.raises(ValidationError, match="^weight function must be a finite"):
+        norm(arg, [1.0, np.inf])
 
 
 def test_brute_force_agreement():

@@ -23,6 +23,7 @@ from mcperturb import (
     uniformize,
 )
 from mcperturb import ctmc, gallery, solvers
+from mcperturb.settings import NumericSettings
 from mcperturb.solvers import _stationary_gth
 from mcperturb.verify import canonical_pair
 from tests.conftest import gallery_model, random_irreducible_chain, sparse_irreducible_chain
@@ -297,16 +298,14 @@ class TestSparseGth:
 def count_solves(monkeypatch):
     """Count the dense and state-reduction stationary solves of both chain kinds."""
     counts = {"solve": 0, "gth": 0}
-    for module, name, key in ((solvers, "_stationary_solve", "solve"),
-                              (ctmc, "_stationary_solve", "solve"),
-                              (solvers, "_stationary_gth", "gth")):
-        fn = getattr(module, name)
+    for name, key in (("_stationary_solve", "solve"), ("_stationary_gth", "gth")):
+        fn = getattr(solvers, name)
 
         def counted(*args, _fn=fn, _key=key):
             counts[_key] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(solvers, name, counted)
     return counts
 
 
@@ -340,7 +339,7 @@ class TestStationaryCache:
         hitting_time_bound(P)
         fit_geometric_drift(P, 1.0 + hitting_times(P, 0), 0)
         bound_catalog(P)
-        assert counts == {"solve": 1, "gth": 0}
+        assert counts == {"solve": 1, "gth": 1}     # pi(V) of the drift fit reads gth
 
     def test_a_failed_solve_is_not_cached(self):
         P = StochasticMatrix([[1.0, 0.0], [0.0, 1.0]])
@@ -348,6 +347,56 @@ class TestStationaryCache:
             with pytest.raises(ReducibleChain):
                 stationary_distribution(P)
         assert P._stationary == {}
+
+
+class TestOneSolveForBothKinds:
+    """``stationary_distribution`` certifies the stationary solve of a
+    generator too; ``ctmc_stationary`` is that solve under its own name."""
+
+    @pytest.mark.parametrize("seed", [0, 23])
+    @pytest.mark.parametrize("n", [24, 200])
+    @pytest.mark.parametrize("spec", ["mm1", "batch-arrival"])
+    def test_generator_gth_is_the_skeletons_bit_for_bit(self, spec, n, seed):
+        # state reduction reads only off-diagonal entries, so eliminating h Q
+        # gives the skeleton I + h Q's result without building the skeleton
+        model = gallery_model(spec, n)
+        for Q in (model.chain, canonical_pair(model, seed=seed).perturbed):
+            want = stationary_distribution(uniformize(Q).matrix, method="gth").values
+            got = stationary_distribution(Q, method="gth")
+            assert np.array_equal(got.values, want)
+            assert ctmc_stationary(Q, method="gth") is got
+
+    def test_generator_has_no_power_route(self):
+        Q = gallery.mm1(truncation=12).chain
+        with pytest.raises(ValueError, match="unknown method 'power'"):
+            stationary_distribution(Q, method="power")
+
+    def test_reducible_chains_of_both_kinds_raise_alike(self):
+        P = StochasticMatrix([[1.0, 0.0], [0.0, 1.0]])
+        Q = IntensityMatrix([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        for solve, chain in ((stationary_distribution, P), (ctmc_stationary, Q)):
+            with pytest.raises(ReducibleChain,
+                               match="^stationary distribution requires an irreducible chain$"):
+                solve(chain)
+
+    def test_generator_negative_mass_is_a_solver_failure(self, monkeypatch):
+        # the residual gate is passed by a loose tolerance; the mass gate is
+        # the one both kinds share
+        Q = IntensityMatrix([[-1.0, 1.0], [1.0, -1.0]],
+                            settings=NumericSettings(stationarity=10.0))
+        monkeypatch.setattr(solvers, "_stationary_solve", lambda M: np.array([1.5, -0.5]))
+        with pytest.raises(SolverFailure, match="negative mass"):
+            ctmc_stationary(Q)
+
+    def test_generator_residual_gate_scales_with_the_rate(self, monkeypatch):
+        # pi Q for pi off by 1e-11 grows with the rates: 1e3 rates pass a
+        # 1e-10 gate only because it is scaled by the uniformization constant
+        pi = np.array([0.5 + 1e-11, 0.5 - 1e-11])
+        monkeypatch.setattr(solvers, "_stationary_solve", lambda M: pi.copy())
+        stationary_distribution(IntensityMatrix([[-1e3, 1e3], [1e3, -1e3]]))
+        with pytest.raises(SolverFailure, match="stationary residual"):
+            stationary_distribution(IntensityMatrix([[-1e3, 1e3], [1e3, -1e3]],
+                                                    settings=NumericSettings(stationarity=1e-14)))
 
 
 def count_fundamental_solves(monkeypatch):

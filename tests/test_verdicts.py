@@ -77,14 +77,15 @@ def test_plain_array_weights_get_the_weighted_gap():
     (lambda: geometric_return(truncation=10), 0.03),
     (meyer4, 0.01),
 ], ids=["odd-even-p-periodic", "geometric-return", "meyer4"])
-def test_the_catalog_and_the_fuzz_judge_alike(model, magnitude):
+def test_the_catalog_and_the_fuzz_judge_alike(monkeypatch, model, magnitude):
     # the catalog, given a fuzz case's perturbed chain, reaches the case's
     # verdicts on every bound both check
+    monkeypatch.setattr("mcperturb.catalog.SKELETON_MAX_N", 0)
     model = model()
     P = model.chain
     W = WeightFunction(1.0 + hitting_times(P, 0))
     summary = fuzz_bounds(model, n_cases=4, magnitude=magnitude, seed=0,
-                          include_v_norm=True, skeleton_max_n=0)
+                          include_v_norm=True)
     assert summary.n_cases > 0
     for case in summary.cases:
         perturbed, _ = _perturbed(np.random.default_rng(case.seed), P, magnitude)

@@ -34,13 +34,15 @@ from mcperturb import (
     v_bound_with_stationary,
     v_norm_matrix,
     v_norm_measure,
+    verify,
 )
 from mcperturb.chainfile import save_chain_file
 from mcperturb.chains import Distribution
 from mcperturb.cli import main
 from mcperturb.errors import NoPositiveLambda
+from mcperturb.gallery import GalleryModel
 from mcperturb.reports import BoundReport, Hypothesis
-from mcperturb.verify import canonical_pair
+from mcperturb.verify import canonical_pair, exact_gap, fuzz_bounds
 from tests.conftest import gallery_model
 
 # ---------------------------------------------------------------------------
@@ -214,9 +216,9 @@ def _setup(spec, n):
     chain = model.chain
     if model.kind == "dtmc":
         cert = fit_geometric_drift(chain, 1.0 + hitting_times(chain, 0), 0)
-        return model, cert, stationary_distribution(chain)
-    cert = batch_arrival_drift(model.extras["a"], model.extras["b"], n_states=chain.n)
-    return model, cert, ctmc_stationary(chain, method="gth")
+    else:
+        cert = batch_arrival_drift(model.extras["a"], model.extras["b"], n_states=chain.n)
+    return model, cert, stationary_distribution(chain, method="gth")
 
 
 def _pairs(model):
@@ -278,6 +280,22 @@ def test_generator_pair_reads_the_state_reduction_solve(spec):
     assert rep.info["pi_v"] == v_norm_measure(pi.values, W)
     assert rep.exact_gap == v_norm_measure(nu.values - pi.values, W)
     assert ctmc_stationary(perturbed).values.tobytes() != nu.values.tobytes()
+
+
+def test_transition_matrix_pair_reads_the_gap_of_exact_gap():
+    # one gap rule for both chain kinds: the catalog judges a transition
+    # matrix's weighted pair by exact_gap's state-reduction gap
+    model = gallery_model("geometric-return", 60)
+    pair = canonical_pair(model, magnitude=0.01, seed=0)
+    W = WeightFunction(1.0 + hitting_times(model.chain, 0))
+    reports = bound_catalog(model.chain, perturbed=pair.perturbed, weights=W)
+    weighted = [r for r in reports if r.info["norm"] == "v"]
+    assert [r.bound_name for r in weighted] == ["v_norm_with_stationary", "v_norm_drift_only"]
+    for rep in weighted:
+        assert rep.exact_gap == exact_gap(pair, weights=W)
+    pi = stationary_distribution(model.chain, method="gth")
+    assert weighted[0].info["pi_v"] == v_norm_measure(pi.values, W)
+    assert fit_geometric_drift(model.chain, W, 0).pi_value == float(pi.values @ W.values)
 
 
 def _direction(n, seed):
@@ -352,6 +370,35 @@ class TestOneStateWeightedCatalog:
         assert code == 1
         names = [r["bound_name"] for r in json.loads(out.getvalue())["reports"]]
         assert names[-1].endswith("v_norm_drift_fit")
+
+
+class TestFuzzDriftSetup:
+    """The fuzz fits its weighted certificate as ``bound_catalog`` does, and
+    names a certificate it cannot fit in ``skipped_bounds``."""
+
+    def test_generator_rate_is_fitted_to_the_batch_arrival_weights(self):
+        model = gallery_model("batch-arrival", 200)
+        analytic = batch_arrival_drift(model.extras["a"], model.extras["b"],
+                                       n_states=model.chain.n)
+        skipped = {}
+        cert = verify._v_norm_setup(model, skipped)
+        assert skipped == {}
+        assert cert.lam == fit_ctmc_geometric_drift(model.chain, analytic.weights, 0).lam
+        # the analytic rate exceeds every rate the truncated chain has
+        assert cert.lam < analytic.lam
+
+    @pytest.mark.parametrize("model,name,reason", [
+        (GalleryModel("one-state", "dtmc", StochasticMatrix([[1.0]])),
+         "v_norm_drift_fit", "no state off the taboo state to fit a decay rate"),
+        (GalleryModel("one-state", "ctmc", IntensityMatrix([[0.0]]),
+                      extras={"a": [-1.0, 1.0], "b": [4.0, -5.0, 1.0]}),
+         "ctmc_v_norm_drift_fit", "need at least two states"),
+        (GalleryModel("two-state", "ctmc", IntensityMatrix([[-1.0, 1.0], [2.0, -2.0]])),
+         "ctmc_v_norm_drift_fit", "no band coefficients to build drift weights from"),
+    ], ids=["dtmc-one-state", "ctmc-one-state", "ctmc-no-band"])
+    def test_setup_failures_are_named(self, model, name, reason):
+        summary = fuzz_bounds(model, n_cases=2, include_v_norm=True)
+        assert summary.skipped_bounds[name] == reason
 
 
 def test_cli_verify_reads_a_chain_file_under_a_truncation(tmp_path):
