@@ -29,7 +29,10 @@ the residual afterwards. Two independent routes are kept alongside it:
 The ergodicity-coefficient hypotheses of the bounds (``Lambda1(P) < 1``,
 ``Lambda1(Q) > 0``) stop their row scan at the first row that disproves
 them: a failed hypothesis costs the rows up to that one, not the whole
-O(n^3) pair scan.
+O(n^3) pair scan. A transition matrix's scan runs in row blocks of one
+compiled pairwise-l1 call each (one row, then doubling up to 64), so it
+stops at the end of the block holding the first disproving row and reports
+that row.
 
 Certifying G and the group inverse costs one dense solve and one dense
 product, X (A X). Every other residual product multiplies by A = I - P (with

@@ -214,11 +214,21 @@ def canonical_pair(model: GalleryModel, magnitude: float = 0.01, seed: int = 0):
     Generator models are paired at generator level; use
     :func:`skeleton_pair` to study them through their common-step skeletons.
     """
+    _check_magnitude(magnitude)
     rng = np.random.default_rng([seed, 987654321])
     perturbed, _ = _perturbed(rng, model.chain, magnitude)
     if perturbed is None:
         raise InvalidParameters(f"could not perturb model {model.name}")
     return PerturbationPair(model.chain, perturbed)
+
+
+def _check_magnitude(magnitude: float) -> None:
+    """A perturbation norm must be finite and at least 0: a negative one flips
+    every drawn sign past the guard that keeps negative bumps off small
+    entries, and NaN rejects every draw."""
+    if not 0.0 <= magnitude < np.inf:
+        raise InvalidParameters(
+            f"perturbation magnitude must be finite and >= 0, got {magnitude!r}")
 
 
 def skeleton_pair(pair: PerturbationPair) -> PerturbationPair:
@@ -482,6 +492,7 @@ def fuzz_bounds(
     """
     if model.kind not in ("dtmc", "ctmc"):
         raise InvalidParameters(f"unknown model kind {model.kind!r}")
+    _check_magnitude(magnitude)
     chain = model.chain
     reports = bound_catalog(chain)
     linear = [rep for rep in reports if rep.ell is not None]

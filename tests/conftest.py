@@ -55,16 +55,22 @@ def gallery_model(spec, truncation):
 
 
 def count_scanned_rows(monkeypatch, module):
-    """Record every row index the module's ``_abs_row_differences`` scan yields."""
+    """Record every row index the module's Lambda1 scan reaches: each row of
+    a block that ``dtmc._row_block_maxima`` yields, or each row that
+    ``ctmc``'s ``_abs_row_differences`` yields."""
     rows = []
-    scan = module._abs_row_differences
+    if hasattr(module, "_row_block_maxima"):
+        name, rows_of = "_row_block_maxima", lambda a, d: range(a, a + len(d))
+    else:
+        name, rows_of = "_abs_row_differences", lambda i, diff: [i]
+    scan = getattr(module, name)
 
     def counted(M):
-        for i, diff in scan(M):
-            rows.append(i)
-            yield i, diff
+        for i, block in scan(M):
+            rows.extend(rows_of(i, block))
+            yield i, block
 
-    monkeypatch.setattr(module, "_abs_row_differences", counted)
+    monkeypatch.setattr(module, name, counted)
     return rows
 
 

@@ -289,6 +289,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "0 violations" in text
 
+    @pytest.mark.parametrize("magnitude", ["-0.01", "nan"])
+    def test_negative_or_non_finite_magnitude_exits_2(self, capsys, magnitude):
+        code, _ = run_cli("verify", "meyer4", "--cases", "5", "--magnitude", magnitude)
+        assert code == 2
+        assert "magnitude must be finite and >= 0" in capsys.readouterr().err
+
     def test_identities_only(self):
         code, text = run_cli("verify", "funderlic8", "--cases", "0")
         assert code == 0

@@ -8,6 +8,8 @@ must raise the same errors, with the same states, amounts and messages. A
 taboo state outside the chain is rejected by every drift entry point.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -138,12 +140,30 @@ def test_geometric_checks_match_the_separate_forms(scale_lam, scale_b):
             == _outcome(lambda: ref_ctmc_geometric_validate(Q, c)))
 
 
-def test_full_scan_matches_a_reference_loop():
-    # the generator scan's reference loop is in test_ctmc.py
-    rng = np.random.default_rng(5)
-    for B in (random_irreducible_chain(rng, 9), meyer4().chain.entries, np.eye(3)):
-        want = max(np.abs(B[i] - B[j]).sum() for i in range(len(B)) for j in range(len(B)))
-        assert ergodicity_coefficient(B) == 0.5 * want
+def _fsum_coefficient(B):
+    """Half the largest l1 row distance, each distance a correctly rounded sum
+    of the same |B_ik - B_jk| terms."""
+    n = len(B)
+    return 0.5 * max((math.fsum(np.abs(B[i] - B[j])) for i in range(n) for j in range(i + 1, n)),
+                     default=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 63, 64, 65, 130, "meyer4"])
+def test_full_scan_matches_a_correctly_rounded_reference(n):
+    # the generator scan's reference loop is in test_ctmc.py. The block scan
+    # sums each distance's terms in its own order: at most n - 1 roundings,
+    # plus the reference's own, so it is within n units of roundoff.
+    if n == "meyer4":
+        B = meyer4().chain.entries
+    else:
+        B = random_irreducible_chain(np.random.default_rng([5, n]), n)
+    ref = _fsum_coefficient(B)
+    assert abs(ergodicity_coefficient(B) - ref) <= len(B) * 2.0**-53 * ref
+
+
+def test_full_scan_is_exact_on_equal_and_disjoint_rows():
+    assert ergodicity_coefficient(np.eye(3)) == 1.0
+    assert ergodicity_coefficient(np.full((70, 5), 0.2)) == 0.0
 
 
 # ---------------------------------------------------------------------------

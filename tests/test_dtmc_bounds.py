@@ -665,6 +665,19 @@ class TestLambda1ScanStop:
         assert len(rows) <= 1
         assert exc.value.detail.endswith("(row 0)")
 
+    def test_stop_inside_a_block_names_the_first_disproving_row(self, monkeypatch):
+        # rows are scanned in blocks [0], [1, 2], [3, 6], ...; rows 5 and 11 have
+        # disjoint supports, every other row is uniform, so row 5 is the first
+        # to disprove Lambda1(P) < 1, inside the third block
+        P = np.full((20, 20), 1.0 / 20)
+        P[5], P[11] = np.eye(20)[0], np.eye(20)[1]
+        rows = count_scanned_rows(monkeypatch, mcperturb.dtmc)
+        with pytest.raises(HypothesisFailed) as exc:
+            seneta_bound(StochasticMatrix(P))
+        assert exc.value.detail == _expected_stop(P, "Lambda1(P)")[1]
+        assert exc.value.detail.endswith("(row 5)")
+        assert rows == list(range(7))
+
     def test_group_inverse_coefficient_scans_every_row(self, monkeypatch, meyer):
         rows = count_scanned_rows(monkeypatch, mcperturb.dtmc)
         seneta_best_bound(meyer.chain)

@@ -83,6 +83,14 @@ class TestFuzzHarness:
         assert summary.n_violations == 0
         assert all(c.gap == 0.0 and c.delta_norm == 0.0 for c in summary.cases)
 
+    @pytest.mark.parametrize("magnitude", [-0.01, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("model", [meyer4, lambda: mm1(truncation=24)], ids=["dtmc", "ctmc"])
+    def test_negative_or_non_finite_magnitude_is_rejected(self, model, magnitude):
+        with pytest.raises(InvalidParameters, match="magnitude"):
+            fuzz_bounds(model(), n_cases=3, magnitude=magnitude)
+        with pytest.raises(InvalidParameters, match="magnitude"):
+            canonical_pair(model(), magnitude=magnitude)
+
     def test_vacuous_bounds_flagged_useless(self):
         # the scan-based drift coefficient on this chain is enormous, so its
         # value exceeds the trivial cap of 2 and gets the useless flag

@@ -1,8 +1,12 @@
 """Every name a library module imports is used in that module: the check a
 linter makes, so that folding code leaves no dead import behind. The
-package ``__init__`` is exempt, since its imports are its re-exports."""
+package ``__init__`` is exempt, since its imports are its re-exports. A
+heavy import that only some callers need stays deferred to its first use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,17 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import numpy as np\nfrom .errors import ParseError, ValidationError\n"
                      "def f(x: 'np.ndarray'):\n    raise ParseError(x)\n")
     assert {n for n in _imported(tree) if n not in _used(tree)} == {"ValidationError"}
+
+
+def test_scipy_spatial_loads_on_the_first_transition_matrix_scan():
+    # scipy.spatial costs about 0.15 s and 6-8 MB to import, so only a process
+    # that computes a transition matrix's Lambda1 should pay for it
+    code = ("import sys, mcperturb\n"
+            "print('scipy.spatial' in sys.modules)\n"
+            "mcperturb.ergodicity_coefficient([[0.5, 0.5], [1.0, 0.0]])\n"
+            "print('scipy.spatial' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False", "True"]
