@@ -60,7 +60,7 @@ from .dtmc import (
     _v_bound_drift_only,
     _v_bound_with_stationary,
 )
-from .norms import _abs_row_differences, matrix_norm, v_norm_matrix
+from .norms import _pair_blocks, matrix_norm, v_norm_matrix
 from .reports import BoundReport, Hypothesis
 from .settings import DEFAULT
 from .solvers import (
@@ -91,9 +91,6 @@ __all__ = [
     "batch_arrival_drift",
     "stationary_series_expansion",
 ]
-
-_Z_GRID = 256                 # points of batch_arrival_drift's coarse scan
-
 
 @dataclass
 class UniformizedChain:
@@ -152,20 +149,28 @@ def _generator_coefficient(Q: np.ndarray, margin: float | None = None) -> float:
     """``ctmc_ergodicity_coefficient`` of the generator entries ``Q``; given
     a margin, it must stay above it.
 
-    The hypothesis scan stops at the first row whose defects already put
-    the coefficient at or below the margin, raising HypothesisFailed with
-    that upper bound and its row.
+    Rows are scanned in the blocks of ``norms._pair_blocks``. The
+    hypothesis scan stops at the first block holding a row whose defects
+    already put the coefficient at or below the margin, raising
+    HypothesisFailed with that upper bound and the first such row.
     """
+    diag = Q.diagonal()
     best = np.inf
-    for i, diff in _abs_row_differences(Q):
-        tot = diff.sum(axis=1)
-        d_i = diff[:, i]                    # |Q_ii - Q_ji| for j > i
-        d_j = diff.diagonal(i + 1)          # |Q_ij - Q_jj| for j > i
+    for a, tot in _pair_blocks(Q):
+        b = a + tot.shape[0]
+        d_i = np.abs(diag[a:b, None] - Q[a + 1:, a:b].T)     # |Q_ii - Q_ji|
+        d_j = np.abs(Q[a:b, a + 1:] - diag[a + 1:])          # |Q_ij - Q_jj|
         inner = tot - d_i - d_j
-        v = float((d_i + d_j - inner).min())
-        if margin is not None and 0.5 * v <= margin:
-            raise HypothesisFailed("Lambda1(Q) > 0", f"Lambda1(Q) <= {0.5 * v:.12g} (row {i})")
-        best = min(best, v)
+        v = d_i + d_j - inner
+        v[np.tri(*v.shape, -1, dtype=bool)] = np.inf         # pairs j <= i
+        d = v.min(axis=1)                   # row a + r's smallest defect with a later row
+        if margin is not None:
+            hit = np.flatnonzero(0.5 * d <= margin)
+            if hit.size:
+                r = int(hit[0])
+                raise HypothesisFailed("Lambda1(Q) > 0",
+                                       f"Lambda1(Q) <= {0.5 * float(d[r]):.12g} (row {a + r})")
+        best = min(best, float(d.min()))
     return 0.5 * best
 
 
@@ -378,11 +383,12 @@ def batch_arrival_drift(a, b, n_states: int = 200) -> CtmcGeometricDriftCertific
     diagonal. With generating functions A(z) = sum a_k z^k and
     B(z) = sum b_k z^k, the weights V(i) = z0^i satisfy
     Q V = (B(z0)/z0) V off state 0, so the decay rate is
-    lambda = max over [1, rho] of -B(z)/z, where rho is the upper root of
-    B. The function is concave there, so the maximizer z0 is the unique
-    root of z B'(z) - B(z); a coarse grid scan brackets it and bisection on
-    that monotone derivative condition pins it to full precision (an
-    argmax by value comparison alone cannot certify z0 beyond sqrt(eps)).
+    lambda = max over z >= 1 of -B(z)/z. The maximizer z0 is the root of
+    g(z) = z B'(z) - B(z), which is nondecreasing (g' = z B'' >= 0), starts
+    negative (g(1) = B'(1) < 0) and grows without bound once the band has
+    an upward rate: doubling from 2 brackets it, and bisection on the sign
+    of g pins it to full precision (an argmax by value comparison alone
+    cannot certify z0 beyond sqrt(eps)).
     The certificate uses b = A(z0) + lambda, taboo state 0.
 
     Requires the ergodicity condition B'(1) < 0 and at least one upward
@@ -401,16 +407,12 @@ def batch_arrival_drift(a, b, n_states: int = 200) -> CtmcGeometricDriftCertific
             "no upward rates in the band: the drift weights would be unbounded"
         )
 
-    def B(z):
-        return npoly.polyval(z, b)
+    def g(z):
+        return z * npoly.polyval(z, npoly.polyder(b)) - npoly.polyval(z, b)
 
-    def Bp(z):
-        return npoly.polyval(z, npoly.polyder(b))
-
-    # upper root of B: bracket by doubling, then bisect
     hi = 2.0
     for _ in range(200):
-        if B(hi) > 0:
+        if g(hi) > 0:
             break
         hi *= 2.0
     else:
@@ -418,30 +420,12 @@ def batch_arrival_drift(a, b, n_states: int = 200) -> CtmcGeometricDriftCertific
     lo = 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if B(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    rho = lo
-
-    # coarse scan of -B(z)/z, then bisection on the stationarity condition
-    zs = np.linspace(1.0, rho, _Z_GRID)
-    vals = -npoly.polyval(zs, b) / zs
-    z_best = float(zs[int(np.argmax(vals))])
-    g = lambda z: z * Bp(z) - B(z)       # nondecreasing: g' = z B'' >= 0
-    lo, hi = 1.0, rho
-    if g(z_best) <= 0:
-        lo = z_best
-    else:
-        hi = z_best
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
         if g(mid) <= 0:
             lo = mid
         else:
             hi = mid
     z0 = 0.5 * (lo + hi)
-    lam = float(-B(z0) / z0)
+    lam = float(-npoly.polyval(z0, b) / z0)
     if lam <= DEFAULT.hypothesis_margin:
         raise NoPositiveLambda(f"decay rate {lam:.3e} is not positive")
     with np.errstate(over="ignore"):

@@ -52,7 +52,7 @@ from .errors import (
     ReducibleChain,
     SolverFailure,
 )
-from .norms import matrix_norm, v_norm_measure
+from .norms import _pair_blocks, matrix_norm, v_norm_measure
 from .reports import BoundReport, Hypothesis
 from .solvers import _hitting_solve, fundamental_matrix, group_inverse, stationary_distribution
 
@@ -82,9 +82,12 @@ def ergodicity_coefficient(B) -> float:
     """Half the maximal l1 distance between rows of B.
 
     Zero for matrices with identical rows; at most 1 for stochastic
-    matrices; computed over all row pairs.
+    matrices; computed over all row pairs. B must be a finite 2-D array.
     """
-    return _contraction_coefficient(np.asarray(B, dtype=float))
+    M = np.asarray(B, dtype=float)
+    if M.ndim != 2 or not np.isfinite(M).all():
+        raise InvalidParameters("ergodicity coefficient needs a finite 2-D array")
+    return _contraction_coefficient(M)
 
 
 def _contraction_coefficient(M: np.ndarray, hypothesis: str | None = None, label: str = "",
@@ -92,14 +95,15 @@ def _contraction_coefficient(M: np.ndarray, hypothesis: str | None = None, label
     """``ergodicity_coefficient(M)``; given a hypothesis, it must stay below
     1 by the margin.
 
-    Rows are scanned in the blocks of ``_row_block_maxima``. The hypothesis
+    Rows are scanned in the blocks of ``norms._pair_blocks``. The hypothesis
     scan stops at the first block holding a row whose distances already put
     the coefficient at or above ``1 - margin``, raising HypothesisFailed
     with that lower bound and the first such row, so a hypothesis disproved
     at row 0 costs one row.
     """
     best = 0.0
-    for a, d in _row_block_maxima(M):
+    for a, D in _pair_blocks(M):
+        d = np.triu(D).max(axis=1)          # row a + r's largest distance to a later row
         if hypothesis is not None:
             hit = np.flatnonzero(0.5 * d >= 1.0 - margin)
             if hit.size:
@@ -108,30 +112,6 @@ def _contraction_coefficient(M: np.ndarray, hypothesis: str | None = None, label
                                                    f"(row {a + r})")
         best = max(best, float(d.max()))
     return 0.5 * best
-
-
-_BLOCK_ROWS = 64
-
-
-def _row_block_maxima(M: np.ndarray):
-    """Yield ``(a, d)`` for consecutive row blocks: ``d[r]`` is the largest
-    l1 distance from row ``a + r`` to a later row, for every row but the last.
-
-    Each block is one compiled pairwise-l1 call on ``M[a:b]`` against
-    ``M[a+1:]``, with the pairs j <= i zeroed. The first block is one row,
-    and each later one doubles up to ``_BLOCK_ROWS`` rows.
-    """
-    # deferred: scipy.spatial costs about 0.15 s and 6-8 MB to import, paid
-    # only by processes that scan a transition matrix
-    from scipy.spatial.distance import cdist
-
-    M = np.ascontiguousarray(M, dtype=float)
-    n = M.shape[0]
-    a, rows = 0, 1
-    while a < n - 1:
-        b = min(a + rows, n - 1)
-        yield a, np.triu(cdist(M[a:b], M[a + 1:], "cityblock")).max(axis=1)
-        a, rows = b, min(2 * rows, _BLOCK_ROWS)
 
 
 def seneta_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundReport:

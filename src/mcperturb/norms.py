@@ -48,15 +48,27 @@ def v_norm_matrix(L, weights) -> float:
     return float((rows / V).max())
 
 
-def _abs_row_differences(M: np.ndarray):
-    """Yield ``(i, |M[i+1:] - M[i]|)`` for every row i but the last.
+_BLOCK_ROWS = 64
 
-    Row k of the yielded block is ``|M[i+1+k] - M[i]|``. All blocks share one
-    buffer, so each is valid only until the next is yielded.
+
+def _pair_blocks(M: np.ndarray):
+    """Yield ``(a, D)`` for consecutive row blocks ``a..b-1`` of M, every row
+    but the last: ``D[r, k]`` is the l1 distance between rows ``a + r`` and
+    ``a + 1 + k``.
+
+    Each block is one compiled pairwise-l1 call on ``M[a:b]`` against
+    ``M[a+1:]``; its entries with k < r are pairs j <= i, which callers
+    mask. The first block is one row, and each later one doubles up to
+    ``_BLOCK_ROWS`` rows, so a scan that stops at row 0 costs one row.
     """
+    # deferred: scipy.spatial costs about 0.15 s and 6-10 MB to import, paid
+    # only by processes that compute an ergodicity coefficient
+    from scipy.spatial.distance import cdist
+
+    M = np.ascontiguousarray(M, dtype=float)
     n = M.shape[0]
-    buf = np.empty_like(M)
-    for i in range(n - 1):
-        diff = buf[: n - 1 - i]
-        np.subtract(M[i + 1 :], M[i], out=diff)
-        yield i, np.abs(diff, out=diff)
+    a, rows = 0, 1
+    while a < n - 1:
+        b = min(a + rows, n - 1)
+        yield a, cdist(M[a:b], M[a + 1:], "cityblock")
+        a, rows = b, min(2 * rows, _BLOCK_ROWS)

@@ -29,10 +29,10 @@ the residual afterwards. Two independent routes are kept alongside it:
 The ergodicity-coefficient hypotheses of the bounds (``Lambda1(P) < 1``,
 ``Lambda1(Q) > 0``) stop their row scan at the first row that disproves
 them: a failed hypothesis costs the rows up to that one, not the whole
-O(n^3) pair scan. A transition matrix's scan runs in row blocks of one
-compiled pairwise-l1 call each (one row, then doubling up to 64), so it
-stops at the end of the block holding the first disproving row and reports
-that row.
+O(n^3) pair scan. Both scans run in the row blocks of
+``norms._pair_blocks``, one compiled pairwise-l1 call each (one row, then
+doubling up to 64), so they stop at the end of the block holding the first
+disproving row and report that row.
 
 Certifying G and the group inverse costs one dense solve and one dense
 product, X (A X). Every other residual product multiplies by A = I - P (with
@@ -42,6 +42,9 @@ M = A + 1 pi as A plus a rank-one term), a CSR array below
 Mean hitting times of both chain kinds come from one certified solve,
 ``_hitting_solve``, on M = I - P or M = -Q, which also makes their entry
 checks: an irreducible chain and a target that is one of its states.
+
+Every dense solve here goes through ``_solve``, which reports a singular
+system as SolverFailure naming the system.
 """
 
 from __future__ import annotations
@@ -88,6 +91,14 @@ def _difference(P: StochasticMatrix) -> np.ndarray | csr_array:
     return csr_array((A.ravel()[nz], cols, indptr), shape=A.shape)
 
 
+def _solve(A: np.ndarray, b: np.ndarray, system: str) -> np.ndarray:
+    """``np.linalg.solve(A, b)``; a singular ``system`` raises SolverFailure."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"{system} system is singular: {exc}") from exc
+
+
 def _stationary_solve(M: np.ndarray) -> np.ndarray:
     """Solve x M = 0, sum(x) = 1 for the singular M = I - P or M = Q.
 
@@ -99,11 +110,7 @@ def _stationary_solve(M: np.ndarray) -> np.ndarray:
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"stationary system is singular: {exc}") from exc
-    return x
+    return _solve(A, b, "stationary")
 
 
 def _hitting_solve(chain, M: np.ndarray, target: int) -> np.ndarray:
@@ -125,10 +132,7 @@ def _hitting_solve(chain, M: np.ndarray, target: int) -> np.ndarray:
     M[target, target] = 1.0
     b = np.ones(n)
     b[target] = 0.0
-    try:
-        x = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"hitting-time system is singular: {exc}") from exc
+    x = _solve(M, b, "hitting-time")
     scale = max(1.0, float(np.abs(x).max()))
     if np.any(x < -tol * scale):
         raise DivergentHittingTimes(
@@ -266,10 +270,7 @@ def _fundamental_matrix(P: StochasticMatrix, A) -> np.ndarray:
     pi = stationary_distribution(P)
     n = P.n
     M = np.eye(n) - P.entries + stationary_matrix(pi)
-    try:
-        R = np.linalg.solve(M, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"fundamental system is singular: {exc}") from exc
+    R = _solve(M, np.eye(n), "fundamental")
     del M                           # M = A + 1 pi: M R = A R + 1 (pi R), R M = R A + (R 1) pi
     piR = pi.values @ R
     right = A @ R + piR

@@ -56,21 +56,16 @@ def gallery_model(spec, truncation):
 
 def count_scanned_rows(monkeypatch, module):
     """Record every row index the module's Lambda1 scan reaches: each row of
-    a block that ``dtmc._row_block_maxima`` yields, or each row that
-    ``ctmc``'s ``_abs_row_differences`` yields."""
+    a block that ``norms._pair_blocks`` yields to it."""
     rows = []
-    if hasattr(module, "_row_block_maxima"):
-        name, rows_of = "_row_block_maxima", lambda a, d: range(a, a + len(d))
-    else:
-        name, rows_of = "_abs_row_differences", lambda i, diff: [i]
-    scan = getattr(module, name)
+    scan = module._pair_blocks
 
     def counted(M):
-        for i, block in scan(M):
-            rows.extend(rows_of(i, block))
-            yield i, block
+        for a, block in scan(M):
+            rows.extend(range(a, a + len(block)))
+            yield a, block
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(module, "_pair_blocks", counted)
     return rows
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,17 @@ class TestBatchArrivalDrift:
         assert cert.lam == pytest.approx(1.0, abs=1e-9)
         assert cert.b == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("coefficients,expected", [
+        (lambda: (batch_arrival().extras["a"], batch_arrival().extras["b"]),
+         (0.648350561083426, 1.7882464561512563, 1.7366826026195485)),
+        (lambda: mm1_coefficients(2.0, 3.0),
+         (0.10102051443364374, 0.5505102572168217, 1.224744871391589)),
+    ], ids=["batch-arrival", "mm1-2-3"])
+    def test_certificate_bits_are_pinned(self, coefficients, expected):
+        # (lambda, b, z0) as bisection on the sign of z B'(z) - B(z) gives them
+        cert = batch_arrival_drift(*coefficients())
+        assert (cert.lam, cert.b, float(cert.weights.values[1])) == expected
+
     def test_generic_batch_certificate_validates(self):
         a = np.array([-1.2, 1.0, 0.2])
         b = np.array([3.0, -3.5, 0.3, 0.2])
@@ -404,36 +417,57 @@ class TestFitGeneratorDrift:
         cert_fit.validate(model.chain)
 
 
-def loop_generator_lambda1(Q):
-    """Explicit double loop over state pairs, same operation order per pair."""
+def reference_generator_rows(Q):
+    """Per row i but the last, half the smallest pair value over j > i of
+    2 d_i + 2 d_j - sum_s |Q_is - Q_js|, with d_i = |Q_ii - Q_ji| and
+    d_j = |Q_ij - Q_jj|, each correctly rounded by ``math.fsum`` from the
+    rounded terms |Q_is - Q_js| the kernel sums; and the absolute error the
+    kernel's value of any row may have against it.
+
+    The error bound, to first order in the unit roundoff u, with T the pair's
+    l1 distance sum_s |Q_is - Q_js|: the kernel sums the n terms in some
+    order, at most (n - 1) u T. d_i and d_j are two of the terms, so
+    D = d_i + d_j <= T, and each of the four roundings of
+    (d_i + d_j) - ((T - d_i) - d_j) acts on a value at most T in size (the
+    last on 2D - T): at most 4 u T. The reference rounds |V| <= T once, at
+    most u T / 2. Halving is exact and a minimum moves by at most the largest
+    error of its entries, so a row is off by at most (n + 3.5) u max T / 2;
+    (n + 4) covers the second-order terms.
+    """
     M = Q.entries
-    best = np.inf
-    for i in range(Q.n):
-        for j in range(i + 1, Q.n):
-            diff = np.abs(M[j] - M[i])
-            inner = diff.sum() - diff[i] - diff[j]
-            val = diff[i] + diff[j] - inner
-            if val < best:
-                best = val
-    return 0.5 * float(best)
+    n = Q.n
+    rows, max_dist = [], 0.0
+    for i in range(n - 1):
+        best = math.inf
+        for j in range(i + 1, n):
+            terms = np.abs(M[i] - M[j])
+            max_dist = max(max_dist, math.fsum(terms))
+            best = min(best, math.fsum([2.0 * terms[i], 2.0 * terms[j], *(-terms)]))
+        rows.append(0.5 * best)
+    return rows, 0.5 * (n + 4) * 2.0**-53 * max_dist
 
 
-class TestGeneratorErgodicityCoefficientLoop:
+def _random_dense_generator(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    R = rng.random((n, n)) * (rng.random((n, n)) < rng.choice([0.2, 0.5, 1.0]))
+    R = (R + 0.01) * rng.choice([1e-3, 1.0, 1e3])
+    np.fill_diagonal(R, 0.0)
+    np.fill_diagonal(R, -R.sum(axis=1))
+    return IntensityMatrix(R)
+
+
+class TestGeneratorErgodicityCoefficientReference:
     @pytest.mark.parametrize("seed", range(20))
-    def test_equals_double_loop_on_random_generators(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 30))
-        R = rng.random((n, n)) * (rng.random((n, n)) < rng.choice([0.2, 0.5, 1.0]))
-        R = (R + 0.01) * rng.choice([1e-3, 1.0, 1e3])
-        np.fill_diagonal(R, 0.0)
-        np.fill_diagonal(R, -R.sum(axis=1))
-        Q = IntensityMatrix(R)
-        assert ctmc_ergodicity_coefficient(Q) == loop_generator_lambda1(Q)
+    def test_matches_a_correctly_rounded_reference(self, seed):
+        Q = _random_dense_generator(seed)
+        rows, tol = reference_generator_rows(Q)
+        assert abs(ctmc_ergodicity_coefficient(Q) - min(rows)) <= tol
+        assert tol < 1e-12 * abs(min(rows))       # far below the value itself
 
-    @pytest.mark.parametrize("build", [mm1, batch_arrival])
-    def test_equals_double_loop_on_gallery_generators(self, build):
-        Q = build(truncation=60).chain
-        assert ctmc_ergodicity_coefficient(Q) == loop_generator_lambda1(Q)
+    @pytest.mark.parametrize("build,expected", [(mm1, 0.0), (batch_arrival, -2.0**-51)])
+    def test_gallery_generators_keep_their_bits(self, build, expected):
+        assert ctmc_ergodicity_coefficient(build(truncation=60).chain) == expected
 
 
 def _random_generator(seed):
@@ -447,18 +481,19 @@ def _random_generator(seed):
 
 
 def _expected_stop(Q):
-    """The detail of the first row whose pair defects give Lambda1(Q) <= margin,
-    found by the explicit pair loop; None if no row does."""
-    M = Q.entries
-    for i in range(Q.n - 1):
-        best = np.inf
-        for j in range(i + 1, Q.n):
-            diff = np.abs(M[j] - M[i])
-            inner = diff.sum() - diff[i] - diff[j]
-            best = min(best, float(diff[i] + diff[j] - inner))
-        if 0.5 * best <= DEFAULT.hypothesis_margin:
-            return 0.5 * best, f"Lambda1(Q) <= {0.5 * best:.12g} (row {i})"
+    """(row, reference value of that row, tolerance) for the first row whose
+    reference pair values give Lambda1(Q) <= margin; None if no row does."""
+    rows, tol = reference_generator_rows(Q)
+    for i, v in enumerate(rows):
+        if v <= DEFAULT.hypothesis_margin:
+            return i, v, tol
     return None
+
+
+def _stop_row_and_value(detail):
+    """Row and value of a ``Lambda1(Q) <= <value> (row <i>)`` detail."""
+    value, row = detail.removeprefix("Lambda1(Q) <= ").removesuffix(")").split(" (row ")
+    return int(row), float(value)
 
 
 class TestLambda1ScanStop:
@@ -475,9 +510,12 @@ class TestLambda1ScanStop:
         else:
             with pytest.raises(HypothesisFailed) as exc:
                 ctmc_lambda1_bound(Q, 0.1)
-            v, detail = _expected_stop(Q)
-            assert exc.value.detail == detail
-            assert full <= v
+            row, v, tol = _expected_stop(Q)
+            got_row, got = _stop_row_and_value(exc.value.detail)
+            assert got_row == row
+            # the detail prints 12 significant digits: half a unit of the 12th more
+            assert abs(got - v) <= tol + 5e-12 * abs(v)
+            assert full <= v + tol
 
     def test_random_generators_cover_both_verdicts(self):
         verdicts = {ctmc_ergodicity_coefficient(_random_generator(s)) > DEFAULT.hypothesis_margin
@@ -493,14 +531,16 @@ class TestLambda1ScanStop:
         assert len(rows) <= 1
         assert exc.value.detail.endswith("(row 0)")
 
-    @pytest.mark.parametrize("build", [mm1, batch_arrival])
-    def test_stopped_value_brackets_the_full_value(self, build):
+    @pytest.mark.parametrize("build,detail", [
+        (mm1, "Lambda1(Q) <= 0 (row 0)"),
+        (batch_arrival, "Lambda1(Q) <= -4.4408920985e-16 (row 0)"),
+    ])
+    def test_stopped_value_brackets_the_full_value(self, build, detail):
         Q = build(truncation=200).chain
         with pytest.raises(HypothesisFailed) as exc:
             ctmc_lambda1_bound(Q)
-        v, detail = _expected_stop(Q)
         assert exc.value.detail == detail
-        assert ctmc_ergodicity_coefficient(Q) <= v
+        assert ctmc_ergodicity_coefficient(Q) <= _stop_row_and_value(detail)[1]
 
 
 class TestBatchArrivalOverflow:

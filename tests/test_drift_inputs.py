@@ -166,6 +166,21 @@ def test_full_scan_is_exact_on_equal_and_disjoint_rows():
     assert ergodicity_coefficient(np.full((70, 5), 0.2)) == 0.0
 
 
+def _eye_with(bad):
+    B = np.eye(4)
+    B[2, 1] = bad
+    return B
+
+
+@pytest.mark.parametrize("B", [_eye_with(np.nan), _eye_with(np.inf), _eye_with(-np.inf),
+                               [0.5, 0.5], 1.0, np.ones((2, 2, 2))],
+                         ids=["nan", "inf", "-inf", "1-D", "0-D", "3-D"])
+def test_input_that_is_not_a_finite_matrix_is_rejected(B):
+    # a NaN distance would drop out of the max and read as "all rows equal"
+    with pytest.raises(InvalidParameters, match="finite 2-D"):
+        ergodicity_coefficient(B)
+
+
 # ---------------------------------------------------------------------------
 # taboo states outside the chain
 

@@ -54,15 +54,32 @@ def test_the_check_sees_an_unused_import():
     assert {n for n in _imported(tree) if n not in _used(tree)} == {"ValidationError"}
 
 
-def test_scipy_spatial_loads_on_the_first_transition_matrix_scan():
-    # scipy.spatial costs about 0.15 s and 6-8 MB to import, so only a process
-    # that computes a transition matrix's Lambda1 should pay for it
-    code = ("import sys, mcperturb\n"
-            "print('scipy.spatial' in sys.modules)\n"
-            "mcperturb.ergodicity_coefficient([[0.5, 0.5], [1.0, 0.0]])\n"
-            "print('scipy.spatial' in sys.modules)\n")
+def _loaded_after_each_print(code):
+    """Run ``code`` in a fresh interpreter; it prints whether scipy.spatial
+    is loaded at each point of interest."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    return out.stdout.split()
+
+
+# scipy.spatial costs about 0.15 s and 6-8 MB to import, so only a process that
+# computes an ergodicity coefficient of either chain kind should pay for it
+
+def test_scipy_spatial_loads_on_the_first_transition_matrix_scan():
+    assert _loaded_after_each_print(
+        "import sys, mcperturb\n"
+        "print('scipy.spatial' in sys.modules)\n"
+        "mcperturb.ergodicity_coefficient([[0.5, 0.5], [1.0, 0.0]])\n"
+        "print('scipy.spatial' in sys.modules)\n") == ["False", "True"]
+
+
+def test_scipy_spatial_loads_on_the_first_generator_scan():
+    assert _loaded_after_each_print(
+        "import sys, mcperturb\n"
+        "from mcperturb.gallery import mm1\n"
+        "Q = mm1(truncation=8).chain\n"
+        "print('scipy.spatial' in sys.modules)\n"
+        "mcperturb.ctmc_ergodicity_coefficient(Q)\n"
+        "print('scipy.spatial' in sys.modules)\n") == ["False", "True"]
