@@ -64,6 +64,7 @@ from .norms import _pair_blocks, matrix_norm, v_norm_matrix
 from .reports import BoundReport, Hypothesis
 from .settings import DEFAULT
 from .solvers import (
+    _adopt_stationary,
     _default_step,
     _hitting_solve,
     deviation_matrix,
@@ -179,10 +180,15 @@ def ctmc_deviation_matrix(Q: IntensityMatrix, h: float | None = None) -> np.ndar
 
     Computed through the skeleton: the step-h chain's deviation matrix is
     D / h, so D = h * D_h — the value is independent of which admissible h
-    is used. Certified to satisfy D e = 0 and pi D = 0, with the skeleton's
-    own pi.
+    is used. pi Q = 0 gives pi P_h = pi, so the skeleton takes Q's certified
+    plain-solve pi once it passes the skeleton's own stationarity gates, and
+    solves its own otherwise; its group inverse is one reduced solve on the
+    skeleton's band. Certified to satisfy D e = 0 and pi D = 0, with the
+    skeleton's pi.
     """
     chain = uniformize(Q, h)
+    if Q.irreducible:                   # else deviation_matrix names the failure
+        _adopt_stationary(chain.matrix, stationary_distribution(Q))
     D = chain.h * deviation_matrix(chain.matrix)
     pi = stationary_distribution(chain.matrix)
     scale = max(1.0, float(np.abs(D).max()))

@@ -34,17 +34,24 @@ O(n^3) pair scan. Both scans run in the row blocks of
 doubling up to 64), so they stop at the end of the block holding the first
 disproving row and report that row.
 
-Certifying G and the group inverse costs one dense solve and one dense
-product, X (A X). Every other residual product multiplies by A = I - P (with
+G, the group inverse and the hitting times all come from one reduced solve,
+``_reduced_solve``: I - P (or -Q) with one state k left out, a nonsingular
+M-matrix U that keeps the chain's band. G takes k = argmax pi, so that U
+stays well conditioned, and Meyer's formula A# = (I - 1 pi) Z (I - 1 pi),
+with Z = U^-1 bordered by a zero row and column k. A banded U is solved on
+its band, O(n^2 b) for a band of width b; any other U by one dense solve.
+Certifying G and the group inverse costs that solve and one dense product,
+X (A X). Every other residual product multiplies by A = I - P (with
 M = A + 1 pi as A plus a rank-one term), a CSR array below
 ``_SPARSE_DENSITY``: O(nnz n) per product, not O(n^3).
 
 Mean hitting times of both chain kinds come from one certified solve,
-``_hitting_solve``, on M = I - P or M = -Q, which also makes their entry
-checks: an irreducible chain and a target that is one of its states.
+``_hitting_solve``, the reduced solve of M = I - P or M = -Q with the target
+left out, which also makes their entry checks: an irreducible chain and a
+target that is one of its states.
 
-Every dense solve here goes through ``_solve``, which reports a singular
-system as SolverFailure naming the system.
+Every solve here, dense or banded, goes through ``_solve``, which reports a
+singular system as SolverFailure naming the system.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.sparse import csr_array
 
 from .chains import Distribution, IntensityMatrix, StochasticMatrix
@@ -70,6 +78,10 @@ __all__ = [
 # Share of nonzero entries of I - P below which it is stored as CSR: group_inverse's break-even
 # at n = 200-800 on two BLAS threads; on one it is higher and grows with n (BENCH_11.json).
 _SPARSE_DENSITY = 0.05
+# Largest share (l + u + 1) / m of a reduced system's order m that its band (l, u) may fill for
+# the banded solve: against m right-hand sides it cost 0.2-0.56x the dense solve up to about
+# 0.17 and 0.6-0.7x near 0.32 (n = 200-800, one BLAS thread).
+_BAND_FRACTION = 1.0 / 8.0
 _TINY = 2.0 ** -511     # sqrt(smallest normal): no product of two larger underflows
 DEFAULT_STEP_FRACTION = 0.99  # of the largest skeleton step: keeps its diagonal positive
 
@@ -80,21 +92,33 @@ def _default_step(uc: float) -> float:
     return DEFAULT_STEP_FRACTION * (1.0 / uc) if uc > 0 else DEFAULT_STEP_FRACTION
 
 
+def _nonzeros(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the True entries of ``mask = M != 0``, in
+    row-major order: 5-9x faster than np.nonzero(M) at n = 800."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
 def _difference(P: StochasticMatrix) -> np.ndarray | csr_array:
     """A = I - P, CSR below ``_SPARSE_DENSITY``; built by hand, 6x faster than csr_array(A)."""
     A = np.eye(P.n) - P.entries
-    nz = np.flatnonzero(A != 0.0)
-    if nz.size >= _SPARSE_DENSITY * A.size:
+    nonzero = A != 0.0
+    if np.count_nonzero(nonzero) >= _SPARSE_DENSITY * A.size:
         return A
-    rows, cols = np.divmod(nz, P.n)
+    rows, cols = _nonzeros(nonzero)
     indptr = np.searchsorted(rows, np.arange(P.n + 1))
-    return csr_array((A.ravel()[nz], cols, indptr), shape=A.shape)
+    return csr_array((A[rows, cols], cols, indptr), shape=A.shape)
 
 
-def _solve(A: np.ndarray, b: np.ndarray, system: str) -> np.ndarray:
-    """``np.linalg.solve(A, b)``; a singular ``system`` raises SolverFailure."""
+def _solve(A: np.ndarray, b: np.ndarray, system: str,
+           band: tuple[int, int] | None = None) -> np.ndarray:
+    """``np.linalg.solve(A, b)``, or LAPACK's banded solve of the ``band``
+    (l, u) matrix stored in A (overwriting A and b); a singular ``system``
+    raises SolverFailure."""
     try:
-        return np.linalg.solve(A, b)
+        if band is None:
+            return np.linalg.solve(A, b)
+        return solve_banded(band, A, b, overwrite_ab=True, overwrite_b=True,
+                            check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"{system} system is singular: {exc}") from exc
 
@@ -113,14 +137,54 @@ def _stationary_solve(M: np.ndarray) -> np.ndarray:
     return _solve(A, b, "stationary")
 
 
+def _reduced_solve(M: np.ndarray, k: int, B: np.ndarray, system: str) -> np.ndarray:
+    """Solve M with row and column ``k`` deleted against B with row k deleted.
+
+    The solution comes back with a zero row k in place of the deleted one;
+    B's row k and M's row and column k are never read. When the reduced
+    matrix's band (l, u) has ``l + u + 1 <= _BAND_FRACTION * (n - 1)``, LAPACK's
+    banded solver takes it at O(n (l + u) b) for b right-hand sides;
+    otherwise row and column k of M become the identity's (overwriting M and
+    B), which leaves the reduced system for one dense ``_solve``. A dense M
+    is turned away by its nonzero count before its band is scanned.
+    """
+    n = M.shape[0]
+    m = n - 1
+    nonzero = M != 0.0
+    # a reduced band that fits has at most m * _BAND_FRACTION * m nonzeros;
+    # row and column k add at most 2 n
+    if np.count_nonzero(nonzero) <= _BAND_FRACTION * m * m + 2 * n:
+        rows, cols = _nonzeros(nonzero)
+        kept = (rows != k) & (cols != k)
+        rows, cols = rows[kept], cols[kept]
+        values = M[rows, cols]
+        rows -= rows > k                                # the reduced matrix's indices
+        cols -= cols > k
+        offsets = cols - rows
+        lower, upper = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+        if lower + upper + 1 <= _BAND_FRACTION * m:
+            ab = np.zeros((lower + upper + 1, m))       # LAPACK's banded storage
+            ab[upper - offsets, cols] = values
+            Y = _solve(ab, np.delete(B, k, axis=0), system, (lower, upper))
+            X = np.zeros(B.shape)
+            X[:k], X[k + 1:] = Y[:k], Y[k:]
+            return X
+    M[k, :] = 0.0
+    M[:, k] = 0.0
+    M[k, k] = 1.0
+    B[k] = 0.0
+    return _solve(M, B, system)
+
+
 def _hitting_solve(chain, M: np.ndarray, target: int) -> np.ndarray:
     """Mean hitting times onto ``target`` of an irreducible ``chain``:
     M x = 1 off the target and x(target) = 0, with M = I - P (steps) or
     M = -Q (time).
 
-    The target row is replaced with the identity row, overwriting ``M``.
-    Both gates are ``chain.settings.inverse`` relative to the largest time:
-    a negative time raises DivergentHittingTimes, a residual SolverFailure.
+    One ``_reduced_solve`` with ``target`` left out, which may overwrite
+    ``M``. Both gates are ``chain.settings.inverse`` relative to the largest
+    time: a negative time raises DivergentHittingTimes, a residual off the
+    target SolverFailure.
     """
     if not chain.irreducible:
         raise ReducibleChain("hitting times require an irreducible chain")
@@ -128,39 +192,38 @@ def _hitting_solve(chain, M: np.ndarray, target: int) -> np.ndarray:
     if not 0 <= target < n:
         raise InvalidParameters(f"target state {target} out of range [0, {n})")
     tol = chain.settings.inverse
-    M[target, :] = 0.0
-    M[target, target] = 1.0
-    b = np.ones(n)
-    b[target] = 0.0
-    x = _solve(M, b, "hitting-time")
+    x = _reduced_solve(M, target, np.ones(n), "hitting-time")
     scale = max(1.0, float(np.abs(x).max()))
     if np.any(x < -tol * scale):
         raise DivergentHittingTimes(
             f"negative hitting time {x.min():.3e}: transient or truncation pathology"
         )
-    residual = float(np.abs(M @ x - b).max())
+    x[target] = 0.0                 # the residual is the reduced system's
+    r = M @ x - 1.0
+    r[target] = 0.0
+    residual = float(np.abs(r).max())
     if residual > tol * scale:
         raise SolverFailure(f"hitting-time residual {residual:.3e} exceeds tolerance")
-    x[target] = 0.0
     return x
-
-
-def _nonzero_span(v: np.ndarray) -> slice | None:
-    """The slice from the first to the last nonzero of ``v``; None if all zero."""
-    nz = np.flatnonzero(v)
-    return slice(nz[0], nz[-1] + 1) if nz.size else None
 
 
 def _stationary_gth(P: np.ndarray) -> np.ndarray:
     """State-reduction elimination; uses only additions of nonnegatives.
 
     Eliminating state k adds the outer product of column ``A[:k, k]`` and row
-    ``A[k, :k]`` to the leading block. Only the box spanned by their nonzeros
-    is updated: every skipped term is an exact ``+0.0``, so the result is the
-    dense update's, and a banded chain costs O(n * bandwidth^2).
+    ``A[k, :k]`` to the leading block, and that fill stays inside P's
+    envelope: no row i gains a nonzero right of its last one in P, no column
+    j below its last one. So ``A[:k, k]`` is zero above ``top[k]``, the first
+    row whose last nonzero is at or right of k, and ``A[k, :k]`` left of
+    ``left[k]``, likewise for columns; only that box is updated. Every
+    skipped term is an exact ``+0.0``, so the result is the dense update's,
+    and a banded chain costs O(n * bandwidth^2).
     """
     A = P.copy()
     n = A.shape[0]
+    nonzero, states = A != 0.0, np.arange(n)
+    top = np.searchsorted(np.maximum.accumulate(n - 1 - nonzero[:, ::-1].argmax(axis=1)), states)
+    left = np.searchsorted(np.maximum.accumulate(n - 1 - nonzero[::-1].argmax(axis=0)), states)
     scales = np.empty(n)
     for k in range(n - 1, 0, -1):
         s = A[k, :k].sum()
@@ -168,9 +231,8 @@ def _stationary_gth(P: np.ndarray) -> np.ndarray:
             raise SolverFailure(f"state-reduction stalled at state {k} (no exit mass)")
         scales[k] = s
         A[k, :k] /= s
-        rows, cols = _nonzero_span(A[:k, k]), _nonzero_span(A[k, :k])
-        if rows is not None and cols is not None:
-            A[rows, cols] += np.outer(A[rows, k], A[k, cols])
+        rows, cols = slice(top[k], k), slice(left[k], k)
+        A[rows, cols] += np.outer(A[rows, k], A[k, cols])
     x = np.zeros(n)
     x[0] = 1.0
     for k in range(1, n):
@@ -225,16 +287,33 @@ def stationary_distribution(chain: StochasticMatrix | IntensityMatrix,
         x = _stationary_power(E)
     else:
         raise ValueError(f"unknown method {method!r}")
-    residual = float(np.abs(x @ E if generator else x @ E - x).max())
-    tol = settings.stationarity * max(1.0, rate)
-    if residual > tol:
-        raise SolverFailure(f"stationary residual {residual:.3e} exceeds {tol:g}")
-    if x.min() < -settings.validation:
-        raise SolverFailure(
-            f"stationary solve produced negative mass {x.min():.3e}"
-        )
+    defect = _stationary_defect(chain, x)
+    if defect is not None:
+        raise SolverFailure(defect)
     chain._stationary[method] = Distribution(x, settings=settings)
     return chain._stationary[method]
+
+
+def _stationary_defect(chain: StochasticMatrix | IntensityMatrix, x: np.ndarray) -> str | None:
+    """Which of ``stationary_distribution``'s two gates x fails on ``chain``,
+    as the SolverFailure text; None when it passes both."""
+    settings = chain.settings
+    E = chain.entries
+    generator = isinstance(chain, IntensityMatrix)
+    residual = float(np.abs(x @ E if generator else x @ E - x).max())
+    tol = settings.stationarity * max(1.0, chain.uniformization_constant if generator else 1.0)
+    if residual > tol:
+        return f"stationary residual {residual:.3e} exceeds {tol:g}"
+    if x.min() < -settings.validation:
+        return f"stationary solve produced negative mass {x.min():.3e}"
+    return None
+
+
+def _adopt_stationary(chain: StochasticMatrix, pi: Distribution) -> None:
+    """Cache ``pi`` as ``chain``'s plain-solve distribution if it passes the
+    chain's own stationarity gates; otherwise the chain solves its own."""
+    if _stationary_defect(chain, pi.values) is None:
+        chain._stationary["solve"] = pi
 
 
 def stationary_matrix(pi: Distribution) -> np.ndarray:
@@ -259,8 +338,10 @@ def fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
     """Inverse of (I - P + Pi), certified on both sides.
 
     Well defined for periodic chains too, since I - P + Pi is nonsingular
-    for any irreducible chain. A certified result also leaves a
-    ``_FundamentalSummary`` on ``P`` for the hitting-time scan.
+    for any irreducible chain. Computed as A# + Pi by Meyer's formula from
+    one reduced solve of I - P without its most probable state: on the
+    band for a banded chain, dense otherwise. A certified result also
+    leaves a ``_FundamentalSummary`` on ``P`` for the hitting-time scan.
     """
     return _fundamental_matrix(P, _difference(P))
 
@@ -269,9 +350,14 @@ def _fundamental_matrix(P: StochasticMatrix, A) -> np.ndarray:
     settings = P.settings
     pi = stationary_distribution(P)
     n = P.n
-    M = np.eye(n) - P.entries + stationary_matrix(pi)
-    R = _solve(M, np.eye(n), "fundamental")
-    del M                           # M = A + 1 pi: M R = A R + 1 (pi R), R M = R A + (R 1) pi
+    # Meyer's route: Z = (I - P without state k)^-1 with a zero row and column k,
+    # R = Z - 1 (pi Z) - (Z 1) pi + (1 + pi Z 1) 1 pi, formed in place of Z
+    R = _reduced_solve(np.eye(n) - P.entries, int(np.argmax(pi.values)), np.eye(n),
+                       "fundamental")
+    piZ = pi.values @ R
+    R += np.outer((1.0 + piZ.sum()) - R.sum(axis=1), pi.values)
+    R -= piZ
+    # M = A + 1 pi: M R = A R + 1 (pi R), R M = R A + (R 1) pi
     piR = pi.values @ R
     right = A @ R + piR
     right[np.diag_indices(n)] -= 1.0
@@ -297,7 +383,8 @@ def _fundamental_matrix(P: StochasticMatrix, A) -> np.ndarray:
 
 
 def group_inverse(P: StochasticMatrix) -> np.ndarray:
-    """Group inverse of A = I - P, computed as (fundamental matrix) - Pi.
+    """Group inverse of A = I - P, computed as (fundamental matrix) - Pi,
+    so from the fundamental matrix's one reduced solve.
 
     The three group-inverse axioms (A X A = A, X A X = X, A X = X A) plus
     X e = 0 and pi X = 0 are certified before returning.

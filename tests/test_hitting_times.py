@@ -13,6 +13,7 @@ from mcperturb import (
     hitting_times,
     value_iteration_hitting,
 )
+from mcperturb import solvers
 from mcperturb.gallery import birth_death, build_model, geometric_return, list_models, mm1
 from tests.conftest import gallery_model, random_irreducible_chain
 
@@ -200,10 +201,33 @@ def _reference_hitting_times(A, target):
     return v
 
 
+def _within_certified_distance(x, x_ref, A, target):
+    """Two solutions of the reduced system U x = 1 (A = I - P or -Q without
+    row and column ``target``) agree within what their residuals allow.
+
+    U is a nonsingular M-matrix, so U^-1 >= 0 and U^-1 1 = x*, the exact
+    times. With r = U x - 1, x - x_ref = U^-1 (r - r_ref), so
+    |x - x_ref| <= (||r|| + ||r_ref||) x*, and max x* <= max x / (1 - ||r||).
+    Each exact ||r|| is at most the computed one plus gamma_n (|U| |x| + 1),
+    the rounding of forming it; a last gamma_n covers the norms' own."""
+    U = np.delete(np.delete(A, target, 0), target, 1)
+    n = A.shape[0]
+    gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+
+    def residual(v):
+        v = np.delete(v, target)
+        return float(np.abs(U @ v - 1.0).max() + gamma * (np.abs(U) @ np.abs(v) + 1.0).max())
+
+    r, r_ref = residual(x), residual(x_ref)
+    bound = float(x.max()) / (1.0 - r) * (r + r_ref) * (1.0 + gamma)
+    assert x[target] == x_ref[target] == 0.0
+    assert float(np.abs(x - x_ref).max()) <= bound
+
+
 def _offset_solve(monkeypatch, offset):
-    """Make every dense solve return its solution plus ``offset``."""
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda A, b: solve(A, b) + offset)
+    """Make every reduced solve return its solution plus ``offset``."""
+    solve = solvers._reduced_solve
+    monkeypatch.setattr(solvers, "_reduced_solve", lambda *args: solve(*args) + offset)
 
 
 GENERATOR_SPECS = [s for s in list_models() if build_model(s).kind == "ctmc"]
@@ -215,15 +239,15 @@ class TestSharedHittingSolve:
     @pytest.mark.parametrize("spec", GENERATOR_SPECS)
     def test_generator_times_unchanged(self, spec, truncation):
         Q = gallery_model(spec, truncation).chain
-        assert np.array_equal(ctmc_hitting_times(Q, 0),
-                              _reference_hitting_times(-Q.entries, 0))
+        _within_certified_distance(ctmc_hitting_times(Q, 0),
+                                   _reference_hitting_times(-Q.entries, 0), -Q.entries, 0)
 
     @pytest.mark.parametrize("truncation", [24, 200])
     @pytest.mark.parametrize("spec", CHAIN_SPECS)
     def test_chain_times_unchanged(self, spec, truncation):
         P = gallery_model(spec, truncation).chain
-        assert np.array_equal(hitting_times(P, 0),
-                              _reference_hitting_times(np.eye(P.n) - P.entries, 0))
+        A = np.eye(P.n) - P.entries
+        _within_certified_distance(hitting_times(P, 0), _reference_hitting_times(A, 0), A, 0)
 
     def test_off_solution_fails_the_chain_residual_gate(self, monkeypatch, meyer):
         _offset_solve(monkeypatch, 1e-3)
@@ -235,6 +259,20 @@ class TestSharedHittingSolve:
         _offset_solve(monkeypatch, 1e-3)
         with pytest.raises(SolverFailure, match="hitting-time residual"):
             ctmc_hitting_times(Q, 0)
+
+    def test_off_solution_fails_the_banded_residual_gate(self, monkeypatch):
+        """mm1(200) without state 0 has band (1, 1), so the banded solve runs.
+        A constant offset is in the kernel of -Q; the gate sees it because it
+        reads the reduced system's residual, with the target's time at 0."""
+        Q = mm1(truncation=200).chain
+        banded = []
+        solve_banded = solvers.solve_banded
+        monkeypatch.setattr(solvers, "solve_banded",
+                            lambda *a, **k: banded.append(1) or solve_banded(*a, **k))
+        _offset_solve(monkeypatch, 1e-3)
+        with pytest.raises(SolverFailure, match="hitting-time residual"):
+            ctmc_hitting_times(Q, 0)
+        assert banded == [1]
 
     def test_negative_generator_time_uses_the_shared_wording(self, monkeypatch):
         Q = mm1(truncation=24).chain

@@ -55,8 +55,8 @@ def test_the_check_sees_an_unused_import():
 
 
 def _loaded_after_each_print(code):
-    """Run ``code`` in a fresh interpreter; it prints whether scipy.spatial
-    is loaded at each point of interest."""
+    """Run ``code`` in a fresh interpreter; it prints whether a module is
+    loaded at each point of interest."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -83,3 +83,16 @@ def test_scipy_spatial_loads_on_the_first_generator_scan():
         "print('scipy.spatial' in sys.modules)\n"
         "mcperturb.ctmc_ergodicity_coefficient(Q)\n"
         "print('scipy.spatial' in sys.modules)\n") == ["False", "True"]
+
+
+def test_the_banded_solver_adds_no_import():
+    """``solvers`` imports scipy.linalg's banded solver at module level. The
+    package loads scipy.linalg before that line runs (``chains`` imports
+    scipy.sparse.csgraph, which loads it), so the banded solver costs no
+    import time: sys.modules lists scipy.linalg before mcperturb.solvers."""
+    assert _loaded_after_each_print(
+        "import sys, mcperturb\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "loaded = list(sys.modules)\n"
+        "print(loaded.index('scipy.linalg') < loaded.index('mcperturb.solvers'))\n"
+    ) == ["True", "True"]

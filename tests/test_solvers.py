@@ -250,11 +250,42 @@ def loop_gth(P):
     return x / x.sum()
 
 
+def tight_box_gth(P):
+    """State reduction updating only the box between the first and last
+    nonzeros of the eliminated column and row, found anew at every step."""
+    def span(v):
+        nz = np.flatnonzero(v)
+        return slice(nz[0], nz[-1] + 1) if nz.size else None
+
+    A = P.copy()
+    n = A.shape[0]
+    scales = np.empty(n)
+    for k in range(n - 1, 0, -1):
+        s = A[k, :k].sum()
+        if s <= 0.0:
+            raise SolverFailure(f"state-reduction stalled at state {k} (no exit mass)")
+        scales[k] = s
+        A[k, :k] /= s
+        rows, cols = span(A[:k, k]), span(A[k, :k])
+        if rows is not None and cols is not None:
+            A[rows, cols] += np.outer(A[rows, k], A[k, cols])
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = np.dot(x[:k], A[:k, k]) / scales[k]
+    return x / x.sum()
+
+
 def _gth_input(chain):
     """The transition matrix GTH runs on: the chain, or a generator's skeleton."""
     if isinstance(chain, IntensityMatrix):
         return uniformize(chain).matrix.entries
     return chain.entries
+
+
+# every gallery model at 24 states, and at 200 and 800 where it is truncatable
+GTH_CASES = [(spec, n) for spec in gallery.list_models() for n in (24, 200, 800)
+             if n == 24 or gallery_model(spec, n).chain.n == n]
 
 
 class TestSparseGth:
@@ -273,6 +304,24 @@ class TestSparseGth:
         n = int(rng.integers(2, 120))
         P = sparse_irreducible_chain(rng, n, density=rng.choice([0.0, 0.02, 0.1]))
         assert np.array_equal(_stationary_gth(P), loop_gth(P))
+
+    @pytest.mark.parametrize("spec,truncation", GTH_CASES,
+                             ids=[f"{spec}-{n}" for spec, n in GTH_CASES])
+    def test_envelope_box_equals_tight_box_on_gallery(self, spec, truncation):
+        """The envelope box holds every step's tight box, also on perturbed
+        chains, whose perturbed rows reach outside the base chain's band."""
+        model = gallery_model(spec, truncation)
+        pair = canonical_pair(model, magnitude=0.01, seed=23)
+        for chain in (model.chain, pair.perturbed):
+            P = _gth_input(chain)
+            assert np.array_equal(_stationary_gth(P), tight_box_gth(P))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_envelope_box_equals_tight_box_on_sparse_random_chains(self, seed):
+        rng = np.random.default_rng([seed, 17])
+        n = int(rng.integers(2, 120))
+        P = sparse_irreducible_chain(rng, n, density=rng.choice([0.0, 0.02, 0.1]))
+        assert np.array_equal(_stationary_gth(P), tight_box_gth(P))
 
     def test_equals_dense_loop_on_dense_random_chain(self):
         P = random_irreducible_chain(np.random.default_rng(11), 150)
@@ -479,6 +528,45 @@ def ref_group_inverse(P):
 
 
 DENSE, SPARSE = 0.0, np.inf         # values of _SPARSE_DENSITY that force each path
+U_ROUND = 2.0 ** -53                # unit round-off
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), the relative error bound of an
+    n-term dot product."""
+    return n * U_ROUND / (1.0 - n * U_ROUND)
+
+
+def _row_sum_norm(A):
+    return float(np.abs(A).sum(axis=1).max())
+
+
+def _inverse_residual(M, R):
+    """A bound on ||M R - I||_inf in exact arithmetic, from the computed
+    residual plus gamma_{n+1} |M| |R|, the rounding of forming it."""
+    n = M.shape[0]
+    return (_row_sum_norm(M @ R - np.eye(n))
+            + _gamma(n + 1) * _row_sum_norm(np.abs(M) @ np.abs(R)))
+
+
+_REFERENCES = {}
+
+
+def _reference(tag, P, R):
+    """(R_ref, X_ref, bound) for chain ``tag``: the dense references and a
+    bound on ||R - R_ref||_inf. M R = I + E and M R_ref = I + E_ref give
+    R - R_ref = M^-1 (E - E_ref), and M^-1 = R_ref (I + E_ref)^-1, so
+    ||R - R_ref|| <= ||R_ref|| (e + e_ref) / (1 - e_ref) with e, e_ref the
+    exact residual norms; the last factor covers the rounding of the norms."""
+    if tag not in _REFERENCES:
+        ref = _fresh(P)
+        M = np.eye(P.n) - P.entries + stationary_matrix(stationary_distribution(ref))
+        R_ref = ref_fundamental_matrix(ref)
+        _REFERENCES[tag] = (M, R_ref, ref_group_inverse(ref), _inverse_residual(M, R_ref))
+    M, R_ref, X_ref, e_ref = _REFERENCES[tag]
+    e = _inverse_residual(M, R)
+    bound = _row_sum_norm(R_ref) * (e + e_ref) / (1.0 - e_ref)
+    return R_ref, X_ref, bound * (1.0 + _gamma(2 * P.n))
 
 
 def _cut_chain(side):
@@ -528,12 +616,21 @@ class TestSparseCertification:
                              ids=["dense", "sparse", "default"])
     @pytest.mark.parametrize("tag,P,Q", CERTIFIED_CHAINS, ids=[c[0] for c in CERTIFIED_CHAINS])
     def test_both_paths_give_the_same_matrices(self, monkeypatch, tag, P, Q, density):
-        want_R, want_X = ref_fundamental_matrix(_fresh(P)), ref_group_inverse(_fresh(P))
+        """How A is stored changes no bit of R or X, and both are the dense
+        reference solve's within the bound their residuals certify."""
+        monkeypatch.setattr(solvers, "_SPARSE_DENSITY", DENSE)
+        dense_R, dense_X = fundamental_matrix(_fresh(P)), group_inverse(_fresh(P))
         monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
-        assert np.array_equal(fundamental_matrix(_fresh(P)), want_R)
-        assert np.array_equal(group_inverse(_fresh(P)), want_X)
+        R, X = fundamental_matrix(_fresh(P)), group_inverse(_fresh(P))
+        assert np.array_equal(R, dense_R)
+        assert np.array_equal(X, dense_X)
         if P.aperiodic:
-            assert np.array_equal(deviation_matrix(_fresh(P)), want_X)
+            assert np.array_equal(deviation_matrix(_fresh(P)), X)
+        want_R, want_X, bound = _reference(tag, P, R)
+        assert _row_sum_norm(R - want_R) <= bound
+        # X = fl(R - Pi) and X_ref = fl(R_ref - Pi) add one rounding each
+        assert _row_sum_norm(X - want_X) <= bound + U_ROUND * (_row_sum_norm(X)
+                                                          + _row_sum_norm(want_X))
 
     @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
     @pytest.mark.parametrize("tag,P,Q", CERTIFIED_CHAINS, ids=[c[0] for c in CERTIFIED_CHAINS])
@@ -552,22 +649,19 @@ class TestSparseCertification:
 
     @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
     def test_the_summary_residual_is_a_row_sum_norm(self, monkeypatch, density):
-        """A defect d in row r of G makes row i of M G - I equal to M_ir d
-        in every column: a row sum n times its largest entry."""
+        """A defect d in row r != k of the reduced solve's Z changes R by
+        d (e_r - pi_r 1)(1 - n pi) and so row a of M R - I by
+        d (M_ar - pi_r)(1 - n pi_j) in column j, as M 1 = 1: a row sum of
+        |d| |M_ar - pi_r| sum_j |1 - n pi_j|."""
         monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
-        P, r, d = gallery_model("geometric-return", 200).chain, 0, 1e-12
-        stationary_distribution(P)          # solved before the defective solve goes in
-        solve = np.linalg.solve
-
-        def defective(a, b):
-            x = solve(a, b)
-            x[r] += d
-            return x
-
-        monkeypatch.setattr(np.linalg, "solve", defective)
+        P, r, d = gallery_model("geometric-return", 200).chain, 1, 1e-12
+        pi = stationary_distribution(P).values  # solved before the defective solve goes in
+        assert np.argmax(pi) != r
+        _defective_reduced_solve(monkeypatch, (r, slice(None)), d)
         fundamental_matrix(P)
         M = np.eye(P.n) - P.entries + stationary_matrix(stationary_distribution(P))
-        assert P._fundamental.residual > 0.9 * P.n * d * np.abs(M[:, r]).max()
+        change = d * np.abs(M[:, r] - pi[r]).max() * np.abs(1.0 - P.n * pi).sum()
+        assert P._fundamental.residual > 0.9 * change
 
     @pytest.mark.parametrize("tag,P,Q", [c for c in CERTIFIED_CHAINS if c[2] is not None],
                              ids=[c[0] for c in CERTIFIED_CHAINS if c[2] is not None])
@@ -598,6 +692,20 @@ class TestSparseCertification:
         monkeypatch.setattr(solvers, "_SPARSE_DENSITY", DENSE)
         got = [r.to_dict() for r in bound_catalog(_fresh(model.chain), perturbed=pair.perturbed)]
         assert got == want
+
+
+def _defective_reduced_solve(monkeypatch, cell, defect):
+    """Make every reduced solve with a matrix of right-hand sides, the
+    fundamental matrix's, add ``defect`` to its solution at ``cell``."""
+    solve = solvers._reduced_solve
+
+    def defective(M, k, B, system):
+        X = solve(M, k, B, system)
+        if X.ndim == 2:
+            X[cell] += defect
+        return X
+
+    monkeypatch.setattr(solvers, "_reduced_solve", defective)
 
 
 def _mm1_skeleton():
@@ -645,25 +753,99 @@ class TestNoGateGotWeaker:
 
     @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
     @pytest.mark.parametrize("make,cell", [
-        (_mm1_skeleton, (0, 799)),
+        (_mm1_skeleton, (1, 799)),
         (_mm1_skeleton, (790, 795)),
-        (lambda: gallery_model("geometric-return", 200).chain, (0, 0)),
+        (lambda: gallery_model("geometric-return", 200).chain, (1, 1)),
         (lambda: gallery_model("geometric-return", 200).chain, (199, 150)),
     ], ids=["mm1-800-head", "mm1-800-tail", "geometric-return-200-head",
             "geometric-return-200-tail"])
     def test_a_defect_in_the_solve_fails_the_fundamental(self, monkeypatch, density, make,
                                                          cell):
+        """The cells avoid row and column k = argmax pi = 0, which the
+        reduced solve leaves out."""
         monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
         P = make()
-        stationary_distribution(P)          # solved before the defective solve goes in
-        solve = np.linalg.solve
-
-        def defective(a, b):
-            x = solve(a, b)
-            if x.ndim == 2:
-                x[cell] += self.DEFECT
-            return x
-
-        monkeypatch.setattr(np.linalg, "solve", defective)
+        assert np.argmax(stationary_distribution(P).values) not in cell
+        _defective_reduced_solve(monkeypatch, cell, self.DEFECT)
         with pytest.raises(SolverFailure, match="fundamental matrix residual"):
             fundamental_matrix(P)
+
+
+# ---------------------------------------------------------------------------
+# The reduced solve behind the fundamental matrix and hitting times
+
+
+def _count_routes(monkeypatch):
+    """Count the banded and the dense solves."""
+    calls = {"banded": 0, "dense": 0}
+    for owner, name, route in ((solvers, "solve_banded", "banded"),
+                               (np.linalg, "solve", "dense")):
+        def counted(*args, _solve=getattr(owner, name), _route=route, **kwargs):
+            calls[_route] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestReducedSolve:
+    @pytest.mark.parametrize("make,route", [
+        (_mm1_skeleton, "banded"),
+        (lambda: gallery_model("hessenberg-gi-m-1", 200).chain, "dense"),
+    ], ids=["mm1-800-banded", "hessenberg-gi-m-1-200-dense"])
+    def test_each_side_of_the_band_cut(self, monkeypatch, make, route):
+        """mm1's skeleton without state 0 has band (1, 1): 3 <= 799 / 8;
+        hessenberg-gi-m-1's has band (198, 1): 200 > 199 / 8."""
+        P = make()
+        pi = stationary_distribution(P).values
+        k = int(np.argmax(pi))
+        calls = _count_routes(monkeypatch)
+        R = fundamental_matrix(P)
+        assert calls == {"banded": int(route == "banded"), "dense": int(route == "dense")}
+        # the solve itself: zero row and column k, and a round-off residual
+        A = np.eye(P.n) - P.entries
+        Z = solvers._reduced_solve(A.copy(), k, np.eye(P.n), "fundamental")
+        assert not Z[k].any() and not Z[:, k].any()
+        U, Y = (np.delete(np.delete(A, k, 0), k, 1), np.delete(np.delete(Z, k, 0), k, 1))
+        n = P.n
+        assert _row_sum_norm(U @ Y - np.eye(n - 1)) <= 4 * n * U_ROUND * _row_sum_norm(
+            np.abs(U) @ np.abs(Y))
+        # and R is the reference's within its certified distance
+        want_R, _, bound = _reference(f"reduced solve, {route}", P, R)
+        assert _row_sum_norm(R - want_R) <= bound
+
+    def test_the_left_out_state_is_the_most_probable(self, monkeypatch):
+        """birth-death(20)'s pi peaks at its last state, not at state 0."""
+        P = gallery.build_model("birth-death(20)").chain
+        assert np.argmax(stationary_distribution(P).values) == P.n - 1
+        left_out = []
+        solve = solvers._reduced_solve
+
+        def recorded(M, k, B, system):
+            left_out.append(k)
+            return solve(M, k, B, system)
+
+        monkeypatch.setattr(solvers, "_reduced_solve", recorded)
+        R = fundamental_matrix(P)
+        assert left_out == [P.n - 1]
+        want_R, _, bound = _reference("birth-death peak", P, R)
+        assert _row_sum_norm(R - want_R) <= bound
+
+    def test_the_one_state_chain(self):
+        assert fundamental_matrix(StochasticMatrix([[1.0]])).tolist() == [[1.0]]
+        assert group_inverse(StochasticMatrix([[1.0]])).tolist() == [[0.0]]
+        assert ctmc.ctmc_deviation_matrix(IntensityMatrix([[0.0]])).tolist() == [[0.0]]
+        assert hitting_times(StochasticMatrix([[1.0]]), 0).tolist() == [0.0]
+        assert ctmc.ctmc_hitting_times(IntensityMatrix([[0.0]]), 0).tolist() == [0.0]
+
+    @pytest.mark.parametrize("n,route", [(5, "dense"), (400, "banded")])
+    @pytest.mark.parametrize("system", ["fundamental", "hitting-time"])
+    def test_a_singular_reduced_system_raises(self, monkeypatch, n, route, system):
+        """A zero row off the left-out state makes the reduced system singular."""
+        M = np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        M[2] = 0.0
+        calls = _count_routes(monkeypatch)
+        B = np.eye(n) if system == "fundamental" else np.ones(n)
+        with pytest.raises(SolverFailure, match=f"^{system} system is singular"):
+            solvers._reduced_solve(M, 0, B, system)
+        assert calls[route] == 1
