@@ -6,7 +6,9 @@ any step h below the reciprocal of the uniformization constant, and shares
 Q's stationary distribution. All discrete-time machinery transfers:
 
 * the continuous-time deviation matrix D (the integral of P^t - Pi) equals
-  h times the skeleton's deviation matrix, independent of the admissible h;
+  h times the skeleton's deviation matrix, independent of the admissible h.
+  That is h A# for A = I - P_h = -h Q, so it is computed from Q itself,
+  with Q's own certified pi, and no skeleton chain is built;
 * Lambda1(P_h) = 1 - h Lambda1(Q), with the generator's ergodicity
   coefficient defined as half the minimal pairwise row defect;
 * a drift inequality Q V <= -lambda V + b at the taboo state becomes
@@ -47,6 +49,7 @@ from .errors import (
     NoPositiveLambda,
     NotErgodic,
     OutOfRadius,
+    ReducibleChain,
     SolverFailure,
 )
 from .dtmc import (
@@ -62,14 +65,9 @@ from .dtmc import (
 )
 from .norms import _pair_blocks, matrix_norm, v_norm_matrix
 from .reports import BoundReport, Hypothesis
+from . import solvers
 from .settings import DEFAULT
-from .solvers import (
-    _adopt_stationary,
-    _default_step,
-    _hitting_solve,
-    deviation_matrix,
-    stationary_distribution,
-)
+from .solvers import _default_step, _hitting_solve, stationary_distribution
 
 __all__ = [
     "UniformizedChain",
@@ -175,22 +173,28 @@ def _generator_coefficient(Q: np.ndarray, margin: float | None = None) -> float:
     return 0.5 * best
 
 
-def ctmc_deviation_matrix(Q: IntensityMatrix, h: float | None = None) -> np.ndarray:
+def ctmc_deviation_matrix(Q: IntensityMatrix) -> np.ndarray:
     """Deviation matrix of the generator: the integral of (P^t - Pi) dt.
 
-    Computed through the skeleton: the step-h chain's deviation matrix is
-    D / h, so D = h * D_h — the value is independent of which admissible h
-    is used. pi Q = 0 gives pi P_h = pi, so the skeleton takes Q's certified
-    plain-solve pi once it passes the skeleton's own stationarity gates, and
-    solves its own otherwise; its group inverse is one reduced solve on the
-    skeleton's band. Certified to satisfy D e = 0 and pi D = 0, with the
-    skeleton's pi.
+    D = h A# for A = -h Q (Coolen-Schrijner & van Doorn 2002), h being
+    ``uniformize``'s default step: A# is Meyer's group inverse, from the
+    reduced solve and certificate a transition matrix gets, with Q's own
+    certified pi. No skeleton chain is built, but the work stays in its
+    units, where pi must also pass the skeleton's stationarity gate
+    h max|pi Q| <= settings.stationarity (tighter than Q's own when the
+    uniformization constant is below 0.99). Certified to satisfy D e = 0
+    and pi D = 0.
     """
-    chain = uniformize(Q, h)
-    if Q.irreducible:                   # else deviation_matrix names the failure
-        _adopt_stationary(chain.matrix, stationary_distribution(Q))
-    D = chain.h * deviation_matrix(chain.matrix)
-    pi = stationary_distribution(chain.matrix)
+    if not Q.irreducible:
+        raise ReducibleChain("deviation matrix requires an irreducible chain")
+    pi = stationary_distribution(Q)
+    h = _default_step(Q.uniformization_constant)
+    residual = h * float(np.abs(pi.values @ Q.entries).max())
+    if residual > Q.settings.stationarity:
+        raise SolverFailure(
+            f"stationary residual {residual:.3e} exceeds {Q.settings.stationarity:g}")
+    A = solvers._difference(Q)
+    D = h * solvers._certified_group_inverse(Q, solvers._fundamental_matrix(Q, A), A)
     scale = max(1.0, float(np.abs(D).max()))
     res = max(float(np.abs(D.sum(axis=1)).max()), float(np.abs(pi.values @ D).max()))
     if res > Q.settings.inverse * scale:
@@ -471,7 +475,7 @@ def stationary_series_expansion(
     if np.abs(Gm.sum(axis=1)).max() > Q.settings.validation * scale:
         raise InvalidParameters("direction matrix rows must sum to zero")
     pi = stationary_distribution(Q)
-    D = ctmc_deviation_matrix(Q)
+    M = eps * (Gm @ ctmc_deviation_matrix(Q))
     if eps != 0.0:
         if cert is not None:
             V = cert.weights.values
@@ -485,10 +489,9 @@ def stationary_series_expansion(
                     + ", ".join(f"{r:.6g}" for r in radii)
                 )
         else:
-            spec = float(np.abs(np.linalg.eigvals(eps * (Gm @ D))).max())
+            spec = float(np.abs(np.linalg.eigvals(M)).max())
             if spec >= 1.0 - 1e-9:
                 raise OutOfRadius(f"spectral radius {spec:.6g} of eps G D not below 1")
-    M = eps * (Gm @ D)
     term = pi.values.copy()
     total = pi.values.copy()
     for _ in range(n_terms):

@@ -41,9 +41,14 @@ stays well conditioned, and Meyer's formula A# = (I - 1 pi) Z (I - 1 pi),
 with Z = U^-1 bordered by a zero row and column k. A banded U is solved on
 its band, O(n^2 b) for a band of width b; any other U by one dense solve.
 Certifying G and the group inverse costs that solve and one dense product,
-X (A X). Every other residual product multiplies by A = I - P (with
-M = A + 1 pi as A plus a rank-one term), a CSR array below
-``_SPARSE_DENSITY``: O(nnz n) per product, not O(n^3).
+X (A X). Every other residual product multiplies by A (with M = A + 1 pi
+as A plus a rank-one term), a CSR array below ``_SPARSE_DENSITY``:
+O(nnz n) per product, not O(n^3).
+
+A is the chain's difference operator (``_difference``): I - P for a
+transition matrix, -h Q for a generator at ``uniformize``'s default step h.
+-h Q is the skeleton's I - P_h in its units, so one set of gates certifies
+both kinds, and a generator's D = h A# needs no skeleton chain.
 
 Mean hitting times of both chain kinds come from one certified solve,
 ``_hitting_solve``, the reduced solve of M = I - P or M = -Q with the target
@@ -98,14 +103,19 @@ def _nonzeros(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def _difference(P: StochasticMatrix) -> np.ndarray | csr_array:
-    """A = I - P, CSR below ``_SPARSE_DENSITY``; built by hand, 6x faster than csr_array(A)."""
-    A = np.eye(P.n) - P.entries
+def _difference(chain: StochasticMatrix | IntensityMatrix) -> np.ndarray | csr_array:
+    """The chain's difference operator A = I - P, or A = -h Q for a generator at
+    ``uniformize``'s default step h; CSR below ``_SPARSE_DENSITY``, built by
+    hand, 6x faster than csr_array(A)."""
+    if isinstance(chain, IntensityMatrix):
+        A = -_default_step(chain.uniformization_constant) * chain.entries
+    else:
+        A = np.eye(chain.n) - chain.entries
     nonzero = A != 0.0
     if np.count_nonzero(nonzero) >= _SPARSE_DENSITY * A.size:
         return A
     rows, cols = _nonzeros(nonzero)
-    indptr = np.searchsorted(rows, np.arange(P.n + 1))
+    indptr = np.searchsorted(rows, np.arange(chain.n + 1))
     return csr_array((A[rows, cols], cols, indptr), shape=A.shape)
 
 
@@ -287,33 +297,14 @@ def stationary_distribution(chain: StochasticMatrix | IntensityMatrix,
         x = _stationary_power(E)
     else:
         raise ValueError(f"unknown method {method!r}")
-    defect = _stationary_defect(chain, x)
-    if defect is not None:
-        raise SolverFailure(defect)
+    residual = float(np.abs(x @ E if generator else x @ E - x).max())
+    tol = settings.stationarity * max(1.0, rate)
+    if residual > tol:
+        raise SolverFailure(f"stationary residual {residual:.3e} exceeds {tol:g}")
+    if x.min() < -settings.validation:
+        raise SolverFailure(f"stationary solve produced negative mass {x.min():.3e}")
     chain._stationary[method] = Distribution(x, settings=settings)
     return chain._stationary[method]
-
-
-def _stationary_defect(chain: StochasticMatrix | IntensityMatrix, x: np.ndarray) -> str | None:
-    """Which of ``stationary_distribution``'s two gates x fails on ``chain``,
-    as the SolverFailure text; None when it passes both."""
-    settings = chain.settings
-    E = chain.entries
-    generator = isinstance(chain, IntensityMatrix)
-    residual = float(np.abs(x @ E if generator else x @ E - x).max())
-    tol = settings.stationarity * max(1.0, chain.uniformization_constant if generator else 1.0)
-    if residual > tol:
-        return f"stationary residual {residual:.3e} exceeds {tol:g}"
-    if x.min() < -settings.validation:
-        return f"stationary solve produced negative mass {x.min():.3e}"
-    return None
-
-
-def _adopt_stationary(chain: StochasticMatrix, pi: Distribution) -> None:
-    """Cache ``pi`` as ``chain``'s plain-solve distribution if it passes the
-    chain's own stationarity gates; otherwise the chain solves its own."""
-    if _stationary_defect(chain, pi.values) is None:
-        chain._stationary["solve"] = pi
 
 
 def stationary_matrix(pi: Distribution) -> np.ndarray:
@@ -346,14 +337,16 @@ def fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
     return _fundamental_matrix(P, _difference(P))
 
 
-def _fundamental_matrix(P: StochasticMatrix, A) -> np.ndarray:
-    settings = P.settings
-    pi = stationary_distribution(P)
-    n = P.n
-    # Meyer's route: Z = (I - P without state k)^-1 with a zero row and column k,
+def _fundamental_matrix(chain: StochasticMatrix | IntensityMatrix, A) -> np.ndarray:
+    """(A + 1 pi)^-1 for the chain's difference operator A, certified as in
+    fundamental_matrix; only a transition matrix keeps the summary."""
+    settings = chain.settings
+    pi = stationary_distribution(chain)
+    n = chain.n
+    # Meyer's route: Z = (A without state k)^-1 with a zero row and column k,
     # R = Z - 1 (pi Z) - (Z 1) pi + (1 + pi Z 1) 1 pi, formed in place of Z
-    R = _reduced_solve(np.eye(n) - P.entries, int(np.argmax(pi.values)), np.eye(n),
-                       "fundamental")
+    R = _reduced_solve(A.copy() if isinstance(A, np.ndarray) else A.toarray(),
+                       int(np.argmax(pi.values)), np.eye(n), "fundamental")
     piZ = pi.values @ R
     R += np.outer((1.0 + piZ.sum()) - R.sum(axis=1), pi.values)
     R -= piZ
@@ -371,14 +364,15 @@ def _fundamental_matrix(P: StochasticMatrix, A) -> np.ndarray:
         raise SolverFailure(
             f"fundamental matrix residual {res:.3e} exceeds {settings.inverse:g}"
         )
-    P._fundamental = _FundamentalSummary(
-        pi=pi.values,
-        diagonal=R.diagonal().copy(),
-        column_minima=R.min(axis=0),
-        norm=float(np.abs(R).sum(axis=1).max()),
-        residual=residual,
-        stationarity=float(np.abs(pi.values @ P.entries - pi.values).sum()),
-    )
+    if isinstance(chain, StochasticMatrix):     # the hitting-time scan reads it
+        chain._fundamental = _FundamentalSummary(
+            pi=pi.values,
+            diagonal=R.diagonal().copy(),
+            column_minima=R.min(axis=0),
+            norm=float(np.abs(R).sum(axis=1).max()),
+            residual=residual,
+            stationarity=float(np.abs(pi.values @ chain.entries - pi.values).sum()),
+        )
     return R
 
 
@@ -393,16 +387,17 @@ def group_inverse(P: StochasticMatrix) -> np.ndarray:
     return _certified_group_inverse(P, _fundamental_matrix(P, A), A)
 
 
-def _certified_group_inverse(P, R, A) -> np.ndarray:
-    """R - Pi from the fundamental matrix R of P, certified as in group_inverse.
+def _certified_group_inverse(chain, R, A) -> np.ndarray:
+    """R - Pi from the fundamental matrix R of the chain's difference operator
+    A, certified as in group_inverse.
 
     Each residual is reduced before the next is formed. In X (A X), the one
     dense product, operand entries below 2^-511 are zeroed first, so no term
     is a slow subnormal (a truncated tail of X is full of them); each entry
     moves by at most n 2^-511 max(||X||_max, ||A X||_max), 1.2e-148 on mm1(800).
     """
-    settings = P.settings
-    pi = stationary_distribution(P)
+    settings = chain.settings
+    pi = stationary_distribution(chain)
     X = R - stationary_matrix(pi)
     AX = A @ X
     XA = np.ascontiguousarray(X @ A)     # scipy forms X A as (A^T X^T)^T

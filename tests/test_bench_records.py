@@ -37,7 +37,7 @@ def test_smoke_operations_pass_the_benchmark_checks(name, seed):
         assert workloads.check(op, result) == (0, []), op.name
 
 
-# About 100 states: every catalog-ctmc skeleton and the banded catalog-dtmc
+# About 100 states: every catalog-ctmc generator and the banded catalog-dtmc
 # chains fall below the solvers' density cut, so the benchmark's checks run
 # the CSR certification products (at SMOKE size most chains are above it).
 CUT_SIZE = workloads.Size(dtmc_n=100, ctmc_n=100, gallery_n=24, fuzz_cases=3)

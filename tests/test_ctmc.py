@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import mcperturb.chains
 import mcperturb.ctmc
+import mcperturb.solvers
 
 from mcperturb import (
     HypothesisFailed,
@@ -13,6 +15,8 @@ from mcperturb import (
     NotErgodic,
     OutOfRadius,
     PerturbationPair,
+    SolverFailure,
+    StochasticMatrix,
     ValidationError,
     batch_arrival_drift,
     bound_catalog,
@@ -26,6 +30,7 @@ from mcperturb import (
     ctmc_unit_drift_bound,
     ctmc_v_bound_drift_only,
     ctmc_v_bound_with_stationary,
+    deviation_matrix,
     ergodicity_coefficient,
     exact_gap,
     fit_ctmc_geometric_drift,
@@ -40,6 +45,7 @@ from mcperturb import (
 )
 from mcperturb.gallery import batch_arrival, mm1
 from mcperturb.settings import DEFAULT, NumericSettings
+from mcperturb.verify import canonical_pair
 from tests.conftest import count_scanned_rows
 
 
@@ -121,12 +127,57 @@ class TestDeviationMatrix:
         np.testing.assert_allclose(D, (np.eye(2) - Pi) / (a + b), atol=1e-12)
 
     def test_step_invariance(self):
+        # every admissible skeleton is an independent oracle: D = h D_h
         Q = mm1(truncation=40).chain
-        D1 = ctmc_deviation_matrix(Q, h=0.05)
-        D2 = ctmc_deviation_matrix(Q, h=0.1)
-        D3 = ctmc_deviation_matrix(Q, h=0.19)
-        np.testing.assert_allclose(D1, D2, atol=1e-8)
-        np.testing.assert_allclose(D1, D3, atol=1e-8)
+        D = ctmc_deviation_matrix(Q)
+        for h in (0.05, 0.1, 0.19):
+            np.testing.assert_allclose(D, h * deviation_matrix(uniformize(Q, h).matrix),
+                                       atol=1e-8)
+
+    def test_an_underflowed_skeleton_rate_leaves_d_defined(self):
+        # h * 1e-320 underflows in I + h Q and cuts the skeleton's edge back to
+        # state 0; -h Q keeps it, and pi = (0, 1) gives D = (I - Pi) / (a + b)
+        a, b = 1e10, 1e-320
+        Q = IntensityMatrix([[-a, a], [b, -b]])
+        assert not uniformize(Q).matrix.irreducible
+        Pi = np.tile([0.0, 1.0], (2, 1))
+        np.testing.assert_allclose(ctmc_deviation_matrix(Q), (np.eye(2) - Pi) / (a + b),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_no_skeleton_chain_is_built(self, monkeypatch):
+        model = mm1(truncation=60)
+        pair = canonical_pair(model, seed=0)
+        cert = batch_arrival_drift(model.extras["a"], model.extras["b"], n_states=model.chain.n)
+        built, periods = [], []
+        init = StochasticMatrix.__init__
+
+        def counted_init(self, entries, *args, **kwargs):
+            built.append(np.shape(entries))
+            init(self, entries, *args, **kwargs)
+
+        period = mcperturb.chains._period_by_bfs
+        monkeypatch.setattr(StochasticMatrix, "__init__", counted_init)
+        monkeypatch.setattr(mcperturb.chains, "_period_by_bfs",
+                            lambda *args: periods.append(args) or period(*args))
+        ctmc_deviation_matrix(model.chain)
+        bound_catalog(model.chain, perturbed=pair.perturbed, weights=cert.weights)
+        assert (built, periods) == ([], [])
+
+    def test_the_skeleton_stationarity_gate_still_holds(self, monkeypatch):
+        # with rates 0.1 the step is h = 9.9: a pi whose residual max|pi Q| is
+        # half the tolerance passes Q's own gate but not h max|pi Q| <= tol,
+        # and it is not solved again
+        tol = DEFAULT.stationarity
+        pi = np.array([0.5 + 2.5 * tol, 0.5 - 2.5 * tol])
+        solves = []
+        monkeypatch.setattr(mcperturb.solvers, "_stationary_solve",
+                            lambda M: solves.append(M) or pi.copy())
+        Q = two_state_generator(0.1, 0.1)
+        assert uniformize(Q).h == pytest.approx(9.9)
+        assert np.abs(ctmc_stationary(Q).values @ Q.entries).max() == pytest.approx(0.5 * tol)
+        with pytest.raises(SolverFailure, match="^stationary residual"):
+            ctmc_deviation_matrix(Q)
+        assert len(solves) == 1
 
     def test_partial_sum_oracle(self):
         # independent route: h * sum_k (P_h^k - Pi) accumulated explicitly

@@ -694,6 +694,55 @@ class TestSparseCertification:
         assert got == want
 
 
+def _skeleton_deviation_matrix(Q):
+    """The generator's deviation matrix by the skeleton: h times the deviation
+    matrix of P_h = I + h Q at the default step, which takes Q's certified pi
+    when that passes P_h's own stationarity gates."""
+    chain = uniformize(Q)
+    P, pi = chain.matrix, stationary_distribution(Q)
+    if (np.abs(pi.values @ P.entries - pi.values).max() <= P.settings.stationarity
+            and pi.values.min() >= -P.settings.validation):
+        P._stationary["solve"] = pi
+    return chain.h * deviation_matrix(P)
+
+
+def _random_generator(seed):
+    """A dense random generator of 3 to 120 states, rates 0.05 to 20 per row."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 121))
+    Q = random_irreducible_chain(rng, n) * rng.uniform(0.05, 20.0, size=(n, 1))
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return IntensityMatrix(Q)
+
+
+class TestGeneratorGroupInverse:
+    """A generator's deviation matrix is h A# for A = -h Q: the reduced solve
+    and certificate of a transition matrix, with Q's own pi and no skeleton."""
+
+    @pytest.mark.parametrize("n", [24, 200, 800])
+    @pytest.mark.parametrize("spec", ["mm1", "batch-arrival"])
+    def test_the_gallery_generators_keep_the_skeletons_bits(self, spec, n):
+        Q = gallery_model(spec, n).chain
+        assert np.array_equal(ctmc.ctmc_deviation_matrix(_fresh(Q)),
+                              _skeleton_deviation_matrix(_fresh(Q)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_generators_are_within_the_certified_distance(self, seed):
+        """-h Q and I - P_h differ by the rounding of the diagonal, so R is the
+        skeleton's dense reference within the distance its residual certifies."""
+        Q = _random_generator(seed)
+        A = solvers._difference(Q)
+        R = solvers._fundamental_matrix(Q, A)
+        chain = uniformize(Q)
+        want_R, want_X, bound = _reference(f"random generator {seed}", chain.matrix, R)
+        assert _row_sum_norm(R - want_R) <= bound
+        # D = fl(h fl(R - Pi)) and h X_ref add two roundings each
+        h, D = chain.h, ctmc.ctmc_deviation_matrix(Q)
+        assert _row_sum_norm(D - h * want_X) <= h * (
+            bound + 2.0 * U_ROUND * (_row_sum_norm(D) / h + _row_sum_norm(want_X)))
+
+
 def _defective_reduced_solve(monkeypatch, cell, defect):
     """Make every reduced solve with a matrix of right-hand sides, the
     fundamental matrix's, add ``defect`` to its solution at ``cell``."""
@@ -718,20 +767,22 @@ class TestNoGateGotWeaker:
     @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
     @pytest.mark.parametrize("make,cells", [
         (_mm1_skeleton, [(0, 799), (790, 795), (400, 798)]),
+        (lambda: gallery_model("mm1", 800).chain, [(0, 799), (790, 795), (400, 798)]),
         (lambda: gallery_model("odd-even-p", 200).chain, [(0, 0), (150, 3)]),
         (lambda: _cut_chain("dense"), [(7, 120)]),
-    ], ids=["mm1-800", "odd-even-p-200", "dense-random"])
+    ], ids=["mm1-800", "mm1-800-generator", "odd-even-p-200", "dense-random"])
     def test_a_defect_in_R_fails_the_group_inverse(self, monkeypatch, density, make, cells):
+        """A generator's R is that of its operator -h Q, under the same gate."""
         monkeypatch.setattr(solvers, "_SPARSE_DENSITY", density)
-        P = make()
-        A = solvers._difference(P)
-        R = fundamental_matrix(P)
-        solvers._certified_group_inverse(P, R, A)
+        chain = make()
+        A = solvers._difference(chain)
+        R = solvers._fundamental_matrix(chain, A)
+        solvers._certified_group_inverse(chain, R, A)
         for i, j in cells:
             bad = R.copy()
             bad[i, j] += self.DEFECT
             with pytest.raises(SolverFailure, match="group-inverse axiom residual"):
-                solvers._certified_group_inverse(P, bad, A)
+                solvers._certified_group_inverse(chain, bad, A)
 
     @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
     def test_a_row_sum_free_defect_in_the_tail_fails_the_products(self, monkeypatch, density):
