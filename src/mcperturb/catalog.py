@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import IntensityMatrix, StochasticMatrix, WeightFunction
+from .chains import IntensityMatrix, StochasticMatrix, WeightFunction, _check_pair
 from .ctmc import (
     ctmc_deviation_bound,
     ctmc_hitting_times,
@@ -148,13 +148,15 @@ def bound_catalog(
     weights are fitted as a geometric drift certificate (weighted-norm
     bounds); a vector with zeros is treated as a unit-drift function with
     ``taboo_state`` as its zero (for a generator, in place of the hitting
-    times onto ``taboo_state``).
+    times onto ``taboo_state``). A perturbed chain must be of the chain's
+    kind and size, as in a ``PerturbationPair``.
     """
     dtmc = isinstance(chain, StochasticMatrix)
     if not dtmc and not isinstance(chain, IntensityMatrix):
         raise McPerturbError(f"unsupported chain type {type(chain).__name__}")
     delta_norm = None
     if perturbed is not None:
+        _check_pair(chain, perturbed)
         delta_norm = matrix_norm(perturbed.entries - chain.entries)
     unit = None
     if weights is not None and not isinstance(weights, WeightFunction):

@@ -9,15 +9,19 @@ chain's ``settings`` govern every gate applied to it, and a perturbed chain
 or a uniformized skeleton takes the settings of the chain it is built from.
 It also inherits irreducibility from that chain, without a graph search,
 when no edge of that chain is lost.
+
+Powers of a transition matrix come from one routine, ``_powers``: right
+products with the matrix, through its CSR form below ``_SPARSE_DENSITY``
+nonzeros. No power is cached on the chain.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .errors import ValidationError
+from .errors import InvalidParameters, ValidationError
 from .settings import DEFAULT, NumericSettings
 
 __all__ = [
@@ -27,6 +31,12 @@ __all__ = [
     "WeightFunction",
     "PerturbationPair",
 ]
+
+# Share of nonzero entries below which a matrix is stored as CSR: group_inverse's break-even
+# at n = 200-800 on two BLAS threads; on one it is higher and grows with n (BENCH_11.json).
+# A product with a transition matrix's CSR form took 0.08-0.12x the dense product at 0.5-1%
+# nonzeros and 3.7x at 50% (n = 400, one BLAS thread). ``solvers`` reads it under this name.
+_SPARSE_DENSITY = 0.05
 
 
 def _as_square_matrix(entries, name: str) -> np.ndarray:
@@ -40,8 +50,31 @@ def _as_square_matrix(entries, name: str) -> np.ndarray:
     return a
 
 
+def _nonzeros(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the True entries of ``mask = M != 0``, in
+    row-major order: 5-9x faster than np.nonzero(M) at n = 800."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _sparse_form(A: np.ndarray, density: float) -> csr_array | None:
+    """A as a CSR array, built by hand (6x faster than csr_array(A)), when
+    fewer than ``density`` of its entries are nonzero; None otherwise."""
+    nonzero = A != 0.0
+    if np.count_nonzero(nonzero) >= density * A.size:
+        return None
+    rows, cols = _nonzeros(nonzero)
+    indptr = np.searchsorted(rows, np.arange(A.shape[0] + 1))
+    return csr_array((A[rows, cols], cols, indptr), shape=A.shape)
+
+
+def _check_count(m, message: str, least: int) -> None:
+    """Raise InvalidParameters(message) unless m is an integer of at least ``least``."""
+    if not isinstance(m, (int, np.integer)) or m < least:
+        raise InvalidParameters(message)
+
+
 def _is_strongly_connected(support: np.ndarray) -> bool:
-    graph = csr_matrix(support.astype(np.int8))
+    graph = csr_array(support.astype(np.int8))
     n_comp, _ = connected_components(graph, directed=True, connection="strong")
     return n_comp == 1
 
@@ -56,7 +89,7 @@ def _period_by_bfs(support: np.ndarray) -> int:
     difference.
     """
     # BFS levels are the unweighted shortest-path distances from state 0
-    level = dijkstra(csr_matrix(support.astype(np.int8)), indices=0, unweighted=True)
+    level = dijkstra(csr_array(support.astype(np.int8)), indices=0, unweighted=True)
     u, v = np.nonzero(support)
     reached = np.isfinite(level[u])      # an edge out of a reached state ends at one
     diff = level[u[reached]] + 1.0 - level[v[reached]]
@@ -138,8 +171,38 @@ class StochasticMatrix(_Chain):
     def aperiodic(self) -> bool:
         return self.period == 1
 
+    def _powers(self):
+        """Yield P, P^2, P^3, ...: each power the right product P^(m-1) P.
+
+        Below ``_SPARSE_DENSITY`` nonzeros the product runs on P's CSR form:
+        the iterate is kept as the C-ordered (P^m)^T = P^T (P^(m-1))^T, one
+        product with the transposed CSR form, and P^m is yielded as the
+        iterate's transpose. A denser P takes the dense product. Either way
+        each entry of P^m is one sum over the states, so the two differ only
+        by rounding.
+        """
+        P = self.entries
+        yield P
+        S = _sparse_form(P, _SPARSE_DENSITY)
+        if S is None:
+            Pm = P
+            while True:
+                Pm = Pm @ P
+                yield Pm
+        PT = S.T
+        Tm = PT.toarray()
+        while True:
+            Tm = PT @ Tm
+            yield Tm.T
+
     def power(self, m: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.entries, m)
+        """P^m for an integer m >= 0 (the identity at m = 0), from ``_powers``."""
+        _check_count(m, f"power must be a nonnegative integer, got {m!r}", 0)
+        if m == 0:
+            return np.eye(self.n)
+        for k, Pm in enumerate(self._powers(), 1):
+            if k == m:
+                return Pm
 
     def __repr__(self):
         return (
@@ -276,6 +339,21 @@ def _weight_function(weights) -> WeightFunction:
     return weights if isinstance(weights, WeightFunction) else WeightFunction(weights)
 
 
+def _check_pair(base, perturbed) -> None:
+    """Raise ValidationError unless ``base`` and ``perturbed`` are chains of
+    one kind and one size: the checks of a PerturbationPair and of a
+    perturbed chain given to ``bound_catalog``."""
+    if type(base) is not type(perturbed):
+        raise ValidationError(
+            f"pair members must be the same kind, got {type(base).__name__} "
+            f"and {type(perturbed).__name__}"
+        )
+    if not isinstance(base, (StochasticMatrix, IntensityMatrix)):
+        raise ValidationError("pair members must be StochasticMatrix or IntensityMatrix")
+    if base.n != perturbed.n:
+        raise ValidationError(f"pair sizes differ: {base.n} vs {perturbed.n}")
+
+
 class PerturbationPair:
     """A base chain and a perturbed chain of the same kind and size.
 
@@ -285,15 +363,7 @@ class PerturbationPair:
     """
 
     def __init__(self, base, perturbed):
-        if type(base) is not type(perturbed):
-            raise ValidationError(
-                f"pair members must be the same kind, got {type(base).__name__} "
-                f"and {type(perturbed).__name__}"
-            )
-        if not isinstance(base, (StochasticMatrix, IntensityMatrix)):
-            raise ValidationError("pair members must be StochasticMatrix or IntensityMatrix")
-        if base.n != perturbed.n:
-            raise ValidationError(f"pair sizes differ: {base.n} vs {perturbed.n}")
+        _check_pair(base, perturbed)
         self.base = base
         self.perturbed = perturbed
         delta = perturbed.entries - base.entries

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Distribution, StochasticMatrix, WeightFunction, _weight_function
+from .chains import Distribution, StochasticMatrix, WeightFunction, _check_count, _weight_function
 from .errors import (
     DivergentHittingTimes,
     DriftViolated,
@@ -162,8 +162,7 @@ def skeleton_bound(P: StochasticMatrix, perturbed: StochasticMatrix, m: int) -> 
     The looser relaxation ||P^m - Ptilde^m|| <= m ||Delta|| is reported in
     ``info`` but the bound value uses the actual m-step difference.
     """
-    if m < 1:
-        raise InvalidParameters("skeleton step count must be a positive integer")
+    _check_count(m, "skeleton step count must be a positive integer", 1)
     Pm = P.power(m)
     lam = _contraction_coefficient(
         Pm, "m-step contraction Lambda1(P^m) < 1", f"m = {m}, Lambda1(P^m)",
@@ -198,6 +197,32 @@ class SmallSetCertificate:
     per_state_minima: np.ndarray
 
 
+def _search_slack(P: StochasticMatrix, m_max: int) -> float:
+    """s with every computed nu_m <= 1 + s for m <= m_max, rounding included;
+    inf when the derivation below does not give a small s.
+
+    With u = 2^-53, gamma_k = k u / (1 - k u) and tau = ``P.settings.validation``
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+
+    * P's rows were summed to within tau of 1 with nonnegative terms, so
+      each exact row sum is at most rho = (1 + tau) / (1 - gamma_n);
+    * each entry of a computed product of nonnegative matrices is at most
+      (1 + gamma_n) times the exact one, in any summation order, dense or
+      CSR, so the rows of the computed P^m sum to at most
+      rho^m (1 + gamma_n)^(m - 1);
+    * nu_m sums column minima, each at most an entry of row 0, and the
+      computed sum adds at most a factor 1 + gamma_n.
+
+    Hence nu_m <= c^m <= c^m_max with c = (1 + tau) / (1 - gamma_n)^2 and
+    ln c^m_max <= x = m_max (tau + 3 g), g = gamma_(n+8), whenever x < 1/4.
+    Then c^m_max <= 1 / (1 - x) <= 1 + 4x / 3, and s = 2x leaves 2x / 3 >= 2g
+    for the few roundings of evaluating s and ``best * (1 + s)``.
+    """
+    g = (P.n + 8) * _UNIT_ROUNDOFF / (1.0 - (P.n + 8) * _UNIT_ROUNDOFF)
+    x = m_max * (P.settings.validation + 3.0 * g)
+    return 2.0 * x if x < 0.25 else np.inf
+
+
 def small_set_bound(
     P: StochasticMatrix,
     m_max: int = 8,
@@ -208,32 +233,49 @@ def small_set_bound(
 
     For each m the common mass is nu_m = sum_k inf_i P^m(i, k); the bound
     coefficient is m / nu_m and the returned m minimizes it among steps with
-    nu_m > 0. When a perturbed chain is supplied, the tighter direct form
-    ||P^m - Ptilde^m|| / nu_m is evaluated alongside the linear form.
+    nu_m > 0, the smallest m on a tie. When a perturbed chain is supplied,
+    the tighter direct form ||P^m - Ptilde^m|| / nu_m is evaluated alongside
+    the linear form.
+
+    The powers come from ``StochasticMatrix.power``'s routine: right
+    products with P, on its CSR form when P is sparse. The search keeps the
+    P^m it chose, and Ptilde^m comes from the same routine, so the direct
+    form subtracts matched products.
+
+    The search stops early, and exactly: nu_m <= 1, so m / nu_m >= m, and
+    once m reaches the best m / nu_m so far no later step can win. The stop
+    waits until m >= best (1 + s), with s from ``_search_slack`` covering
+    row sums up to ``P.settings.validation`` off 1 and the products'
+    rounding, so it never changes the chosen m, nu_m or the coefficient.
+    ``info["search_table"]`` lists the steps searched, (m, nu_m), and may
+    end before m_max.
 
     An alternative route through the deviation-matrix norm (summing the
     geometric decay of ||P^n - Pi||) yields 2m / nu_m, twice this
     coefficient, and is therefore never worth computing.
     """
-    if m_max < 1:
-        raise InvalidParameters("m_max must be a positive integer")
+    _check_count(m_max, "m_max must be a positive integer", 1)
+    stop = 1.0 + _search_slack(P, m_max)
+    powers = P._powers()
     best = None
     table = []
     for m in range(1, m_max + 1):
-        Pm = P.entries if m == 1 else Pm @ P.entries
+        if best is not None and m >= best[0] * stop:
+            break
+        Pm = next(powers)
         minima = Pm.min(axis=0)
         nu = float(minima.sum())
         table.append((m, nu))
         if nu > 0.0 and (best is None or m / nu < best[0]):
-            best = (m / nu, m, nu, minima.copy())
+            best = (m / nu, m, nu, minima, Pm)
     if best is None:
         raise NoSmallSet(f"nu_m = 0 for every m <= {m_max}")
-    ell, m_star, nu_star, minima = best
+    ell, m_star, nu_star, minima, Pm = best
     cert = SmallSetCertificate(m=m_star, nu_mass=nu_star, per_state_minima=minima)
     info = {"search_table": table, "m": m_star, "nu_mass": nu_star}
     direct_value = None
     if perturbed is not None:
-        num = matrix_norm(P.power(m_star) - perturbed.power(m_star))
+        num = matrix_norm(Pm - perturbed.power(m_star))
         direct_value = num / nu_star
         info["m_step_difference_norm"] = num
         if delta_norm is None:

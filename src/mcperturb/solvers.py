@@ -67,7 +67,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse import csr_array
 
-from .chains import Distribution, IntensityMatrix, StochasticMatrix
+from .chains import (_SPARSE_DENSITY, Distribution, IntensityMatrix, StochasticMatrix, _nonzeros,
+                     _sparse_form)
 from .errors import (DivergentHittingTimes, InvalidParameters, PeriodicChain, ReducibleChain,
                      SolverFailure)
 
@@ -80,9 +81,6 @@ __all__ = [
 ]
 
 
-# Share of nonzero entries of I - P below which it is stored as CSR: group_inverse's break-even
-# at n = 200-800 on two BLAS threads; on one it is higher and grows with n (BENCH_11.json).
-_SPARSE_DENSITY = 0.05
 # Largest share (l + u + 1) / m of a reduced system's order m that its band (l, u) may fill for
 # the banded solve: against m right-hand sides it cost 0.2-0.56x the dense solve up to about
 # 0.17 and 0.6-0.7x near 0.32 (n = 200-800, one BLAS thread).
@@ -97,26 +95,15 @@ def _default_step(uc: float) -> float:
     return DEFAULT_STEP_FRACTION * (1.0 / uc) if uc > 0 else DEFAULT_STEP_FRACTION
 
 
-def _nonzeros(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the True entries of ``mask = M != 0``, in
-    row-major order: 5-9x faster than np.nonzero(M) at n = 800."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
-
-
 def _difference(chain: StochasticMatrix | IntensityMatrix) -> np.ndarray | csr_array:
     """The chain's difference operator A = I - P, or A = -h Q for a generator at
-    ``uniformize``'s default step h; CSR below ``_SPARSE_DENSITY``, built by
-    hand, 6x faster than csr_array(A)."""
+    ``uniformize``'s default step h; CSR below this module's ``_SPARSE_DENSITY``."""
     if isinstance(chain, IntensityMatrix):
         A = -_default_step(chain.uniformization_constant) * chain.entries
     else:
         A = np.eye(chain.n) - chain.entries
-    nonzero = A != 0.0
-    if np.count_nonzero(nonzero) >= _SPARSE_DENSITY * A.size:
-        return A
-    rows, cols = _nonzeros(nonzero)
-    indptr = np.searchsorted(rows, np.arange(chain.n + 1))
-    return csr_array((A[rows, cols], cols, indptr), shape=A.shape)
+    S = _sparse_form(A, _SPARSE_DENSITY)
+    return A if S is None else S
 
 
 def _solve(A: np.ndarray, b: np.ndarray, system: str,

@@ -8,6 +8,7 @@ from mcperturb import (
     DriftViolated,
     HypothesisFailed,
     IntensityMatrix,
+    InvalidParameters,
     NumericSettings,
     PerturbationPair,
     StochasticMatrix,
@@ -75,6 +76,18 @@ class TestStochasticMatrix:
         P = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError):
             P.entries[0, 0] = 0.4
+
+    @pytest.mark.parametrize("m", [-1, -3, 2.5, 1.0, "2", None])
+    def test_power_rejects_what_is_not_a_nonnegative_integer(self, m):
+        P = StochasticMatrix([[0.2, 0.8], [0.6, 0.4]])
+        with pytest.raises(InvalidParameters, match="power must be a nonnegative integer"):
+            P.power(m)
+
+    def test_power_zero_is_the_identity_and_power_one_the_matrix(self):
+        P = StochasticMatrix([[0.2, 0.8], [0.6, 0.4]])
+        assert np.array_equal(P.power(0), np.eye(2))
+        assert np.array_equal(P.power(np.int64(1)), P.entries)
+        assert np.array_equal(P.power(3), P.entries @ P.entries @ P.entries)
 
 
 class TestIntensityMatrix:
@@ -156,6 +169,28 @@ class TestPerturbationPair:
         pair = PerturbationPair(Q, Qt)
         assert pair.kind == "ctmc"
         np.testing.assert_allclose(pair.delta.sum(axis=1), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("base, perturbed, match", [
+        ("P", "Q", "same kind, got StochasticMatrix and IntensityMatrix"),
+        ("Q", "P", "same kind, got IntensityMatrix and StochasticMatrix"),
+        ("P", "P3", "sizes differ: 2 vs 3"),
+        ("Q", "Q3", "sizes differ: 2 vs 3"),
+        ("P", "array", "same kind, got StochasticMatrix and ndarray"),
+    ])
+    def test_the_catalog_rejects_what_a_pair_rejects(self, base, perturbed, match):
+        chains_by_name = {
+            "P": StochasticMatrix([[0.5, 0.5], [0.3, 0.7]]),
+            "P3": StochasticMatrix(np.full((3, 3), 1 / 3)),
+            "Q": IntensityMatrix([[-1.0, 1.0], [2.0, -2.0]]),
+            "Q3": IntensityMatrix([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]),
+            "array": np.array([[0.5, 0.5], [0.3, 0.7]]),
+        }
+        base, perturbed = chains_by_name[base], chains_by_name[perturbed]
+        with pytest.raises(ValidationError, match=match) as from_pair:
+            PerturbationPair(base, perturbed)
+        with pytest.raises(ValidationError) as from_catalog:
+            bound_catalog(base, perturbed=perturbed)
+        assert str(from_catalog.value) == str(from_pair.value)
 
 
 def loop_period(support):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcperturb.chains as chains_mod
 import mcperturb.dtmc
 from mcperturb import (
     DivergentHittingTimes,
@@ -10,6 +11,7 @@ from mcperturb import (
     DriftViolated,
     GeometricDriftCertificate,
     HypothesisFailed,
+    InvalidParameters,
     NoSmallSet,
     SolverFailure,
     StochasticMatrix,
@@ -34,7 +36,7 @@ from mcperturb import (
 )
 from mcperturb import gallery
 from mcperturb.gallery import birth_death, geometric_return, odd_even
-from mcperturb.settings import DEFAULT
+from mcperturb.settings import DEFAULT, NumericSettings
 from tests.conftest import (
     count_scanned_rows,
     gallery_model,
@@ -685,8 +687,9 @@ class TestLambda1ScanStop:
 
 
 def _reference_small_set_search(P, m_max):
-    """The search loop started from the identity: (table, best) as
-    ``small_set_bound`` reports them."""
+    """The search loop started from the identity, by dense products and
+    without the early stop: (table, best) as ``small_set_bound`` reports
+    them, with P^m* last in best."""
     Pm = np.eye(P.n)
     best = None
     table = []
@@ -696,13 +699,63 @@ def _reference_small_set_search(P, m_max):
         nu = float(minima.sum())
         table.append((m, nu))
         if nu > 0.0 and (best is None or m / nu < best[0]):
-            best = (m / nu, m, nu, minima.copy())
+            best = (m / nu, m, nu, minima.copy(), Pm.copy())
     return table, best
 
 
+def _identity_started_power(P, m):
+    Pm = np.eye(P.n)
+    for _ in range(m):
+        Pm = Pm @ P.entries
+    return Pm
+
+
+_U = 2.0**-53
+
+
+def _gamma(k):
+    return k * _U / (1.0 - k * _U)
+
+
+def _power_error(n, m):
+    """delta_m = (1 + gamma_n)^m - 1 (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3).
+
+    Each entry of a computed product of nonnegative n x n matrices is the
+    exact product's times 1 + theta, |theta| <= gamma_n, in any summation
+    order, dense or CSR. By induction every computed P^m, by any product
+    tree of m - 1 products, lies entrywise within a factor 1 +- delta_(m-1)
+    of the exact power of the stored P, and a computed nu_m, whose sum of
+    n nonnegative minima adds one more such factor, within 1 +- delta_m.
+    """
+    return (1.0 + _gamma(n)) ** m - 1.0
+
+
+def _assert_small_set_close(rep, ref_ell, ref_num, n, m):
+    """ell = m / nu_m and ||P^m - Ptilde^m|| of two computations within
+    their rounding bounds.
+
+    Both nu_m lie within 1 +- d of the exact one, d = delta_m, so the two
+    ell differ by at most ref_ell (2 d / (1 - d)) plus the two divisions'
+    rounding, inside 4u. Each computed power differs from the exact one by
+    at most delta_(m-1) P^m entrywise, so the two differences of powers
+    differ by at most 2 delta_(m-1) (P^m + Ptilde^m), whose rows sum to
+    about 4 delta_(m-1); the subtractions add u per entry and the norm's
+    sum a factor 1 + gamma_n. 5 d covers the first two with the row sums'
+    1e-12 slack, and 2 gamma_n (num + ref_num) the last.
+    """
+    d = _power_error(n, m)
+    assert abs(rep.ell - ref_ell) <= ref_ell * (2.0 * d / (1.0 - d) + 4.0 * _U)
+    num = rep.info["m_step_difference_norm"]
+    assert abs(num - ref_num) <= 5.0 * d + 2.0 * _gamma(n) * (num + ref_num)
+
+
 class TestSmallSetPowerLoop:
-    """The power loop starts from P itself; the identity product it replaced
-    was exact, so every step, value and certificate is unchanged."""
+    """Against the identity-started dense loop, searched to m_max: the
+    reported table is its prefix, and the chosen step, mass and column
+    minima are its own; ell and the m-step difference norm agree within
+    their rounding bounds, since sparse chains' powers come from CSR
+    products."""
 
     @pytest.mark.parametrize("n", [24, 200])
     @pytest.mark.parametrize("spec", ["birth-death", "funderlic8", "geometric-return",
@@ -719,11 +772,13 @@ class TestSmallSetPowerLoop:
             return
         perturbed = canonical_pair(model, seed=0).perturbed
         rep, cert = small_set_bound(P, perturbed=perturbed)
-        assert rep.info["search_table"] == table
-        assert (rep.ell, cert.m, cert.nu_mass) == best[:3]
+        searched = rep.info["search_table"]
+        assert 1 <= len(searched) <= len(table)
+        assert searched == table[:len(searched)]
+        assert (cert.m, cert.nu_mass) == best[1:3]
         assert np.array_equal(cert.per_state_minima, best[3])
-        assert rep.info["m_step_difference_norm"] == matrix_norm(
-            P.power(best[1]) - perturbed.power(best[1]))
+        ref_num = matrix_norm(best[4] - _identity_started_power(perturbed, best[1]))
+        _assert_small_set_close(rep, best[0], ref_num, P.n, best[1])
 
     def test_forms_no_identity(self, monkeypatch, funderlic):
         calls = []
@@ -736,3 +791,240 @@ class TestSmallSetPowerLoop:
         monkeypatch.setattr(np, "eye", counting_eye)
         small_set_bound(funderlic.chain)
         assert calls == []
+
+
+def _full_search(P, m_max):
+    """small_set_bound's search without its early stop, on the same powers:
+    (table, (ell, m, nu, minima)) or (table, None) when every nu_m is 0."""
+    best = None
+    table = []
+    for m in range(1, m_max + 1):
+        minima = P.power(m).min(axis=0)
+        nu = float(minima.sum())
+        table.append((m, nu))
+        if nu > 0.0 and (best is None or m / nu < best[0]):
+            best = (m / nu, m, nu, minima)
+    return table, best
+
+
+def _doubly_stochastic(seed, n):
+    """Convex mix of 4 random permutation matrices, as the catalog benchmark
+    builds it: about 1% nonzeros at n = 400 and a uniform pi."""
+    rng = np.random.default_rng([seed, 4])
+    P = np.zeros((n, n))
+    for w in rng.dirichlet(np.full(4, 4.0)):
+        P[np.arange(n), rng.permutation(n)] += w
+    return StochasticMatrix(P)
+
+
+def _random_search_chain(seed):
+    """Sparse (under 5% nonzeros at the larger sizes) or dense random chain."""
+    rng = np.random.default_rng([seed, 19])
+    n = int(rng.integers(2, 150))
+    if seed % 2:
+        return StochasticMatrix(random_irreducible_chain(rng, n, rng.choice([0.0, 0.9])))
+    return StochasticMatrix(sparse_irreducible_chain(rng, n, rng.choice([0.0, 0.01, 0.03])))
+
+
+_DTMC_GALLERY = ["birth-death", "funderlic8", "geometric-return", "hessenberg-gi-m-1",
+                 "meyer4", "odd-even-p"]
+
+
+def _gallery_chain(spec, n):
+    if spec == "birth-death":
+        return gallery.build_model(f"birth-death({n})").chain
+    return gallery_model(spec, n).chain
+
+
+class TestSmallSetEarlyStop:
+    """The search stops once m reaches the best m / nu_m so far, less its
+    rounding slack, and reports the full search's step, mass and ell."""
+
+    @staticmethod
+    def _assert_same_as_full_search(P, m_max=8):
+        table, best = _full_search(P, m_max)
+        if best is None:
+            with pytest.raises(NoSmallSet):
+                small_set_bound(P, m_max=m_max)
+            return
+        rep, cert = small_set_bound(P, m_max=m_max)
+        searched = rep.info["search_table"]
+        assert searched == table[:len(searched)]
+        assert (rep.ell, cert.m, cert.nu_mass) == best[:3]
+        assert np.array_equal(cert.per_state_minima, best[3])
+        # every step left out could not have won
+        assert all(m >= rep.ell for m, _ in table[len(searched):])
+
+    @pytest.mark.parametrize("n", [24, 200, 400])
+    @pytest.mark.parametrize("spec", _DTMC_GALLERY)
+    def test_gallery(self, spec, n):
+        self._assert_same_as_full_search(_gallery_chain(spec, n))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_doubly_stochastic(self, seed):
+        self._assert_same_as_full_search(_doubly_stochastic(seed, 400))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_chains(self, seed):
+        P = _random_search_chain(seed)
+        for m_max in (1, 3, 8, 20):
+            self._assert_same_as_full_search(P, m_max)
+
+    def test_random_chains_cover_both_product_forms_and_early_stops(self):
+        chains = [_random_search_chain(s) for s in range(30)]
+        sparse = {chains_mod._sparse_form(P.entries, chains_mod._SPARSE_DENSITY) is not None
+                  for P in chains}
+        assert sparse == {True, False}
+        searched = []
+        for P in chains:
+            try:
+                searched.append(len(small_set_bound(P)[0].info["search_table"]))
+            except NoSmallSet:
+                searched.append(8)
+        assert min(searched) < 8 and max(searched) == 8
+
+    def test_hessenberg_forms_one_product(self):
+        rep, cert = small_set_bound(gallery_model("hessenberg-gi-m-1", 400).chain)
+        assert cert.m == 1
+        assert 2 < rep.ell < 3
+        assert [m for m, _ in rep.info["search_table"]] == [1, 2]
+
+    def test_odd_even_ties_keep_the_first_step(self):
+        P = gallery_model("odd-even-p", 200).chain
+        for m_max in (8, 12):
+            rep, cert = small_set_bound(P, m_max=m_max)
+            assert rep.info["search_table"][1:4] == [(2, 0.25), (3, 0.375), (4, 0.5)]
+            assert (cert.m, rep.ell) == (2, 8.0)
+        # m = 8 ties too and cannot be stopped at 8 = ell; m = 9 can
+        assert [m for m, _ in rep.info["search_table"]] == list(range(1, 9))
+
+    def test_the_slack_keeps_a_step_whose_mass_exceeds_one(self):
+        # rows sum to 1 + eps, inside the validation tolerance; nu_1 = (1 + eps) / 2
+        # gives ell_1 = 2 / (1 + eps) < 2, and nu_2 = 1 + 2 eps > 1 makes m = 2 win,
+        # so a stop at m >= ell without slack would return m = 1
+        eps = 2.0**-40
+        assert eps <= DEFAULT.validation
+        h = 0.5 * (1.0 + eps)
+        P = StochasticMatrix([[h, 0.0, h], [h, 0.0, h], [0.0, h, h]])
+        rep, cert = small_set_bound(P, m_max=2)
+        assert rep.info["search_table"][0] == (1, h)
+        assert 2.0 >= 1.0 / h
+        assert cert.m == 2 and cert.nu_mass > 1.0
+        assert rep.ell == 2.0 / cert.nu_mass
+
+    def test_a_loose_validation_tolerance_turns_the_stop_off(self):
+        P = StochasticMatrix(gallery_model("hessenberg-gi-m-1", 24).chain.entries,
+                             settings=NumericSettings(validation=0.1))
+        rep, cert = small_set_bound(P)
+        assert len(rep.info["search_table"]) == 8
+        assert cert.m == 1
+
+
+class TestInvalidSteps:
+    @pytest.mark.parametrize("m_max", [0, -1, 2.5, 2.0, "8", None])
+    def test_small_set_rejects_a_step_bound_that_is_not_a_positive_integer(self, m_max, meyer):
+        with pytest.raises(InvalidParameters, match="m_max must be a positive integer"):
+            small_set_bound(meyer.chain, m_max=m_max)
+
+    @pytest.mark.parametrize("m", [0, -2, 1.5])
+    def test_skeleton_rejects_a_step_count_that_is_not_a_positive_integer(self, m, meyer):
+        with pytest.raises(InvalidParameters, match="skeleton step count"):
+            skeleton_bound(meyer.chain, meyer.chain, m)
+
+    def test_numpy_integers_are_step_counts(self, meyer):
+        rep, cert = small_set_bound(meyer.chain, m_max=np.int64(3))
+        assert rep.info["search_table"] == small_set_bound(meyer.chain, m_max=3)[0].info[
+            "search_table"]
+        assert skeleton_bound(meyer.chain, meyer.chain, np.int32(2)).info["m"] == 2
+
+
+class TestPowerPaths:
+    """Powers by CSR products (sparse P) and by dense products agree within
+    rounding, and the catalog reads the same on both paths."""
+
+    @pytest.mark.parametrize("n", [24, 200])
+    @pytest.mark.parametrize("spec", _DTMC_GALLERY + ["doubly-stochastic"])
+    def test_every_catalog_bound_is_the_same_on_both_paths(self, monkeypatch, spec, n):
+        from mcperturb import bound_catalog
+        from mcperturb.verify import canonical_pair
+
+        if spec == "doubly-stochastic":
+            P = _doubly_stochastic(0, n)
+            model = gallery.GalleryModel(name=spec, kind="dtmc", chain=P)
+        else:
+            model = gallery_model(spec, n)
+            P = model.chain
+        perturbed = canonical_pair(model, seed=0).perturbed
+        runs = []
+        for density in (0.0, np.inf):          # dense products, then CSR products
+            monkeypatch.setattr(chains_mod, "_SPARSE_DENSITY", density)
+            runs.append(bound_catalog(P, perturbed=perturbed))
+        dense, sparse = runs
+        assert [r.bound_name for r in dense] == [r.bound_name for r in sparse]
+        for a, b in zip(dense, sparse):
+            assert a.hypotheses_hold == b.hypotheses_hold
+            assert a.valid == b.valid
+            if a.bound_name.startswith("small_set") and a.hypotheses_hold:
+                m = a.info["m"]
+                assert a.info["search_table"][:1] == b.info["search_table"][:1]
+                _assert_small_set_close(b, a.ell, a.info["m_step_difference_norm"], P.n, m)
+            elif a.bound_name.startswith("skeleton") and a.hypotheses_hold:
+                self._assert_skeleton_close(a, b, P.n)
+            else:
+                assert (a.ell, a.bound_value, a.info) == (b.ell, b.bound_value, b.info)
+
+    @staticmethod
+    def _assert_skeleton_close(a, b, n):
+        """Lambda1(P^2) and ||P^2 - Ptilde^2|| / (1 - Lambda1(P^2)) within rounding.
+
+        The two P^2 differ entrywise by at most 2 delta_1 P^2, so every row
+        distance moves by at most 4 delta_1 times a row sum and Lambda1 by
+        half that, plus each computed distance's own factor 1 + gamma_(n+1):
+        3 delta_2 covers both. The quotient then moves by the numerator's
+        bound over 1 - Lambda1, plus its value times Lambda1's bound over
+        1 - Lambda1, plus the division's rounding.
+        """
+        tol_lam = 3.0 * _power_error(n, 2)
+        lam_a, lam_b = a.info["lambda1_Pm"], b.info["lambda1_Pm"]
+        assert abs(lam_a - lam_b) <= tol_lam
+        num_a, num_b = a.info["m_step_difference_norm"], b.info["m_step_difference_norm"]
+        tol_num = 5.0 * _power_error(n, 2) + 2.0 * _gamma(n) * (num_a + num_b)
+        assert abs(num_a - num_b) <= tol_num
+        va, vb = a.direct_value, b.direct_value
+        assert abs(va - vb) <= ((tol_num + va * tol_lam) / (1.0 - max(lam_a, lam_b) - tol_lam)
+                                + 4.0 * _U * (va + vb))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_power_matches_a_dense_reference(self, seed, m):
+        P = _random_search_chain(seed)
+        ref = np.linalg.matrix_power(np.array(P.entries), m)
+        # both lie within delta_(m-1) P^m of the exact power, and P^m <= ref / (1 - delta)
+        d = _power_error(P.n, m - 1)
+        assert np.all(np.abs(P.power(m) - ref) <= 2.0 * d / (1.0 - d) * ref)
+
+    def test_a_sparse_chain_never_reaches_matrix_power(self, monkeypatch):
+        from mcperturb import bound_catalog
+        from mcperturb.verify import canonical_pair
+
+        model = gallery_model("geometric-return", 200)
+        P = model.chain
+        perturbed = canonical_pair(model, seed=0).perturbed
+        forms = []
+        sparse_form = chains_mod._sparse_form
+
+        def recording_form(A, density):
+            S = sparse_form(A, density)
+            forms.append(S is not None)
+            return S
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.matrix_power was called")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", refused)
+        monkeypatch.setattr(chains_mod, "_sparse_form", recording_form)
+        P.power(5)
+        small_set_bound(P, perturbed=perturbed)
+        skeleton_bound(P, perturbed, 2)
+        bound_catalog(P, perturbed=perturbed)
+        assert forms and all(forms)
