@@ -10,6 +10,12 @@ or a uniformized skeleton takes the settings of the chain it is built from.
 It also inherits irreducibility from that chain, without a graph search,
 when no edge of that chain is lost.
 
+The constructors check every row; ``_perturbed_chain`` runs the same row
+checks on the rows a perturbation touches and reads the other rows' sums
+from the base chain, so it accepts or rejects exactly what the constructor
+would at O(k n) cost beyond one copy of the entries. A generator still
+checks its whole diagonal and every row sum against its new rate scale.
+
 Powers of a transition matrix come from one routine, ``_powers``: right
 products with the matrix, through its CSR form below ``_SPARSE_DENSITY``
 nonzeros. No power is cached on the chain.
@@ -45,9 +51,31 @@ def _as_square_matrix(entries, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValidationError(f"{name} must have at least one state")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{name} contains non-finite entries")
     return a
+
+
+_ALL_ROWS = slice(None)
+
+
+def _finite_rows(E: np.ndarray, rows, name: str) -> np.ndarray:
+    """``E[rows]`` (a view when ``rows`` is ``_ALL_ROWS``), checked finite."""
+    block = E[rows]
+    if not np.isfinite(block).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return block
+
+
+def _row_sums(block: np.ndarray, rows, base_sums: np.ndarray | None) -> np.ndarray:
+    """Row sums of a matrix whose ``rows`` are ``block``: ``block``'s sums on
+    those rows, and ``base_sums`` on the rest, where the matrix equals the
+    one ``base_sums`` was summed from. A row sums alike alone or in a block,
+    so the result is bit for bit the matrix's own ``sum(axis=1)``."""
+    sums = block.sum(axis=1)
+    if base_sums is None:
+        return sums
+    out = base_sums.copy()
+    out[rows] = sums
+    return out
 
 
 def _nonzeros(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +127,13 @@ def _period_by_bfs(support: np.ndarray) -> int:
 class _Chain:
     """Frozen storage, settings and caches shared by both chain kinds."""
 
-    def __init__(self, entries: np.ndarray, settings: NumericSettings):
+    def __init__(self, entries: np.ndarray, settings: NumericSettings, row_sums: np.ndarray):
         entries.setflags(write=False)
+        row_sums.setflags(write=False)
         self.entries = entries
         self.n = entries.shape[0]
         self.settings = settings
+        self._row_sums = row_sums        # entries.sum(axis=1), reused by _perturbed_chain
         self._irreducible: bool | None = None
         self._stationary: dict = {}      # method -> Distribution
 
@@ -142,20 +172,26 @@ class StochasticMatrix(_Chain):
     """
 
     def __init__(self, entries, settings: NumericSettings = DEFAULT):
-        P = _as_square_matrix(entries, "transition matrix")
-        if np.any(P < 0):
-            i, j = np.argwhere(P < 0)[0]
+        self._adopt(_as_square_matrix(entries, "transition matrix"), settings, _ALL_ROWS)
+
+    def _adopt(self, P: np.ndarray, settings: NumericSettings, rows, base_sums=None):
+        """Check ``rows`` of P as a transition matrix's and take P as this
+        chain's entries. The other rows must have passed these checks before,
+        in the chain whose row sums ``base_sums`` holds (see ``_row_sums``)."""
+        block = _finite_rows(P, rows, "transition matrix")
+        if (block < 0).any():
+            i, j = np.argwhere(block < 0)[0]
+            i = np.arange(P.shape[0])[rows][i]
             raise ValidationError(
                 f"transition matrix has negative entry {P[i, j]:.3e} at ({i}, {j})"
             )
-        row_sums = P.sum(axis=1)
-        bad = np.abs(row_sums - 1.0) > settings.validation
-        if np.any(bad):
+        row_sums = _row_sums(block, rows, base_sums)
+        if (np.abs(row_sums[rows] - 1.0) > settings.validation).any():
             i = int(np.argmax(np.abs(row_sums - 1.0)))
             raise ValidationError(
                 f"row {i} sums to {row_sums[i]:.15f}, not 1 within {settings.validation:g}"
             )
-        super().__init__(P, settings)
+        super().__init__(P, settings, row_sums)
         self._period: int | None = None
         self._fundamental = None         # solvers._FundamentalSummary
 
@@ -221,30 +257,40 @@ class IntensityMatrix(_Chain):
     """
 
     def __init__(self, entries, settings: NumericSettings = DEFAULT):
-        Q = _as_square_matrix(entries, "intensity matrix")
-        off = Q.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < 0):
-            i, j = np.argwhere(off < 0)[0]
+        self._adopt(_as_square_matrix(entries, "intensity matrix"), settings, _ALL_ROWS)
+
+    def _adopt(self, Q: np.ndarray, settings: NumericSettings, rows, base_sums=None):
+        """Check Q as a generator and take it as this chain's entries: entries
+        and off-diagonal signs on ``rows`` only, every row sum against the
+        scale of the whole diagonal, and the rates and uniformization constant
+        of the whole diagonal. ``rows`` and ``base_sums`` as for
+        ``StochasticMatrix._adopt``."""
+        block = _finite_rows(Q, rows, "intensity matrix")
+        states = np.arange(Q.shape[0])[rows]
+        negative = block < 0
+        negative[np.arange(states.size), states] = False     # only off-diagonals must be >= 0
+        if negative.any():
+            i, j = np.argwhere(negative)[0]
+            i = states[i]
             raise ValidationError(
                 f"intensity matrix has negative off-diagonal {Q[i, j]:.3e} at ({i}, {j})"
             )
-        row_sums = Q.sum(axis=1)
+        row_sums = _row_sums(block, rows, base_sums)
         scale = max(1.0, float(np.abs(np.diag(Q)).max()))
-        if np.any(np.abs(row_sums) > settings.validation * scale):
+        if (np.abs(row_sums) > settings.validation * scale).any():
             i = int(np.argmax(np.abs(row_sums)))
             raise ValidationError(
                 f"row {i} sums to {row_sums[i]:.3e}, not conservative within "
                 f"{settings.validation:g} (relative to rate scale {scale:g})"
             )
         rates = -np.diag(Q)
-        if np.any(rates < -settings.validation):
+        if (rates < -settings.validation).any():
             i = int(np.argmin(rates))
             raise ValidationError(f"diagonal entry at state {i} is positive")
         uc = float(rates.max()) + 0.0     # + 0.0: a zero diagonal's -0.0 reads 0
         if not (np.isfinite(uc) and (uc > 0.0 or (uc == 0.0 and Q.shape[0] == 1))):
             raise ValidationError("uniformization constant must be finite and positive")
-        super().__init__(Q, settings)
+        super().__init__(Q, settings, row_sums)
         self.uniformization_constant = uc
 
     def __repr__(self):
@@ -264,16 +310,29 @@ def _inherit_irreducibility(base, chain, rows=slice(None)) -> None:
     graph check on first read. Comparing a generator's diagonal too can
     only send a chain to the fallback.
     """
-    if base.irreducible and not np.any((base.entries[rows] > 0.0)
-                                       & (chain.entries[rows] <= 0.0)):
+    if base.irreducible and not ((base.entries[rows] > 0.0)
+                                 & (chain.entries[rows] <= 0.0)).any():
         chain._irreducible = True
 
 
-def _perturbed_chain(chain, delta: np.ndarray):
-    """``chain.entries + delta`` validated as a new chain of the same kind; it
-    inherits irreducibility when the rows ``delta`` touches lose no edge."""
-    perturbed = type(chain)(chain.entries + delta, settings=chain.settings)
-    _inherit_irreducibility(chain, perturbed, np.flatnonzero(delta.any(axis=1)))
+def _perturbed_chain(chain, delta: np.ndarray, rows: np.ndarray | None = None):
+    """``chain.entries + delta`` as a new chain of the same kind, accepted or
+    rejected exactly as ``type(chain)(chain.entries + delta, chain.settings)``.
+
+    ``rows`` lists the rows ``delta`` touches (found here when not given).
+    Only those rows are added, and only they can fail a per-row check: every
+    other row passed it in ``chain``, with the same settings. Their row sums
+    are ``chain``'s. A generator still checks every row sum against the scale
+    of its new diagonal. The new chain inherits irreducibility when the
+    touched rows lose no edge.
+    """
+    if rows is None:
+        rows = np.flatnonzero(delta.any(axis=1))
+    entries = chain.entries.copy()
+    entries[rows] += delta[rows]
+    perturbed = type(chain).__new__(type(chain))
+    perturbed._adopt(entries, chain.settings, rows, chain._row_sums)
+    _inherit_irreducibility(chain, perturbed, rows)
     return perturbed
 
 
@@ -287,18 +346,17 @@ class Distribution:
 
     def __init__(self, values, settings: NumericSettings = DEFAULT):
         v = np.array(values, dtype=float).ravel()
-        if v.size == 0 or not np.all(np.isfinite(v)):
+        if v.size == 0 or not np.isfinite(v).all():
             raise ValidationError("distribution must be a finite, nonempty vector")
-        neg = v < 0
-        if np.any(v < -settings.validation):
-            i = int(np.argmin(v))
-            raise ValidationError(f"distribution entry {v[i]:.3e} at {i} is negative")
-        if np.any(neg):
-            v = np.where(neg, 0.0, v)
+        if v.min() < 0.0:
+            if v.min() < -settings.validation:
+                i = int(np.argmin(v))
+                raise ValidationError(f"distribution entry {v[i]:.3e} at {i} is negative")
+            v[v < 0.0] = 0.0
         total = v.sum()
         if abs(total - 1.0) > settings.validation:
             raise ValidationError(f"distribution sums to {total:.15f}, not 1")
-        v = v / total
+        v /= total                       # v is this instance's own copy
         v.setflags(write=False)
         self.values = v
         self.n = v.size

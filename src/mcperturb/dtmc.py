@@ -156,18 +156,28 @@ def seneta_best_bound(P: StochasticMatrix, delta_norm: float | None = None) -> B
     )
 
 
-def skeleton_bound(P: StochasticMatrix, perturbed: StochasticMatrix, m: int) -> BoundReport:
-    """m-step skeleton bound with the exact numerator ||P^m - Ptilde^m||.
-
-    The looser relaxation ||P^m - Ptilde^m|| <= m ||Delta|| is reported in
-    ``info`` but the bound value uses the actual m-step difference.
-    """
+def _skeleton_base(P: StochasticMatrix, m: int) -> tuple[np.ndarray, float]:
+    """P^m and Lambda1(P^m), the part of ``skeleton_bound(P, ., m)`` that does
+    not depend on the perturbed chain; HypothesisFailed unless Lambda1(P^m) < 1."""
     _check_count(m, "skeleton step count must be a positive integer", 1)
     Pm = P.power(m)
     lam = _contraction_coefficient(
         Pm, "m-step contraction Lambda1(P^m) < 1", f"m = {m}, Lambda1(P^m)",
         P.settings.hypothesis_margin,
     )
+    return Pm, lam
+
+
+def skeleton_bound(P: StochasticMatrix, perturbed: StochasticMatrix, m: int,
+                   base: tuple[np.ndarray, float] | None = None) -> BoundReport:
+    """m-step skeleton bound with the exact numerator ||P^m - Ptilde^m||.
+
+    The looser relaxation ||P^m - Ptilde^m|| <= m ||Delta|| is reported in
+    ``info`` but the bound value uses the actual m-step difference. ``base``,
+    the value of ``_skeleton_base(P, m)``, spares a caller that checks many
+    perturbations of one P its recomputation.
+    """
+    Pm, lam = _skeleton_base(P, m) if base is None else base
     num = matrix_norm(Pm - perturbed.power(m))
     delta = matrix_norm(perturbed.entries - P.entries)
     return BoundReport(

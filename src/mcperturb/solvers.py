@@ -95,13 +95,21 @@ def _default_step(uc: float) -> float:
     return DEFAULT_STEP_FRACTION * (1.0 / uc) if uc > 0 else DEFAULT_STEP_FRACTION
 
 
+def _identity_minus(E: np.ndarray) -> np.ndarray:
+    """I - E in one allocation, bit for bit ``np.eye(n) - E``: 0 - e keeps the
+    +0.0 that 0.0 - 0.0 gives, and (0 - e) + 1 rounds as 1 - e."""
+    A = np.subtract(0.0, E)
+    A.flat[::A.shape[0] + 1] += 1.0
+    return A
+
+
 def _difference(chain: StochasticMatrix | IntensityMatrix) -> np.ndarray | csr_array:
     """The chain's difference operator A = I - P, or A = -h Q for a generator at
     ``uniformize``'s default step h; CSR below this module's ``_SPARSE_DENSITY``."""
     if isinstance(chain, IntensityMatrix):
         A = -_default_step(chain.uniformization_constant) * chain.entries
     else:
-        A = np.eye(chain.n) - chain.entries
+        A = _identity_minus(chain.entries)
     S = _sparse_form(A, _SPARSE_DENSITY)
     return A if S is None else S
 
@@ -277,7 +285,7 @@ def stationary_distribution(chain: StochasticMatrix | IntensityMatrix,
     generator = isinstance(chain, IntensityMatrix)
     rate = chain.uniformization_constant if generator else 1.0
     if method == "solve":
-        x = _stationary_solve(E.copy() if generator else np.eye(chain.n) - E)
+        x = _stationary_solve(E.copy() if generator else _identity_minus(E))
     elif method == "gth":
         x = _stationary_gth(_default_step(rate) * E if generator else E)
     elif method == "power" and not generator:

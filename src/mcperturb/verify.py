@@ -19,21 +19,32 @@ the catalog's own rule, :meth:`~mcperturb.reports.BoundReport.with_exact_gap`. S
 for bit-reproducible reruns; the summary lists the seeds of the cases with
 a violation.
 
-A case costs one dense solve of the perturbed chain plus an O(k n) draw on
-the k <= 3 rows it touches: no draw removes an edge, so the perturbed chain
-inherits irreducibility from the base chain, and the graph check runs only
-when an edge is removed.
+A case costs one dense solve of the perturbed chain plus O(k n) work on
+the k <= 3 rows its draw touches, besides a few O(n^2) copies and scans
+(the draw's n x n delta, the perturbed entries, I - P). The case finds
+those rows once; only they are validated (``chains._perturbed_chain``),
+compared for lost edges and summed into ||Delta||. No draw removes an edge,
+so the perturbed chain inherits irreducibility from the base chain, and
+the graph check runs only when an edge is removed. The skeleton bound's
+P^m and Lambda1(P^m) are formed once per run, by the first case that
+checks it. Every record is bit for bit that of the whole-matrix case.
+
+The taboo-resolvent check brackets the spectral radius of its taboo matrix
+by repeated squaring (``_perron_bracket``, a few dense products) rather
+than computing every eigenvalue.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import catalog
 from .catalog import SKELETON_M, _exact_gap, _v_norm_pair, bound_catalog
-from .chains import IntensityMatrix, PerturbationPair, StochasticMatrix, _perturbed_chain
+from .chains import (IntensityMatrix, PerturbationPair, StochasticMatrix, _check_count,
+                     _perturbed_chain)
 from .ctmc import (
     batch_arrival_drift,
     fit_ctmc_geometric_drift,
@@ -42,6 +53,8 @@ from .ctmc import (
     uniformize,
 )
 from .dtmc import (
+    _UNIT_ROUNDOFF,
+    _skeleton_base,
     fit_geometric_drift,
     hitting_times,
     skeleton_bound,
@@ -61,8 +74,10 @@ from .gallery import GalleryModel
 from .norms import matrix_norm, v_norm_matrix
 from .reports import BoundReport
 from .solvers import (
+    _TINY,
     _certified_group_inverse,
     _difference,
+    _identity_minus,
     deviation_matrix,
     fundamental_matrix,
     stationary_distribution,
@@ -131,14 +146,22 @@ def _deviation_residual(pair, pi, nu, D) -> float:
 def residual_taboo_inverse_identity(P: StochasticMatrix, taboo_state: int) -> float:
     """Max residual of the taboo-resolvent expression for R - Pi.
 
-    T is P with the taboo row zeroed; its spectral radius must be below 1
-    (else SeriesDivergent). The resolvent (I - T)^{-1} comes from a direct
-    solve, cross-checked against a vector-probe partial sum of the series
-    to ``P.settings.identity`` when the spectral radius estimate is below
-    0.95.
+    T is P with the taboo row zeroed. Its spectral radius rho is bracketed
+    rigorously (``_perron_bracket``). SeriesDivergent is raised when the
+    bracket puts rho within 1e-12 of 1 or I - T is singular. The resolvent
+    (I - T)^{-1} comes from a direct solve, cross-checked against a
+    vector-probe partial sum of the series to ``P.settings.identity`` when
+    the bracket puts rho below 0.95.
     """
+    if not (isinstance(taboo_state, (int, np.integer)) and 0 <= taboo_state < P.n):
+        raise InvalidParameters(f"taboo state {taboo_state!r} out of range [0, {P.n})")
     N = _taboo_resolvent(P, taboo_state)
     return _taboo_residual(N, stationary_distribution(P), fundamental_matrix(P))
+
+
+_SERIES_CUT = 0.95              # the series cross-check runs below this radius
+_DIVERGENT = 1.0 - 1e-12        # a radius at or above this has no series
+_MAX_SQUARINGS = 12             # T^(2^12) at most
 
 
 def _taboo_resolvent(P: StochasticMatrix, taboo_state: int):
@@ -146,11 +169,14 @@ def _taboo_resolvent(P: StochasticMatrix, taboo_state: int):
     n = P.n
     T = P.entries.copy()
     T[taboo_state, :] = 0.0
-    rho = float(np.abs(np.linalg.eigvals(T)).max())
-    if rho >= 1.0 - 1e-12:
-        raise SeriesDivergent(f"taboo matrix spectral radius {rho:.6g} not below 1")
-    N = np.linalg.solve(np.eye(n) - T, np.eye(n))
-    if rho < 0.95:
+    lo, hi = _perron_bracket(T)
+    if lo >= _DIVERGENT:
+        raise SeriesDivergent(f"taboo matrix spectral radius at least {lo:.15g}, not below 1")
+    try:
+        N = np.linalg.solve(_identity_minus(T), np.eye(n))
+    except np.linalg.LinAlgError as exc:
+        raise SeriesDivergent(f"I - T is singular: {exc}") from exc
+    if hi < _SERIES_CUT:
         probe = np.ones(n) / n
         acc = probe.copy()
         term = probe.copy()
@@ -165,6 +191,98 @@ def _taboo_resolvent(P: StochasticMatrix, taboo_state: int):
                 f"resolvent series cross-check disagrees by {agree:.3e}"
             )
     return N
+
+
+def _perron_bracket(T: np.ndarray) -> tuple[float, float]:
+    """A certified bracket [lo, hi] on the Perron root rho of a nonnegative T.
+
+    Rescaled repeated squaring: A_0 is T and A_(j+1) the computed A_j A_j
+    times a power of two 2^-s that brings its largest row sum into [1/2, 1),
+    so A_j stands for B_j = T^(2^j) 2^-E_j with E_j = 2 E_(j-1) + s exactly.
+    Entries of each A_j below 2^-511 are set to zero, so that no product in
+    the next step underflows. With g = gamma_n (Higham, ch. 3), every
+    entry of a computed product of nonnegative matrices without underflow
+    lies within the factors 1 -+ g of the exact one, in any summation order.
+    By induction on j:
+
+    * A_j <= (1 + g)^(2^j - 1) B_j entrywise, since zeroing only lowers A_j;
+      as rho(B) >= max_i B_ii for a nonnegative B, rho^(2^j) 2^-E_j is at
+      least max diag(A_j) / (1 + g)^(2^j - 1);
+    * B_j <= a_j A_j + F_j with a_j = (1 - g)^-(2^j - 1) and a nonnegative
+      F_j whose row sums are at most f_j: f_0 = n 2^-511 (the zeroed entries),
+      f_(j+1) = 2^-s (2 a_j ||A_j|| f_j + f_j^2) + a_j^2 n 2^-511 / (1 - g);
+      so rho^(2^j) 2^-E_j <= ||B_j||_inf <= a_j ||A_j||_inf + f_j.
+
+    Norms are read as computed row sums over 1 - g; the constants round
+    up by 8 ulps and the 2^j-th roots outward by a bound on their
+    evaluation error. Squaring stops once the bracket settles the cross-check
+    of ``_taboo_resolvent``: hi < 0.95, lo >= 1 - 1e-12, or lo >= 0.95 with
+    hi < 1 - 1e-12, and after ``_MAX_SQUARINGS`` squarings at most. If hi
+    is then at least 1 - 1e-12, lo also takes the greedy lower bound of
+    ``_core_lower_bound``, which finds a stochastic principal submatrix.
+    """
+    n = T.shape[0]
+    u = _UNIT_ROUNDOFF
+    g = n * u / (1.0 - n * u)
+    up, down = 1.0 + 8.0 * u, 1.0 - 8.0 * u
+    A = np.where(T < _TINY, 0.0, T)
+    E, a, f = 0, 1.0, n * _TINY * up
+    for j in range(_MAX_SQUARINGS + 1):
+        k = 2 ** j
+        norm = float(A.sum(axis=1).max()) / (1.0 - g) * up
+        hi = _root((a * norm + f) * up, E, k, 1.0)
+        low_factor = math.exp((k - 1) * math.log1p(g)) * up      # >= (1 + g)^(k - 1)
+        lo = _root(float(A.diagonal().max()) / low_factor * down, E, k, -1.0)
+        if (hi < _SERIES_CUT or lo >= _DIVERGENT or (lo >= _SERIES_CUT and hi < _DIVERGENT)
+                or j == _MAX_SQUARINGS):
+            break
+        C = A @ A
+        s = int(np.frexp(C.sum(axis=1).max())[1])
+        A = np.ldexp(C, -s)
+        A[A < _TINY] = 0.0
+        f = ((2.0 * a * norm * f + f * f) * math.ldexp(1.0, -s)
+             + a * a * n * _TINY / (1.0 - g)) * up
+        a = a * a / (1.0 - g) * up
+        E = 2 * E + s
+    if hi >= _DIVERGENT:
+        lo = max(lo, _core_lower_bound(T, g))
+    return lo, hi
+
+
+def _root(v: float, E: int, k: int, direction: float) -> float:
+    """(v 2^E)^(1/k), rounded up (``direction`` 1) or down (-1) by a bound on
+    the error of its evaluation as 2^((log2 v + E) / k)."""
+    if v == 0.0 or math.isinf(v):
+        return v
+    lv = math.log2(v)
+    y = (lv + E) / k
+    if y > 1000.0:
+        return math.inf if direction > 0 else 0.0
+    err = 4.0 * _UNIT_ROUNDOFF * ((2.0 * abs(lv) + abs(E)) / k + abs(y) + 2.0)
+    return 2.0 ** y * (1.0 + direction * err)
+
+
+def _core_lower_bound(T: np.ndarray, g: float) -> float:
+    """A lower bound on the Perron root of a nonnegative T: the smallest row
+    sum of a principal submatrix, which bounds its Perron root and so T's.
+
+    The submatrix is found by greedy peeling: drop the row with the smallest
+    sum inside the remaining set, and keep the set whose smallest sum was
+    largest (a closed class of rows summing to 1 survives every earlier
+    step). Its sums are then recomputed directly and rounded down.
+    """
+    n = T.shape[0]
+    sums = T.sum(axis=1)
+    alive = np.ones(n, dtype=bool)
+    best, keep = -1.0, alive.copy()
+    for _ in range(n):
+        i = int(np.argmin(np.where(alive, sums, np.inf)))
+        if sums[i] > best:
+            best, keep = float(sums[i]), alive.copy()
+        alive[i] = False
+        sums -= T[:, i]
+    least = float(T[np.ix_(keep, keep)].sum(axis=1).min())
+    return least / (1.0 + g) * (1.0 - 8.0 * _UNIT_ROUNDOFF)
 
 
 def _taboo_residual(N, pi, R) -> float:
@@ -350,6 +468,7 @@ def _sample_delta(rng, chain, magnitude: float, generator: bool) -> np.ndarray |
     """The body of both samplers. A row is balanced on its diagonal for a
     generator, and on its largest off-diagonal entry for a transition
     matrix, which must absorb the balance (else None)."""
+    _check_magnitude(magnitude)
     n = chain.n
     if n == 1:
         return None
@@ -358,23 +477,24 @@ def _sample_delta(rng, chain, magnitude: float, generator: bool) -> np.ndarray |
     delta = np.zeros((n, n))
     n_rows = int(rng.integers(1, min(3, n) + 1))
     rows = rng.choice(n, size=n_rows, replace=False)
-    for i in rows:
+    for i in rows.tolist():
+        entries, row = chain.entries[i], delta[i]
         if generator:
             j_star = i
         else:
-            off = chain.entries[i].copy()
+            off = entries.copy()
             off[i] = -1.0
             j_star = int(np.argmax(off))
-            if chain.entries[i, j_star] < floor:
+            if entries[j_star] < floor:
                 return None
         k = int(rng.integers(1, min(3, n - 1) + 1))
-        for idx in rng.choice(n - 1, size=k, replace=False):
+        for idx in rng.choice(n - 1, size=k, replace=False).tolist():
             j = idx + (idx >= j_star)          # the idx-th column other than j_star
             v = rng.normal() * scale
-            if chain.entries[i, j] < floor:
+            if entries[j] < floor:
                 v = abs(v)
-            delta[i, j] += v
-        delta[i, j_star] -= delta[i].sum()
+            row[j] += v
+        row[j_star] -= row.sum()
     return _scaled(delta, rows, magnitude)
 
 
@@ -389,11 +509,20 @@ def _scaled(delta, rows, magnitude):
 
 
 def _perturbed(rng, chain, magnitude, tries=50):
-    """Draw until a perturbation keeps the chain valid and irreducible.
+    """Draw until a perturbation keeps the chain valid and irreducible:
+    ``(perturbed, delta)``, or ``(None, None)`` after ``tries`` draws."""
+    perturbed, delta, _ = _draw(rng, chain, magnitude, tries)
+    return perturbed, delta
 
-    Every draw keeps each entry it lowers positive (a negative bump lands
-    only on an entry of at least 1.5 * magnitude, and no scaled entry
-    exceeds magnitude), so the perturbed chain inherits the base chain's
+
+def _draw(rng, chain, magnitude, tries=50):
+    """``_perturbed`` with the rows its delta touches as a third value.
+
+    The rows are found once per draw and serve the validation of the
+    perturbed chain, its irreducibility and the norm of delta. Every draw
+    keeps each entry it lowers positive (a negative bump lands only on an
+    entry of at least 1.5 * magnitude, and no scaled entry exceeds
+    magnitude), so the perturbed chain inherits the base chain's
     irreducibility without a graph search.
     """
     sample = sample_dtmc_delta if isinstance(chain, StochasticMatrix) else sample_ctmc_delta
@@ -401,13 +530,14 @@ def _perturbed(rng, chain, magnitude, tries=50):
         delta = sample(rng, chain, magnitude)
         if delta is None:
             continue
+        rows = np.flatnonzero(delta.any(axis=1))
         try:
-            perturbed = _perturbed_chain(chain, delta)
+            perturbed = _perturbed_chain(chain, delta, rows)
         except ValidationError:
             continue
         if perturbed.irreducible:
-            return perturbed, delta
-    return None, None
+            return perturbed, delta, rows
+    return None, None, None
 
 
 def _skip_reason(rep: BoundReport) -> str:
@@ -493,29 +623,37 @@ def fuzz_bounds(
     if model.kind not in ("dtmc", "ctmc"):
         raise InvalidParameters(f"unknown model kind {model.kind!r}")
     _check_magnitude(magnitude)
+    _check_count(n_cases, f"n_cases must be a nonnegative integer, got {n_cases!r}", 0)
+    _check_count(seed, f"seed must be a nonnegative integer, got {seed!r}", 0)
     chain = model.chain
     reports = bound_catalog(chain)
     linear = [rep for rep in reports if rep.ell is not None]
     skipped = {rep.bound_name: _skip_reason(rep) for rep in reports if rep.ell is None}
     v_cert = _v_norm_setup(model, skipped) if include_v_norm else None
     use_skeleton = model.kind == "dtmc" and chain.n <= catalog.SKELETON_MAX_N
+    skeleton_base = None        # P^m and Lambda1(P^m), formed by the first case that needs them
 
     cases: list[FuzzCase] = []
     n_rejected = 0
     for case_idx in range(n_cases):
         rng = np.random.default_rng([seed, case_idx])
-        perturbed, delta = _perturbed(rng, chain, magnitude)
+        perturbed, delta, rows = _draw(rng, chain, magnitude)
         if perturbed is None:
             n_rejected += 1
             continue
         gap = _exact_gap(chain, perturbed)
-        dn = matrix_norm(delta[delta.any(axis=1)])     # untouched rows add nothing
+        dn = matrix_norm(delta[rows])       # untouched rows add nothing
         outcomes = [rep.with_exact_gap(gap, dn) for rep in linear]
         if use_skeleton:
             try:
-                outcomes.append(skeleton_bound(chain, perturbed, SKELETON_M).with_exact_gap(gap))
+                if skeleton_base is None:
+                    skeleton_base = _skeleton_base(chain, SKELETON_M)
+                outcomes.append(skeleton_bound(chain, perturbed, SKELETON_M,
+                                               base=skeleton_base).with_exact_gap(gap))
             except HypothesisFailed as exc:
+                # the base's hypothesis fails alike in every case
                 skipped.setdefault(f"skeleton[m={SKELETON_M}]", str(exc))
+                use_skeleton = False
         if v_cert is not None:
             outcomes += _v_norm_outcomes(chain, perturbed, delta, v_cert, skipped)
         cases.append(FuzzCase(seed=(seed, case_idx), delta_norm=dn, gap=gap,

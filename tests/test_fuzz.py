@@ -91,6 +91,21 @@ class TestFuzzHarness:
         with pytest.raises(InvalidParameters, match="magnitude"):
             canonical_pair(model(), magnitude=magnitude)
 
+    @pytest.mark.parametrize("magnitude", [-0.01, float("nan"), float("inf")])
+    def test_samplers_reject_a_negative_or_non_finite_magnitude(self, magnitude):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidParameters, match="magnitude"):
+            sample_dtmc_delta(rng, meyer4().chain, magnitude)
+        with pytest.raises(InvalidParameters, match="magnitude"):
+            sample_ctmc_delta(rng, mm1(truncation=24).chain, magnitude)
+
+    @pytest.mark.parametrize("kwargs", [{"n_cases": -3}, {"n_cases": 2.5}, {"n_cases": "3"},
+                                        {"seed": -1}, {"seed": 0.5}, {"seed": None}])
+    def test_case_count_and_seed_must_be_nonnegative_integers(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(InvalidParameters, match=name):
+            fuzz_bounds(meyer4(), **kwargs)
+
     def test_vacuous_bounds_flagged_useless(self):
         # the scan-based drift coefficient on this chain is enormous, so its
         # value exceeds the trivial cap of 2 and gets the useless flag

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import eigvalsh_tridiagonal
+
 from mcperturb import (
+    InvalidParameters,
     PerturbationPair,
     SeriesDivergent,
     StochasticMatrix,
@@ -105,6 +108,110 @@ class TestTabooResolventIdentity:
         # zeroing row 2 keeps the closed class {0, 1} stochastic
         with pytest.raises(SeriesDivergent):
             residual_taboo_inverse_identity(P, 2)
+
+    def test_divergent_when_the_solve_misses_the_closed_class(self):
+        # states 1-5 leave only through state 0 and state 0 only through
+        # them: T keeps {1, ..., 5} stochastic, yet I - T factors with no
+        # zero pivot, so only the bracket's lower end can report it
+        rng = np.random.default_rng(5)
+        P = rng.random((12, 12))
+        P[1:6, 6:] = 0.0
+        P[1:6, 0] = 0.0
+        P[0, 6:] = 0.0
+        P /= P.sum(axis=1, keepdims=True)
+        P[6:, 1:6] = 0.0
+        P[6:] /= P[6:].sum(axis=1, keepdims=True)
+        T = P.copy()
+        T[0] = 0.0
+        np.linalg.solve(np.eye(12) - T, np.eye(12))       # no LinAlgError
+        with pytest.raises(SeriesDivergent, match="spectral radius"):
+            residual_taboo_inverse_identity(StochasticMatrix(P), 0)
+
+    def test_a_singular_resolvent_system_is_divergent(self, monkeypatch):
+        # the closed-class chain again, with the bracket's lower end withheld:
+        # its I - T has an exact zero pivot
+        P = StochasticMatrix([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.1, 0.1, 0.8]])
+        monkeypatch.setattr(verify, "_perron_bracket", lambda T: (0.0, 1.0))
+        with pytest.raises(SeriesDivergent, match="singular"):
+            residual_taboo_inverse_identity(P, 2)
+
+    @pytest.mark.parametrize("taboo", [4, 7, -1, 1.5])
+    def test_taboo_state_must_be_a_state(self, meyer, taboo):
+        with pytest.raises(InvalidParameters, match="taboo state"):
+            residual_taboo_inverse_identity(meyer.chain, taboo)
+
+
+def taboo_matrix(P, taboo_state=0):
+    T = P.entries.copy()
+    T[taboo_state] = 0.0
+    return T
+
+
+def identity_chain(model):
+    """The transition matrix whose taboo resolvent identity_residuals checks."""
+    if model.kind == "dtmc":
+        return model.chain
+    return skeleton_pair(canonical_pair(model, magnitude=0.01, seed=0)).base
+
+
+def runs_the_cross_check(P, monkeypatch):
+    """Whether _taboo_resolvent compares its solve with the series: a solve off
+    by 1e-6 relative fails the comparison when it runs."""
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: solve(A, B) * (1.0 + 1e-6))
+    try:
+        verify._taboo_resolvent(P, 0)
+    except SeriesDivergent as exc:
+        assert "cross-check" in str(exc)
+        return True
+    finally:
+        monkeypatch.setattr(np.linalg, "solve", solve)
+    return False
+
+
+class TestPerronBracket:
+    @pytest.mark.parametrize("N", [200, 400, 800])
+    def test_mm1_bracket_holds_the_tridiagonal_root(self, N):
+        # T without the taboo row and column is tridiagonal with positive off
+        # diagonals, so it is similar to a symmetric one
+        T = taboo_matrix(identity_chain(gallery_model("mm1", N)))
+        R = T[1:, 1:]
+        root = eigvalsh_tridiagonal(np.diag(R).copy(),
+                                    np.sqrt(np.diag(R, 1) * np.diag(R, -1))).max()
+        lo, hi = verify._perron_bracket(T)
+        assert lo <= root <= hi
+        if N <= 400:
+            assert hi < 0.95
+
+    def test_mm1_at_400_runs_the_cross_check(self, monkeypatch):
+        # max |eigvals(T)| read 0.952 here, against a Perron root of 0.802
+        assert runs_the_cross_check(identity_chain(gallery_model("mm1", 400)), monkeypatch)
+
+    @pytest.mark.parametrize("truncation", [24, 200])
+    @pytest.mark.parametrize("name", list_models())
+    def test_run_or_skip_as_the_eigenvalue_estimate_decided(self, name, truncation,
+                                                            monkeypatch):
+        # the estimate used before the bracket: max |eigvals(T)| below 0.95
+        P = identity_chain(gallery_model(name, truncation))
+        estimate = np.abs(np.linalg.eigvals(taboo_matrix(P))).max()
+        assert runs_the_cross_check(P, monkeypatch) == (estimate < 0.95)
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            n = int(rng.integers(1, 40))
+            T = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+            T *= rng.uniform(0.05, 1.5) / max(T.sum(axis=1).max(), 1e-300)
+            if trial % 4 == 0:
+                T[rng.random((n, n)) < 0.3] *= 1e-200      # entries the squaring zeroes
+            rho = np.abs(np.linalg.eigvals(T)).max()
+            lo, hi = verify._perron_bracket(T)
+            assert lo <= rho * (1 + 1e-9) + 1e-12 and rho * (1 - 1e-9) <= hi, (trial, rho, lo, hi)
+
+    def test_zero_and_nilpotent_matrices(self):
+        assert verify._perron_bracket(np.zeros((3, 3)))[1] < 1e-100
+        lo, hi = verify._perron_bracket(np.triu(np.ones((5, 5)), 1))
+        assert lo == 0.0 and hi < 0.95
 
 
 class TestModelSuite:
