@@ -70,7 +70,6 @@ from .errors import (
     ReducibleChain,
     SeriesDivergent,
     SolverFailure,
-    UnboundedGenerator,
     ValidationError,
 )
 from .gallery import GALLERY, GalleryModel, build_model, list_models

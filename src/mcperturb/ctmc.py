@@ -50,7 +50,6 @@ from .errors import (
     NotErgodic,
     OutOfRadius,
     ReducibleChain,
-    SolverFailure,
 )
 from .dtmc import (
     GeometricDriftCertificate,
@@ -189,16 +188,13 @@ def ctmc_deviation_matrix(Q: IntensityMatrix) -> np.ndarray:
         raise ReducibleChain("deviation matrix requires an irreducible chain")
     pi = stationary_distribution(Q)
     h = _default_step(Q.uniformization_constant)
-    residual = h * float(np.abs(pi.values @ Q.entries).max())
-    if residual > Q.settings.stationarity:
-        raise SolverFailure(
-            f"stationary residual {residual:.3e} exceeds {Q.settings.stationarity:g}")
+    solvers._gate("stationary residual", h * float(np.abs(pi.values @ Q.entries).max()),
+                  Q.settings.stationarity)
     A = solvers._difference(Q)
     D = h * solvers._certified_group_inverse(Q, solvers._fundamental_matrix(Q, A), A)
-    scale = max(1.0, float(np.abs(D).max()))
-    res = max(float(np.abs(D.sum(axis=1)).max()), float(np.abs(pi.values @ D).max()))
-    if res > Q.settings.inverse * scale:
-        raise SolverFailure(f"deviation residual {res:.3e} too large")
+    solvers._gate("deviation residual",
+                  max(float(np.abs(D.sum(axis=1)).max()), float(np.abs(pi.values @ D).max())),
+                  Q.settings.inverse, max(1.0, float(np.abs(D).max())))
     return D
 
 

@@ -59,10 +59,6 @@ class InvalidParameters(McPerturbError):
     """Model parameters are structurally invalid."""
 
 
-class UnboundedGenerator(McPerturbError):
-    """Generator has no finite uniformization constant."""
-
-
 class InvalidStep(McPerturbError):
     """Discretization step is outside the admissible range."""
 

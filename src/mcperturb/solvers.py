@@ -57,6 +57,31 @@ target that is one of its states.
 
 Every solve here, dense or banded, goes through ``_solve``, which reports a
 singular system as SolverFailure naming the system.
+
+Every residual certificate of the package is one ``_gate`` call: it passes
+when ``residual <= tolerance * scale`` (so a NaN fails) and otherwise raises
+"<check> <residual> exceeds <tolerance * scale>". The tolerance is a field of
+the chain's ``settings``:
+
+=======================================  ============  ==============  =====================
+check                                    tolerance     scale           error
+=======================================  ============  ==============  =====================
+stationary residual                      stationarity  max(1, rate)    SolverFailure
+stationary solve produced negative mass  validation    1               SolverFailure
+negative hitting time (...)              inverse       max(1, max|x|)  DivergentHittingTimes
+hitting-time residual                    inverse       max(1, max|x|)  SolverFailure
+fundamental matrix residual              inverse       1               SolverFailure
+group-inverse axiom residual             inverse       1               SolverFailure
+stationary residual of h Q (ctmc)        stationarity  1               SolverFailure
+deviation residual (ctmc)                inverse       max(1, max|D|)  SolverFailure
+resolvent series cross-check (verify)    identity      max(1, max|N|)  SeriesDivergent
+=======================================  ============  ==============  =====================
+
+The rate is 1 for a transition matrix and the uniformization constant for a
+generator; x is the hitting times, D the deviation matrix that
+``ctmc_deviation_matrix`` returns after its skeleton stationarity check
+h max|pi Q|, and N the taboo resolvent. A sign gate's residual is the
+negated minimum, -min pi or -min x.
 """
 
 from __future__ import annotations
@@ -126,6 +151,13 @@ def _solve(A: np.ndarray, b: np.ndarray, system: str,
                             check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"{system} system is singular: {exc}") from exc
+
+
+def _gate(check: str, residual: float, tolerance: float, scale: float = 1.0,
+          error: type[Exception] = SolverFailure) -> None:
+    """Raise ``error`` unless ``residual <= tolerance * scale``; a NaN residual fails."""
+    if not residual <= tolerance * scale:
+        raise error(f"{check} {residual:.3e} exceeds {tolerance * scale:g}")
 
 
 def _stationary_solve(M: np.ndarray) -> np.ndarray:
@@ -199,16 +231,12 @@ def _hitting_solve(chain, M: np.ndarray, target: int) -> np.ndarray:
     tol = chain.settings.inverse
     x = _reduced_solve(M, target, np.ones(n), "hitting-time")
     scale = max(1.0, float(np.abs(x).max()))
-    if np.any(x < -tol * scale):
-        raise DivergentHittingTimes(
-            f"negative hitting time {x.min():.3e}: transient or truncation pathology"
-        )
+    _gate("negative hitting time (transient or truncation pathology)", -float(x.min()), tol,
+          scale, DivergentHittingTimes)
     x[target] = 0.0                 # the residual is the reduced system's
     r = M @ x - 1.0
     r[target] = 0.0
-    residual = float(np.abs(r).max())
-    if residual > tol * scale:
-        raise SolverFailure(f"hitting-time residual {residual:.3e} exceeds tolerance")
+    _gate("hitting-time residual", float(np.abs(r).max()), tol, scale)
     return x
 
 
@@ -271,10 +299,8 @@ def stationary_distribution(chain: StochasticMatrix | IntensityMatrix,
     (aperiodic transition matrices only). A generator's "gth" eliminates
     h Q at ``ctmc.uniformize``'s default step h: state reduction reads only
     off-diagonal entries, so that is the skeleton I + h Q's solve. The
-    residual max|pi P - pi| (max|pi Q|) is certified to at most
-    ``settings.stationarity`` times max(1, rate), the rate being 1 for P and
-    the uniformization constant for Q, and no entry below
-    ``-settings.validation``.
+    residual max|pi P - pi| (max|pi Q|) and the negative mass are certified
+    by the first two gates of the module's table.
     """
     if method in chain._stationary:
         return chain._stationary[method]
@@ -292,12 +318,9 @@ def stationary_distribution(chain: StochasticMatrix | IntensityMatrix,
         x = _stationary_power(E)
     else:
         raise ValueError(f"unknown method {method!r}")
-    residual = float(np.abs(x @ E if generator else x @ E - x).max())
-    tol = settings.stationarity * max(1.0, rate)
-    if residual > tol:
-        raise SolverFailure(f"stationary residual {residual:.3e} exceeds {tol:g}")
-    if x.min() < -settings.validation:
-        raise SolverFailure(f"stationary solve produced negative mass {x.min():.3e}")
+    _gate("stationary residual", float(np.abs(x @ E if generator else x @ E - x).max()),
+          settings.stationarity, max(1.0, rate))
+    _gate("stationary solve produced negative mass", -float(x.min()), settings.validation)
     chain._stationary[method] = Distribution(x, settings=settings)
     return chain._stationary[method]
 
@@ -355,10 +378,7 @@ def _fundamental_matrix(chain: StochasticMatrix | IntensityMatrix, A) -> np.ndar
     left = R @ A + np.outer(R.sum(axis=1), pi.values)
     left[np.diag_indices(n)] -= 1.0
     res = max(res, float(np.abs(left).max()), float(np.abs(piR - pi.values).max()))
-    if res > settings.inverse:
-        raise SolverFailure(
-            f"fundamental matrix residual {res:.3e} exceeds {settings.inverse:g}"
-        )
+    _gate("fundamental matrix residual", res, settings.inverse)
     if isinstance(chain, StochasticMatrix):     # the hitting-time scan reads it
         chain._fundamental = _FundamentalSummary(
             pi=pi.values,
@@ -405,10 +425,7 @@ def _certified_group_inverse(chain, R, A) -> np.ndarray:
         float(np.abs(X.sum(axis=1)).max()),
         float(np.abs(pi.values @ X).max()),
     )
-    if res > settings.inverse:
-        raise SolverFailure(
-            f"group-inverse axiom residual {res:.3e} exceeds {settings.inverse:g}"
-        )
+    _gate("group-inverse axiom residual", res, settings.inverse)
     return X
 
 

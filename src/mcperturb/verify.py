@@ -77,6 +77,7 @@ from .solvers import (
     _TINY,
     _certified_group_inverse,
     _difference,
+    _gate,
     _identity_minus,
     deviation_matrix,
     fundamental_matrix,
@@ -185,11 +186,8 @@ def _taboo_resolvent(P: StochasticMatrix, taboo_state: int):
             acc += term
             if np.abs(term).max() < 1e-16:
                 break
-        agree = np.abs(acc - probe @ N).max()
-        if agree > P.settings.identity * max(1.0, np.abs(N).max()):
-            raise SeriesDivergent(
-                f"resolvent series cross-check disagrees by {agree:.3e}"
-            )
+        _gate("resolvent series cross-check", np.abs(acc - probe @ N).max(),
+              P.settings.identity, max(1.0, np.abs(N).max()), SeriesDivergent)
     return N
 
 
@@ -334,7 +332,7 @@ def canonical_pair(model: GalleryModel, magnitude: float = 0.01, seed: int = 0):
     """
     _check_magnitude(magnitude)
     rng = np.random.default_rng([seed, 987654321])
-    perturbed, _ = _perturbed(rng, model.chain, magnitude)
+    perturbed = _draw(rng, model.chain, magnitude)[0]
     if perturbed is None:
         raise InvalidParameters(f"could not perturb model {model.name}")
     return PerturbationPair(model.chain, perturbed)
@@ -508,15 +506,10 @@ def _scaled(delta, rows, magnitude):
     return delta
 
 
-def _perturbed(rng, chain, magnitude, tries=50):
+def _draw(rng, chain, magnitude):
     """Draw until a perturbation keeps the chain valid and irreducible:
-    ``(perturbed, delta)``, or ``(None, None)`` after ``tries`` draws."""
-    perturbed, delta, _ = _draw(rng, chain, magnitude, tries)
-    return perturbed, delta
-
-
-def _draw(rng, chain, magnitude, tries=50):
-    """``_perturbed`` with the rows its delta touches as a third value.
+    ``(perturbed, delta, rows)``, with the rows delta touches, or
+    ``(None, None, None)`` after 50 draws.
 
     The rows are found once per draw and serve the validation of the
     perturbed chain, its irreducibility and the norm of delta. Every draw
@@ -526,7 +519,7 @@ def _draw(rng, chain, magnitude, tries=50):
     irreducibility without a graph search.
     """
     sample = sample_dtmc_delta if isinstance(chain, StochasticMatrix) else sample_ctmc_delta
-    for _ in range(tries):
+    for _ in range(50):
         delta = sample(rng, chain, magnitude)
         if delta is None:
             continue

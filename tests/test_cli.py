@@ -220,6 +220,20 @@ class TestBoundsCommand:
         assert by_name[name]["info"]["taboo_state"] == 1
         assert by_name[name]["ell"] == 2 * h.max() ** 2
 
+    def test_drift_file_that_violates_the_drift_inequality(self, meyer_file, tmp_path):
+        # the violated certificate is a failed hypothesis of unit_drift, not an error
+        m = hitting_times(meyer4().chain, 0)
+        m[1] /= 2.0
+        drift = tmp_path / "drift.json"
+        drift.write_text(json.dumps({"taboo_state": 0, "values": list(map(float, m))}))
+        code, text = run_cli("bounds", meyer_file, "--drift-file", str(drift),
+                             "--format", "json")
+        assert code == 1
+        by_name = {r["bound_name"]: r for r in json.loads(text)["reports"]}
+        assert not by_name["unit_drift"]["hypotheses_hold"]
+        assert by_name["unit_drift"]["ell"] is None
+        assert all(r["hypotheses_hold"] for k, r in by_name.items() if k != "unit_drift")
+
     def test_drift_file_size_mismatch(self, meyer_file, tmp_path):
         drift = tmp_path / "drift.json"
         drift.write_text(json.dumps({"taboo_state": 0, "values": [0.0, 1.0]}))

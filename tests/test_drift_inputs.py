@@ -239,3 +239,24 @@ def test_every_drift_entry_point_rejects_a_taboo_state_outside_the_chain(entry_p
         with pytest.raises(InvalidParameters, match=rf"state {t} out of range \[0, {n}\)"):
             call(t)
         call(0)                          # the same call with a state of the chain passes
+
+
+@pytest.mark.parametrize("chain,hitting,name,amount", [
+    (lambda: meyer4().chain, hitting_times, "unit_drift", "1.056e+00"),
+    (lambda: mm1(truncation=12).chain, ctmc_hitting_times, "ctmc_unit_drift", "8.333e-01"),
+], ids=["dtmc", "ctmc"])
+def test_a_violated_unit_drift_is_rendered_inline_by_the_catalog(chain, hitting, name, amount):
+    # halving the hitting time of state 1 breaks the drift inequality there;
+    # the catalog reports it as a failed certificate and keeps every other report
+    chain = chain()
+    V = hitting(chain, 0)
+    V[1] /= 2.0
+    reports = {r.bound_name: r for r in bound_catalog(chain, weights=V)}
+    plain = {r.bound_name: r for r in bound_catalog(chain)}
+    failed = reports.pop(name)
+    assert failed.ell is None and not failed.hypotheses_hold
+    assert [(h.name, h.detail) for h in failed.hypotheses] == [
+        ("certificate valid", f"unit drift inequality violated at state 1 by {amount}")]
+    plain.pop(name, None)       # a generator's plain catalog has its own, from hitting times
+    assert {k: r.to_dict() for k, r in reports.items()} == \
+        {k: r.to_dict() for k, r in plain.items()}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,13 +264,13 @@ class TestUnitDrift:
             unit_drift_bound(P, UnitDriftCertificate(0, shy))
 
 
-def exhaustive_hitting_scan(P):
+def exhaustive_hitting_scan(P, solve=hitting_times):
     """Reference scan: every candidate in index order, skipping candidates
     whose hitting-time solve fails, ties toward the smallest index."""
     best_sup, best_state = None, None
     for i0 in range(P.n):
         try:
-            sup_m = float(hitting_times(P, i0).max())
+            sup_m = float(solve(P, i0).max())
         except (DivergentHittingTimes, SolverFailure):
             continue
         if best_sup is None or sup_m < best_sup - 1e-15:
@@ -331,6 +333,42 @@ class TestHittingTimeBound:
         rep = hitting_time_bound(meyer.chain)
         best = seneta_best_bound(meyer.chain)
         assert rep.ell >= best.ell
+
+    @pytest.mark.parametrize("spec", DTMC_SPECS)
+    def test_candidates_whose_solve_raises_are_skipped(self, spec, monkeypatch):
+        """The exhaustive scan's best state and the next two candidates of the
+        screened scan fail, one as a singular solve and two as divergent
+        times; the scan skips them and still equals the exhaustive one."""
+        P = gallery_model(spec, 24).chain
+        best = exhaustive_hitting_scan(P)[1]
+        lower = mcperturb.dtmc._taboo_lower_bounds(P, stationary_distribution(P))
+        order = [int(j) for j in np.argsort(lower, kind="stable") if j != best]
+        failing = {best: DivergentHittingTimes, order[0]: SolverFailure,
+                   order[1]: DivergentHittingTimes}
+        called = []
+
+        def flaky(chain, target):
+            called.append(target)
+            if target in failing:
+                raise failing[target]("forced")
+            return hitting_times(chain, target)
+
+        monkeypatch.setattr(mcperturb.dtmc, "hitting_times", flaky)
+        got = _scan_result(P)
+        assert set(failing) <= set(called)
+        assert got == exhaustive_hitting_scan(P, flaky)
+        assert got[1] not in failing
+
+    def test_every_candidate_failing_raises(self, monkeypatch):
+        def divergent(chain, target):
+            raise DivergentHittingTimes("forced")
+
+        monkeypatch.setattr(mcperturb.dtmc, "hitting_times", divergent)
+        P = gallery_model("geometric-return", 24).chain
+        assert exhaustive_hitting_scan(P, divergent) == (None, None)
+        with pytest.raises(DivergentHittingTimes,
+                           match="^no taboo state has stable finite hitting times$"):
+            hitting_time_bound(P)
 
     @pytest.mark.parametrize("truncation", [24, 200])
     @pytest.mark.parametrize("spec", DTMC_SPECS)
@@ -512,6 +550,22 @@ class TestTabooLowerBounds:
         screened = _scan_result(gallery_model(spec, 200).chain)
         monkeypatch.setattr(mcperturb.dtmc, "fundamental_matrix", _uncertified)
         assert _scan_result(gallery_model(spec, 200).chain) == screened
+
+    @pytest.mark.parametrize("spec", DTMC_SPECS)
+    def test_a_summary_with_eta_at_least_one_falls_back_to_the_floors(self, spec,
+                                                                      monkeypatch):
+        def uncertain(P):
+            G = fundamental_matrix(P)
+            P._fundamental = dataclasses.replace(P._fundamental, residual=1.0)
+            return G
+
+        monkeypatch.setattr(mcperturb.dtmc, "fundamental_matrix", uncertain)
+        P = gallery_model(spec, 24).chain
+        pi = stationary_distribution(P)
+        lower = mcperturb.dtmc._taboo_lower_bounds(P, pi)
+        assert mcperturb.dtmc._certified_lower_bounds(P._fundamental) is None
+        np.testing.assert_array_equal(lower, 1.0 / pi.values - 1.0)
+        assert _scan_result(P) == exhaustive_hitting_scan(P)
 
     def test_uncertified_fundamental_matrix_falls_back_to_the_floors(self):
         eps = 1e-9

@@ -278,7 +278,7 @@ def test_fuzz_delta_norm_is_the_full_matrix_norm(name):
     summary = fuzz_bounds(model, n_cases=20, magnitude=0.01, seed=4)
     assert summary.n_cases == 20
     for case in summary.cases:
-        _, delta = verify._perturbed(np.random.default_rng(case.seed), model.chain, 0.01)
+        delta = verify._draw(np.random.default_rng(case.seed), model.chain, 0.01)[1]
         assert case.delta_norm == full_matrix_norm(delta)
 
 
@@ -306,8 +306,8 @@ def test_removed_edge_is_rejected_by_the_fuzz(monkeypatch):
     cut[0] = -P[0]
     cut[0, 0] += 1.0                          # state 0 becomes absorbing
     monkeypatch.setattr(verify, "sample_dtmc_delta", lambda rng, chain, magnitude: cut)
-    perturbed, delta = verify._perturbed(np.random.default_rng(0), model.chain, 0.01)
-    assert perturbed is None and delta is None
+    drawn = verify._draw(np.random.default_rng(0), model.chain, 0.01)
+    assert drawn == (None, None, None)
     summary = fuzz_bounds(model, n_cases=3, magnitude=0.01, seed=0)
     assert summary.n_cases == 0 and summary.n_rejected == 3
 

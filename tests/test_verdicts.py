@@ -8,7 +8,7 @@ import pytest
 
 from mcperturb import BoundReport, Hypothesis, WeightFunction, bound_catalog, hitting_times
 from mcperturb.gallery import build_model, geometric_return, meyer4
-from mcperturb.verify import _perturbed, canonical_pair, fuzz_bounds
+from mcperturb.verify import _draw, canonical_pair, fuzz_bounds
 
 
 class TestWithExactGap:
@@ -88,7 +88,7 @@ def test_the_catalog_and_the_fuzz_judge_alike(monkeypatch, model, magnitude):
                           include_v_norm=True)
     assert summary.n_cases > 0
     for case in summary.cases:
-        perturbed, _ = _perturbed(np.random.default_rng(case.seed), P, magnitude)
+        perturbed = _draw(np.random.default_rng(case.seed), P, magnitude)[0]
         catalog = {r.bound_name: r for r in bound_catalog(P, perturbed=perturbed, weights=W)}
         for o in case.outcomes:
             rep = catalog[o.bound_name]
