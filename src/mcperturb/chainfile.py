@@ -27,7 +27,7 @@ from .chains import IntensityMatrix, StochasticMatrix, WeightFunction
 from .errors import ParseError
 from .gallery import GalleryModel
 
-__all__ = ["ChainFile", "load_chain_file", "save_chain_file", "model_to_chainfile_dict"]
+__all__ = ["ChainFile", "load_chain_file", "save_chain_file"]
 
 
 @dataclass
@@ -119,16 +119,12 @@ def load_chain_file(path: str) -> ChainFile:
                      weight_function=weights, perturbed=perturbed, path=where)
 
 
-def model_to_chainfile_dict(model: GalleryModel) -> dict:
-    out = {
+def save_chain_file(model: GalleryModel, path: str) -> None:
+    data = {
         "kind": model.kind,
         "states": model.chain.n,
         "matrix": [list(map(float, row)) for row in model.chain.entries],
     }
-    return out
-
-
-def save_chain_file(model: GalleryModel, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_chainfile_dict(model), fh, sort_keys=True, indent=2)
+        json.dump(data, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -96,9 +96,16 @@ def _sparse_form(A: np.ndarray, density: float) -> csr_array | None:
 
 
 def _check_count(m, message: str, least: int) -> None:
-    """Raise InvalidParameters(message) unless m is an integer of at least ``least``."""
-    if not isinstance(m, (int, np.integer)) or m < least:
+    """Raise InvalidParameters(message) unless m is an integer of at least
+    ``least``, not a bool."""
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < least:
         raise InvalidParameters(message)
+
+
+def _check_state(i, n: int, what: str) -> None:
+    """Raise InvalidParameters unless ``i`` is an integer state in [0, n), not a bool."""
+    if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < n:
+        raise InvalidParameters(f"{what} {i!r} out of range [0, {n})")
 
 
 def _is_strongly_connected(support: np.ndarray) -> bool:

@@ -15,12 +15,10 @@ import numpy as np
 
 from .catalog import bound_catalog
 from .chainfile import _parse_vector, load_chain_file, save_chain_file
-from .chains import IntensityMatrix, StochasticMatrix
 from .ctmc import batch_arrival_drift
 from .dtmc import birth_death_hitting_times, hitting_times
 from .errors import McPerturbError, ParseError, ValidationError
-from .gallery import GalleryModel, build_model, list_models
-from .settings import DEFAULT
+from .gallery import GalleryModel, _takes_truncation, build_model, list_models
 from .verify import fuzz_bounds, identity_residuals
 
 EXIT_OK = 0
@@ -71,41 +69,28 @@ def _load_input(spec: str, truncation):
     """
     if spec.endswith(".json") or "/" in spec:
         cf = load_chain_file(spec)
-        kind = "dtmc" if isinstance(cf.chain, StochasticMatrix) else "ctmc"
-        return GalleryModel(name=spec, kind=kind, chain=cf.chain), cf.perturbed, cf.weight_function
+        model = GalleryModel(name=spec, kind=cf.kind, chain=cf.chain)
+        return model, cf.perturbed, cf.weight_function
     return build_model(spec, truncation=truncation), None, None
 
 
 def cmd_validate(args, out) -> int:
     cf = load_chain_file(args.path)
     chain = cf.chain
-    if isinstance(chain, StochasticMatrix):
-        detail = {
-            "kind": "dtmc",
-            "states": chain.n,
-            "irreducible": chain.irreducible,
-            "period": chain.period,
-            "aperiodic": chain.aperiodic,
-        }
-        text = (f"dtmc, {'irreducible' if chain.irreducible else 'reducible'}, "
-                f"{'aperiodic' if chain.aperiodic else f'period {chain.period}'}, "
-                f"n={chain.n}")
+    detail = {"kind": cf.kind, "states": chain.n, "irreducible": chain.irreducible}
+    if cf.kind == "dtmc":
+        detail.update(period=chain.period, aperiodic=chain.aperiodic)
+        shape = "aperiodic" if chain.aperiodic else f"period {chain.period}"
     else:
-        detail = {
-            "kind": "ctmc",
-            "states": chain.n,
-            "irreducible": chain.irreducible,
-            "uniformization_constant": chain.uniformization_constant,
-        }
-        text = (f"ctmc, {'irreducible' if chain.irreducible else 'reducible'}, "
-                f"uniformization constant {chain.uniformization_constant:.6g}, "
-                f"n={chain.n}")
+        detail["uniformization_constant"] = chain.uniformization_constant
+        shape = f"uniformization constant {chain.uniformization_constant:.6g}"
     if cf.perturbed is not None:
         detail["perturbed"] = True
     if args.format == "json":
         _emit_json(detail, out)
     else:
-        print(text, file=out)
+        print(f"{cf.kind}, {'irreducible' if chain.irreducible else 'reducible'}, {shape}, "
+              f"n={chain.n}", file=out)
     return EXIT_OK
 
 
@@ -131,14 +116,12 @@ def cmd_bounds(args, out) -> int:
     chain, extras = model.chain, model.extras
     taboo = 0
     if args.drift_file:
-        values, taboo = _load_drift_file(args.drift_file, chain.n)
-        weights = values
-    if (args.v_norm and weights is None and isinstance(chain, IntensityMatrix)
-            and "a" in extras and "b" in extras):
+        weights, taboo = _load_drift_file(args.drift_file, chain.n)
+    elif not args.v_norm:
+        weights = None
+    elif weights is None and model.kind == "ctmc" and {"a", "b"} <= extras.keys():
         # band generator models carry their drift weights implicitly
         weights = batch_arrival_drift(extras["a"], extras["b"], n_states=chain.n).weights
-    if not args.v_norm and args.drift_file is None:
-        weights = None
     reports = bound_catalog(
         chain, perturbed=perturbed, m_max=args.m_max,
         weights=weights, taboo_state=taboo,
@@ -162,7 +145,7 @@ def cmd_bounds(args, out) -> int:
 def cmd_hitting(args, out) -> int:
     model = _load_input(args.path, args.truncation)[0]
     chain, extras = model.chain, model.extras
-    if not isinstance(chain, StochasticMatrix):
+    if model.kind != "dtmc":
         raise ValidationError("hitting times are computed for transition matrices")
     m = hitting_times(chain, args.target)
     closed = None
@@ -185,22 +168,21 @@ def cmd_hitting(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    names = list_models() if (args.path == "gallery" or args.all) else [args.path]
+    if args.path == "gallery" or args.all:
+        # a sweep's truncation goes only to the models that take one
+        specs = [(name, args.truncation if _takes_truncation(name) else None)
+                 for name in list_models()]
+    else:
+        specs = [(args.path, args.truncation)]
     worst = EXIT_OK
     summary_payload = []
-    for spec in names:
-        try:
-            model = _load_input(spec, args.truncation)[0]
-        except McPerturbError:
-            if args.truncation is None:
-                raise
-            # fixed-size models ignore a sweep-wide truncation override (a
-            # chain file takes none, so it raises the same error again)
-            model = _load_input(spec, None)[0]
-        entry = {"model": model.name}
+    for spec, truncation in specs:
+        model = _load_input(spec, truncation)[0]
         residuals = identity_residuals(model, magnitude=args.magnitude, seed=args.seed)
-        entry["identity_residuals"] = residuals
-        bad_identity = any(v > DEFAULT.identity for v in residuals.values())
+        entry = {"model": model.name, "identity_residuals": residuals}
+        if any(not v <= model.chain.settings.identity for v in residuals.values()):
+            worst = EXIT_VIOLATION
+            entry["identity_failure"] = True
         if args.cases > 0:
             summary = fuzz_bounds(model, n_cases=args.cases, magnitude=args.magnitude,
                                   seed=args.seed, include_v_norm=args.v_norm)
@@ -214,9 +196,6 @@ def cmd_verify(args, out) -> int:
                 worst = EXIT_VIOLATION
             elif summary.skipped_bounds and worst < EXIT_WARNINGS:
                 worst = EXIT_WARNINGS
-        if bad_identity:
-            worst = EXIT_VIOLATION
-            entry["identity_failure"] = True
         summary_payload.append(entry)
     if args.format == "json":
         _emit_json({"results": summary_payload}, out)
@@ -256,39 +235,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stationary-distribution perturbation bounds with exact certification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--truncation", type=int, default=None)
+    common.add_argument("--format", choices=("json", "table"), default="table")
 
     p = sub.add_parser("validate", help="parse and validate a chain file")
     p.add_argument("path")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("bounds", help="compute every applicable bound")
+    p = sub.add_parser("bounds", parents=[common], help="compute every applicable bound")
     p.add_argument("path", help="chain file or gallery model name")
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--v-norm", action="store_true",
                    help="include weighted-norm drift bounds (needs weights)")
     p.add_argument("--drift-file", default=None,
                    help="JSON file with a drift vector: {taboo_state, values}")
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("hitting", help="mean first hitting times onto a target state")
+    p = sub.add_parser("hitting", parents=[common],
+                       help="mean first hitting times onto a target state")
     p.add_argument("path", help="chain file or gallery model name")
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_hitting)
 
-    p = sub.add_parser("verify", help="identity residuals and bound-validity fuzzing")
+    p = sub.add_parser("verify", parents=[common],
+                       help="identity residuals and bound-validity fuzzing")
     p.add_argument("path", help="chain file, gallery model name, or 'gallery'")
     p.add_argument("--all", action="store_true", help="verify every gallery model")
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--magnitude", type=float, default=0.01)
     p.add_argument("--v-norm", action="store_true")
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gallery", help="list or export gallery models")

@@ -461,7 +461,9 @@ def stationary_series_expansion(
     ``G`` must be a conservative direction (G e = 0). Admissibility: with a
     drift certificate, eps must lie inside one of its radii
     lambda / (c g1) or lambda^2 / ((b + lambda) g1), where g1 = ||G||_V;
-    without one, the spectral radius of eps G D must be below 1.
+    without one, the spectral radius of eps G D must be below 1. The constant
+    c = 1 + ||e||_V ||pi||_V reads the GTH pi, as every weighted quantity
+    does; the series terms read the plain pi.
     Each partial sum has total mass exactly 1 because D e = 0.
     """
     Gm = np.asarray(G, dtype=float)
@@ -477,7 +479,7 @@ def stationary_series_expansion(
             V = cert.weights.values
             g1 = v_norm_matrix(Gm, V)
             radii = [cert.lam**2 / ((cert.b + cert.lam) * g1)]
-            c = _stationary_constant(pi.values, V)[1]
+            c = _stationary_constant(stationary_distribution(Q, "gth").values, V)[1]
             radii.append(cert.lam / (c * g1))
             if not any(abs(eps) < r for r in radii):
                 raise OutOfRadius(

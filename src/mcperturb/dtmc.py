@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Distribution, StochasticMatrix, WeightFunction, _check_count, _weight_function
+from .chains import (Distribution, StochasticMatrix, WeightFunction, _check_count, _check_pair,
+                     _check_state, _weight_function)
 from .errors import (
     DivergentHittingTimes,
     DriftViolated,
@@ -177,6 +178,7 @@ def skeleton_bound(P: StochasticMatrix, perturbed: StochasticMatrix, m: int,
     the value of ``_skeleton_base(P, m)``, spares a caller that checks many
     perturbations of one P its recomputation.
     """
+    _check_pair(P, perturbed)
     Pm, lam = _skeleton_base(P, m) if base is None else base
     num = matrix_norm(Pm - perturbed.power(m))
     delta = matrix_norm(perturbed.entries - P.entries)
@@ -265,6 +267,8 @@ def small_set_bound(
     coefficient, and is therefore never worth computing.
     """
     _check_count(m_max, "m_max must be a positive integer", 1)
+    if perturbed is not None:
+        _check_pair(P, perturbed)
     stop = 1.0 + _search_slack(P, m_max)
     powers = P._powers()
     best = None
@@ -333,8 +337,7 @@ def birth_death_hitting_times(a, b, c, j: int) -> np.ndarray:
         raise InvalidParameters("a, b, c must all have length n + 1")
     if n < 1:
         raise InvalidParameters("need at least two states")
-    if not 0 <= j <= n:
-        raise InvalidParameters(f"target state {j} out of range [0, {n}]")
+    _check_state(j, n + 1, "target state")
     if abs(a[0]) > 0 or abs(b[n]) > 0:
         raise InvalidParameters("boundary moves a[0] and b[n] must be zero")
     if np.any(a[1:] <= 0) or np.any(b[:n] <= 0):
@@ -382,8 +385,7 @@ def _check_drift_vector(chain, V: np.ndarray, taboo_state: int, what: str) -> No
     chain, and a taboo state that is one of its states."""
     if V.shape != (chain.n,):
         raise InvalidParameters(f"{what} length must match the chain size")
-    if not 0 <= taboo_state < chain.n:
-        raise InvalidParameters(f"taboo state {taboo_state} out of range [0, {chain.n})")
+    _check_state(taboo_state, chain.n, "taboo state")
 
 
 def _check_slack(chain, V: np.ndarray, slack: np.ndarray, rate: float, message: str) -> None:

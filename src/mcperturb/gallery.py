@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import IntensityMatrix, StochasticMatrix
+from .chains import IntensityMatrix, StochasticMatrix, _check_count
 from .errors import InvalidParameters
 
 __all__ = [
@@ -51,6 +51,13 @@ class GalleryModel:
 
     def __repr__(self):
         return f"GalleryModel({self.name!r}, kind={self.kind}, n={self.chain.n})"
+
+
+def _check_truncation(truncation, least: int) -> None:
+    """Raise InvalidParameters unless ``truncation`` is an integer of at least
+    ``least``, the smallest size the factory builds."""
+    _check_count(truncation, f"truncation must be an integer of at least {least}, "
+                             f"got {truncation!r}", least)
 
 
 _FUNDERLIC = np.array(
@@ -102,6 +109,7 @@ def hessenberg_gi_m_1(truncation: int = 200, base: float = 0.3, ratio: float = 0
     total = base / (1 - ratio)
     if total >= 1:
         raise InvalidParameters(f"arrival weights sum to {total:g} >= 1")
+    _check_truncation(truncation, 1)
     N = truncation
     a = base * ratio ** np.arange(N + 1)
     P = np.zeros((N, N))
@@ -138,6 +146,7 @@ def odd_even(p: float = 0.5, truncation: int = 200, periodic: bool = False) -> G
     """
     if not 0 < p < 1:
         raise InvalidParameters("p must lie in (0, 1)")
+    _check_truncation(truncation, 2)
     N = truncation
     if periodic and N % 2 != 0:
         N += 1                           # keep the boundary wrap parity-safe
@@ -218,6 +227,7 @@ def geometric_return(p: float = 0.5, truncation: int = 200) -> GalleryModel:
     """
     if not 0 < p < 1:
         raise InvalidParameters("p must lie in (0, 1)")
+    _check_truncation(truncation, 2)
     N = truncation
     q = 1.0 - p
     P = np.zeros((N, N))
@@ -253,9 +263,8 @@ def batch_arrival(a=_DEFAULT_BATCH_A, b=_DEFAULT_BATCH_B, truncation: int = 200)
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
+    _check_truncation(truncation, max(a.size, b.size))
     N = truncation
-    if N < max(a.size, b.size):
-        raise InvalidParameters("truncation smaller than the coefficient band")
     Q = np.zeros((N, N))
     Q[0, : a.size] = a
     Q[0, 0] = -Q[0, 1:].sum()           # row-0 overflow is dropped, not wrapped
@@ -309,6 +318,12 @@ def list_models() -> list[str]:
     return sorted(GALLERY)
 
 
+def _takes_truncation(name: str) -> bool:
+    """Whether the factory of gallery model ``name`` has a ``truncation``
+    parameter."""
+    return "truncation" in inspect.signature(GALLERY[name]).parameters
+
+
 def build_model(spec: str, truncation: int | None = None) -> GalleryModel:
     """Build a gallery model from a name like ``"mm1"`` or ``"mm1(1, 4)"``.
 
@@ -335,7 +350,7 @@ def build_model(spec: str, truncation: int | None = None) -> GalleryModel:
             raise InvalidParameters(f"cannot parse model arguments {argstr!r}: {exc}") from exc
     kwargs = {}
     if truncation is not None:
-        if "truncation" not in inspect.signature(factory).parameters:
+        if not _takes_truncation(name):
             raise InvalidParameters(f"model {name!r} does not take a truncation level")
         kwargs["truncation"] = truncation
     return factory(*args, **kwargs)

@@ -92,10 +92,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse import csr_array
 
-from .chains import (_SPARSE_DENSITY, Distribution, IntensityMatrix, StochasticMatrix, _nonzeros,
-                     _sparse_form)
-from .errors import (DivergentHittingTimes, InvalidParameters, PeriodicChain, ReducibleChain,
-                     SolverFailure)
+from .chains import (_SPARSE_DENSITY, Distribution, IntensityMatrix, StochasticMatrix,
+                     _check_state, _nonzeros, _sparse_form)
+from .errors import DivergentHittingTimes, PeriodicChain, ReducibleChain, SolverFailure
 
 __all__ = [
     "stationary_distribution",
@@ -226,8 +225,7 @@ def _hitting_solve(chain, M: np.ndarray, target: int) -> np.ndarray:
     if not chain.irreducible:
         raise ReducibleChain("hitting times require an irreducible chain")
     n = chain.n
-    if not 0 <= target < n:
-        raise InvalidParameters(f"target state {target} out of range [0, {n})")
+    _check_state(target, n, "target state")
     tol = chain.settings.inverse
     x = _reduced_solve(M, target, np.ones(n), "hitting-time")
     scale = max(1.0, float(np.abs(x).max()))

@@ -44,7 +44,7 @@ import numpy as np
 from . import catalog
 from .catalog import SKELETON_M, _exact_gap, _v_norm_pair, bound_catalog
 from .chains import (IntensityMatrix, PerturbationPair, StochasticMatrix, _check_count,
-                     _perturbed_chain)
+                     _check_state, _perturbed_chain)
 from .ctmc import (
     batch_arrival_drift,
     fit_ctmc_geometric_drift,
@@ -154,8 +154,7 @@ def residual_taboo_inverse_identity(P: StochasticMatrix, taboo_state: int) -> fl
     vector-probe partial sum of the series to ``P.settings.identity`` when
     the bracket puts rho below 0.95.
     """
-    if not (isinstance(taboo_state, (int, np.integer)) and 0 <= taboo_state < P.n):
-        raise InvalidParameters(f"taboo state {taboo_state!r} out of range [0, {P.n})")
+    _check_state(taboo_state, P.n, "taboo state")
     N = _taboo_resolvent(P, taboo_state)
     return _taboo_residual(N, stationary_distribution(P), fundamental_matrix(P))
 
@@ -306,8 +305,7 @@ def value_iteration_hitting(
     pathology.
     """
     n = P.n
-    if not 0 <= target < n:
-        raise InvalidParameters(f"target state {target} out of range [0, {n})")
+    _check_state(target, n, "target state")
     m = np.zeros(n)
     Pe = P.entries
     for _ in range(cap):
@@ -331,6 +329,7 @@ def canonical_pair(model: GalleryModel, magnitude: float = 0.01, seed: int = 0):
     :func:`skeleton_pair` to study them through their common-step skeletons.
     """
     _check_magnitude(magnitude)
+    _check_count(seed, f"seed must be a nonnegative integer, got {seed!r}", 0)
     rng = np.random.default_rng([seed, 987654321])
     perturbed = _draw(rng, model.chain, magnitude)[0]
     if perturbed is None:

@@ -4,13 +4,14 @@ the benchmark's own checks."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcperturb import solvers
+from mcperturb import McPerturbError, solvers
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -78,3 +79,27 @@ def test_smoke_records_match_the_recorded_golden(name, seed):
         tol = ((0.0, workloads.RESIDUAL_ATOL) if op.kind == "identity"
                else (workloads.RTOL, workloads.ATOL))
         assert workloads.golden_diffs(rec, golden[op.name], *tol) == [], op.name
+
+
+RECORDS_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "records.py"
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_the_records_script_prints_every_operation_and_probe(name):
+    out = subprocess.run([sys.executable, str(RECORDS_SCRIPT), "--workload", name,
+                          "--seed", "0", "--smoke"],
+                         capture_output=True, text=True, check=True, timeout=300)
+    printed = json.loads(out.stdout)
+    workload = workloads.build(name, 0, workloads.SMOKE)
+    ops = workload.ops + workload.probes
+    assert list(printed) == sorted(op.name for op in ops)
+    for op in ops:
+        try:
+            rec = workloads.record(op.kind, op.bind()())
+        except McPerturbError as exc:
+            assert printed[op.name]["error"] == type(exc).__name__, op.name
+            assert printed[op.name]["message"], op.name
+            continue
+        tol = ((0.0, workloads.RESIDUAL_ATOL) if op.kind == "identity"
+               else (workloads.RTOL, workloads.ATOL))
+        assert workloads.golden_diffs(printed[op.name], rec, *tol) == [], op.name

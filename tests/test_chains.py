@@ -20,6 +20,8 @@ from mcperturb import (
     ctmc_small_set_bound,
     ctmc_stationary,
     seneta_bound,
+    skeleton_bound,
+    small_set_bound,
     unit_drift_bound,
 )
 from mcperturb import chains
@@ -188,9 +190,13 @@ class TestPerturbationPair:
         base, perturbed = chains_by_name[base], chains_by_name[perturbed]
         with pytest.raises(ValidationError, match=match) as from_pair:
             PerturbationPair(base, perturbed)
-        with pytest.raises(ValidationError) as from_catalog:
-            bound_catalog(base, perturbed=perturbed)
-        assert str(from_catalog.value) == str(from_pair.value)
+        # as do the two bounds that take the perturbed chain itself
+        for call in (lambda: bound_catalog(base, perturbed=perturbed),
+                     lambda: skeleton_bound(base, perturbed, 2),
+                     lambda: small_set_bound(base, perturbed=perturbed)):
+            with pytest.raises(ValidationError) as raised:
+                call()
+            assert str(raised.value) == str(from_pair.value)
 
 
 def loop_period(support):

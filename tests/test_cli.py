@@ -12,6 +12,7 @@ from mcperturb import (
     ctmc_hitting_times,
     hitting_times,
 )
+from mcperturb import cli
 from mcperturb.chainfile import load_chain_file, save_chain_file
 from mcperturb.cli import main
 from mcperturb.gallery import GalleryModel, meyer4, mm1
@@ -129,6 +130,24 @@ class TestValidateCommand:
         assert code == 0
         assert "uniformization constant 2" in text
 
+    @pytest.mark.parametrize("payload,text,detail", [
+        ({"kind": "dtmc", "states": 2, "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+         "dtmc, irreducible, period 2, n=2\n",
+         {"aperiodic": False, "irreducible": True, "kind": "dtmc", "period": 2, "states": 2}),
+        ({"kind": "ctmc", "states": 2, "matrix": [[-1.0, 1.0], [2.0, -2.0]],
+          "perturbed_matrix": [[-1.5, 1.5], [2.0, -2.0]]},
+         "ctmc, irreducible, uniformization constant 2, n=2\n",
+         {"irreducible": True, "kind": "ctmc", "perturbed": True, "states": 2,
+          "uniformization_constant": 2.0}),
+    ], ids=["dtmc", "ctmc"])
+    def test_text_and_json_report_of_each_kind(self, tmp_path, payload, text, detail):
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps(payload))
+        assert run_cli("validate", str(p)) == (0, text)
+        code, out = run_cli("validate", str(p), "--format", "json")
+        assert code == 0
+        assert json.loads(out) == detail
+
     def test_invalid_file_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"kind": "dtmc", "states": 2,
@@ -179,6 +198,13 @@ class TestBoundsCommand:
         rows = {line.split()[0]: line for line in text.splitlines()[2:]}
         assert set(rows) == {"seneta", "seneta_best", "small_set", "hitting_time_drift"}
         assert "FAILED" in rows["seneta"] and "FAILED" in rows["small_set"]
+
+    def test_perturbed_file_table_has_a_verdict_column(self, perturbed_meyer_file):
+        code, text = run_cli("bounds", perturbed_meyer_file)
+        assert code == 0
+        header, _, *rows = text.splitlines()
+        assert header.split() == ["bound", "hypotheses", "ell", "value", "gap", "valid"]
+        assert rows and all(row.split()[-1] == "yes" for row in rows)
 
     def test_json_determinism(self, meyer_file):
         _, t1 = run_cli("bounds", meyer_file, "--format", "json")
@@ -234,6 +260,21 @@ class TestBoundsCommand:
         assert by_name["unit_drift"]["ell"] is None
         assert all(r["hypotheses_hold"] for k, r in by_name.items() if k != "unit_drift")
 
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read drift file"),
+        ("{not json", "cannot read drift file"),
+        ('{"taboo_state": 0}', "drift file needs a 'values' array"),
+        ("[0.0, 1.0, 2.0, 3.0]", "drift file needs a 'values' array"),
+    ], ids=["missing", "malformed", "no-values", "not-an-object"])
+    def test_drift_file_that_cannot_be_read(self, meyer_file, tmp_path, capsys, content,
+                                            message):
+        drift = tmp_path / "drift.json"
+        if content is not None:
+            drift.write_text(content)
+        code, out = run_cli("bounds", meyer_file, "--drift-file", str(drift))
+        assert (code, out) == (2, "")
+        assert message in capsys.readouterr().err
+
     def test_drift_file_size_mismatch(self, meyer_file, tmp_path):
         drift = tmp_path / "drift.json"
         drift.write_text(json.dumps({"taboo_state": 0, "values": [0.0, 1.0]}))
@@ -282,6 +323,20 @@ class TestHittingCommand:
         assert "closed_form" not in payload
         np.testing.assert_array_equal(payload["hitting_times"],
                                       hitting_times(meyer4().chain, 0))
+
+    def test_table_has_a_closed_form_column_for_birth_death_models_only(self, meyer_file):
+        code, text = run_cli("hitting", "birth-death(3)", "--target", "0")
+        assert code == 0
+        header, _, *rows = text.splitlines()
+        assert header.split() == ["state", "mean_steps", "closed_form"]
+        solved = json.loads(run_cli("hitting", "birth-death(3)", "--target", "0",
+                                    "--format", "json")[1])["hitting_times"]
+        assert [row.split()[:2] for row in rows] == [[str(i), f"{m:.6g}"]
+                                                     for i, m in enumerate(solved)]
+        assert all(row.split()[1] == row.split()[2] for row in rows)
+        code, text = run_cli("hitting", meyer_file, "--target", "0")
+        assert code == 0
+        assert text.splitlines()[0].split() == ["state", "mean_steps"]
 
     def test_target_row_zero(self, meyer_file):
         code, text = run_cli("hitting", meyer_file, "--target", "2",
@@ -352,6 +407,41 @@ class TestVerifyCommand:
         code, _ = run_cli("verify", str(path), "--cases", "3")
         assert code == 2
         assert "could not perturb model" in capsys.readouterr().err
+
+    def test_a_nan_identity_residual_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr(cli, "identity_residuals",
+                            lambda model, **kwargs: {"perturbation_identity": float("nan")})
+        code, text = run_cli("verify", "meyer4", "--cases", "0", "--format", "json")
+        assert code == 3
+        assert json.loads(text)["results"][0]["identity_failure"] is True
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "mm1", "--truncation", "1"], "truncation must be an integer of at least 3"),
+        (["verify", "meyer4", "--truncation", "10"], "does not take a truncation level"),
+        (["verify", "meyer4", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+        (["bounds", "odd-even-p", "--truncation", "1"],
+         "truncation must be an integer of at least 2, got 1"),
+    ])
+    def test_a_size_or_seed_the_input_cannot_take_exits_2(self, capsys, argv, message):
+        # a named model gets the truncation as given, with no retry at its default
+        code, out = run_cli(*argv, "--cases", "2") if argv[0] == "verify" else run_cli(*argv)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_a_sweep_truncates_only_the_models_that_take_a_truncation(self, monkeypatch):
+        sizes = {}
+
+        def residuals(model, **kwargs):
+            sizes[model.name] = model.chain.n
+            return {}
+
+        monkeypatch.setattr(cli, "identity_residuals", residuals)
+        assert run_cli("verify", "gallery", "--cases", "0", "--truncation", "30")[0] == 0
+        assert sizes == {"batch-arrival": 30, "birth-death": 21, "funderlic8": 8,
+                         "geometric-return": 30, "hessenberg-gi-m-1": 30, "meyer4": 4,
+                         "mm1": 30, "odd-even-p": 30}
 
     def test_full_gallery_sweep(self):
         code, text = run_cli("verify", "gallery", "--all", "--cases", "3",

@@ -442,6 +442,23 @@ class TestSeriesExpansion:
         with pytest.raises(OutOfRadius):
             stationary_series_expansion(Q, G, eps=2.0, cert=cert)
 
+    def test_radius_constant_reads_the_gth_pi_at_n_200(self):
+        # the service direction G[i, i-1] = 1, G[i, i] = -1 (||G||_V = 1.5)
+        # inside the stationary radius lambda / (c ||G||_V) = 0.267, whose
+        # c = 1 + ||e||_V ||pi||_V = 2.5 the plain pi's tail errors inflate
+        # past 1e42 under the geometric weights at N = 200
+        N = 200
+        Q = mm1(truncation=N).chain
+        G = np.zeros((N, N))
+        for i in range(1, N):
+            G[i, i - 1] = 1.0
+            G[i, i] = -1.0
+        cert = batch_arrival_drift(*mm1_coefficients(1.0, 4.0), n_states=N)
+        assert v_norm_matrix(G, cert.weights) == pytest.approx(1.5)
+        nu = stationary_series_expansion(Q, G, eps=0.24, cert=cert)
+        exact = ctmc_stationary(IntensityMatrix(Q.entries + 0.24 * G), method="gth")
+        assert np.abs(nu.values - exact.values).sum() < 1e-14
+
     def test_direction_must_be_conservative(self):
         Q = two_state_generator()
         with pytest.raises(InvalidParameters):

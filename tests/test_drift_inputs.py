@@ -229,7 +229,7 @@ def _ctmc_entry_points():
     }
 
 
-@pytest.mark.parametrize("taboo", ["n", -1])
+@pytest.mark.parametrize("taboo", ["n", -1, 1.5, 1.0, True])
 @pytest.mark.parametrize("entry_points", [_dtmc_entry_points, _ctmc_entry_points],
                          ids=["dtmc", "ctmc"])
 def test_every_drift_entry_point_rejects_a_taboo_state_outside_the_chain(entry_points, taboo):

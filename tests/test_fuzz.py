@@ -23,6 +23,7 @@ from mcperturb.gallery import (
 from mcperturb.verify import (
     canonical_pair,
     fuzz_bounds,
+    identity_residuals,
     sample_ctmc_delta,
     sample_dtmc_delta,
 )
@@ -100,11 +101,19 @@ class TestFuzzHarness:
             sample_ctmc_delta(rng, mm1(truncation=24).chain, magnitude)
 
     @pytest.mark.parametrize("kwargs", [{"n_cases": -3}, {"n_cases": 2.5}, {"n_cases": "3"},
-                                        {"seed": -1}, {"seed": 0.5}, {"seed": None}])
+                                        {"seed": -1}, {"seed": 0.5}, {"seed": None},
+                                        {"seed": True}])
     def test_case_count_and_seed_must_be_nonnegative_integers(self, kwargs):
         name = next(iter(kwargs))
         with pytest.raises(InvalidParameters, match=name):
             fuzz_bounds(meyer4(), **kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_a_canonical_pair_takes_the_seeds_the_fuzz_takes(self, seed):
+        with pytest.raises(InvalidParameters, match="seed must be a nonnegative integer"):
+            canonical_pair(meyer4(), seed=seed)
+        with pytest.raises(InvalidParameters, match="seed must be a nonnegative integer"):
+            identity_residuals(meyer4(), seed=seed)
 
     def test_vacuous_bounds_flagged_useless(self):
         # the scan-based drift coefficient on this chain is enormous, so its

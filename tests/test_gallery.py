@@ -3,6 +3,7 @@ import pytest
 
 from mcperturb import InvalidParameters
 from mcperturb.gallery import (
+    _takes_truncation,
     batch_arrival,
     birth_death,
     build_model,
@@ -151,3 +152,22 @@ def test_truncation_is_rejected_by_any_factory_without_the_parameter(monkeypatch
             build_model(name, truncation=10)
     for name in ("hessenberg-gi-m-1", "odd-even-p", "geometric-return", "batch-arrival", "mm1"):
         assert build_model(name, truncation=12).truncation == 12
+
+
+# the smallest size each truncatable model builds
+SMALLEST = {"hessenberg-gi-m-1": 1, "odd-even-p": 2, "geometric-return": 2,
+            "batch-arrival": 4, "mm1": 3}
+
+
+@pytest.mark.parametrize("name", sorted(SMALLEST))
+def test_a_truncation_is_an_integer_size_the_model_can_take(name):
+    assert set(SMALLEST) == {m for m in list_models() if _takes_truncation(m)}
+    least = SMALLEST[name]
+    for truncation in (-1, 0, 1, 1.5, True, least - 1, least):
+        if type(truncation) is int and truncation >= least:
+            assert build_model(name, truncation=truncation).chain.n == truncation
+        else:
+            with pytest.raises(InvalidParameters,
+                               match=rf"truncation must be an integer of at least {least}, "
+                                     rf"got {truncation}"):
+                build_model(name, truncation=truncation)

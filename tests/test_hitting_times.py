@@ -9,12 +9,14 @@ from mcperturb import (
     SolverFailure,
     StochasticMatrix,
     birth_death_hitting_times,
+    bound_catalog,
     ctmc_hitting_times,
     hitting_times,
     value_iteration_hitting,
 )
 from mcperturb import solvers
-from mcperturb.gallery import birth_death, build_model, geometric_return, list_models, mm1
+from mcperturb.verify import residual_taboo_inverse_identity
+from mcperturb.gallery import birth_death, build_model, geometric_return, list_models, meyer4, mm1
 from tests.conftest import gallery_model, random_irreducible_chain
 
 
@@ -292,3 +294,24 @@ class TestSharedHittingSolve:
         strict = IntensityMatrix(entries, settings=NumericSettings(inverse=1e-20))
         with pytest.raises(SolverFailure, match="hitting-time residual"):
             ctmc_hitting_times(strict, 0)
+
+
+@pytest.mark.parametrize("state", [4, -1, 1.5, 1.0, True])
+def test_every_target_and_taboo_state_is_an_integer_state_of_the_chain(state):
+    # a float or bool state must not reach numpy indexing
+    P = meyer4().chain
+    Q = mm1(truncation=4).chain
+    a, b, c = drifted_birth_death_vectors(3)
+    calls = {
+        "hitting_times": lambda t: hitting_times(P, t),
+        "ctmc_hitting_times": lambda t: ctmc_hitting_times(Q, t),
+        "value_iteration_hitting": lambda t: value_iteration_hitting(P, t),
+        "birth_death_hitting_times": lambda t: birth_death_hitting_times(a, b, c, t),
+        "residual_taboo_inverse_identity": lambda t: residual_taboo_inverse_identity(P, t),
+        "bound_catalog": lambda t: bound_catalog(Q, taboo_state=t),
+    }
+    for name, call in calls.items():
+        with pytest.raises(InvalidParameters, match=rf"state {state} out of range \[0, 4\)"):
+            call(state)
+            pytest.fail(f"{name} took the state {state!r}")
+        call(np.int64(1))                # a numpy integer is a state

@@ -171,7 +171,8 @@ def ref_stationary_series_expansion(Q, G, eps, n_terms=50, cert=None):
             V = cert.weights.values
             g1 = v_norm_matrix(Gm, V)
             radii = [cert.lam**2 / ((cert.b + cert.lam) * g1)]
-            pi_v = v_norm_measure(pi.values, V)
+            # the radius constant reads the GTH pi, the series terms the plain pi
+            pi_v = v_norm_measure(ctmc_stationary(Q, method="gth").values, V)
             c = 1.0 + (1.0 / V.min()) * pi_v
             radii.append(cert.lam / (c * g1))
             if not any(abs(eps) < r for r in radii):
