@@ -90,9 +90,18 @@ def _sparse_form(A: np.ndarray, density: float) -> csr_array | None:
     nonzero = A != 0.0
     if np.count_nonzero(nonzero) >= density * A.size:
         return None
-    rows, cols = _nonzeros(nonzero)
-    indptr = np.searchsorted(rows, np.arange(A.shape[0] + 1))
-    return csr_array((A[rows, cols], cols, indptr), shape=A.shape)
+    return _csr(nonzero, A)[0]
+
+
+def _csr(mask: np.ndarray,
+         A: np.ndarray | None = None) -> tuple[csr_array, np.ndarray, np.ndarray]:
+    """``(S, rows, cols)``: the CSR array S of A's entries on the True entries of
+    ``mask`` (of ones for A None), built by hand from their row-major
+    indices ``_nonzeros(mask)``, and those indices."""
+    rows, cols = _nonzeros(mask)
+    indptr = np.searchsorted(rows, np.arange(mask.shape[0] + 1))
+    data = np.ones(rows.size, dtype=np.int8) if A is None else A[rows, cols]
+    return csr_array((data, cols, indptr), shape=mask.shape), rows, cols
 
 
 def _check_count(m, message: str, least: int) -> None:
@@ -109,8 +118,7 @@ def _check_state(i, n: int, what: str) -> None:
 
 
 def _is_strongly_connected(support: np.ndarray) -> bool:
-    graph = csr_array(support.astype(np.int8))
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
+    n_comp, _ = connected_components(_csr(support)[0], directed=True, connection="strong")
     return n_comp == 1
 
 
@@ -123,9 +131,9 @@ def _period_by_bfs(support: np.ndarray) -> int:
     BFS does not reach are ignored; 0 means no edge gave a nonzero
     difference.
     """
+    graph, u, v = _csr(support)
     # BFS levels are the unweighted shortest-path distances from state 0
-    level = dijkstra(csr_array(support.astype(np.int8)), indices=0, unweighted=True)
-    u, v = np.nonzero(support)
+    level = dijkstra(graph, indices=0, unweighted=True)
     reached = np.isfinite(level[u])      # an edge out of a reached state ends at one
     diff = level[u[reached]] + 1.0 - level[v[reached]]
     return int(np.gcd.reduce(np.abs(diff).astype(np.int64)))
@@ -326,17 +334,20 @@ def _perturbed_chain(chain, delta: np.ndarray, rows: np.ndarray | None = None):
     """``chain.entries + delta`` as a new chain of the same kind, accepted or
     rejected exactly as ``type(chain)(chain.entries + delta, chain.settings)``.
 
-    ``rows`` lists the rows ``delta`` touches (found here when not given).
-    Only those rows are added, and only they can fail a per-row check: every
-    other row passed it in ``chain``, with the same settings. Their row sums
-    are ``chain``'s. A generator still checks every row sum against the scale
+    With ``rows`` given, ``delta`` holds only those rows of the perturbation,
+    in their order, and every other row is zero; otherwise ``delta`` is the
+    n x n perturbation and its nonzero rows are found here. Only those rows
+    are added, and only they can fail a per-row check: every other row
+    passed it in ``chain``, with the same settings. Their row sums are
+    ``chain``'s. A generator still checks every row sum against the scale
     of its new diagonal. The new chain inherits irreducibility when the
     touched rows lose no edge.
     """
     if rows is None:
         rows = np.flatnonzero(delta.any(axis=1))
+        delta = delta[rows]
     entries = chain.entries.copy()
-    entries[rows] += delta[rows]
+    entries[rows] += delta
     perturbed = type(chain).__new__(type(chain))
     perturbed._adopt(entries, chain.settings, rows, chain._row_sums)
     _inherit_irreducibility(chain, perturbed, rows)

@@ -17,7 +17,7 @@ from .catalog import bound_catalog
 from .chainfile import _parse_vector, load_chain_file, save_chain_file
 from .ctmc import batch_arrival_drift
 from .dtmc import birth_death_hitting_times, hitting_times
-from .errors import McPerturbError, ParseError, ValidationError
+from .errors import InvalidParameters, McPerturbError, ParseError, ValidationError
 from .gallery import GalleryModel, _takes_truncation, build_model, list_models
 from .verify import fuzz_bounds, identity_residuals
 
@@ -65,9 +65,13 @@ def _load_input(spec: str, truncation):
     """``(model, perturbed chain, weights)`` for a chain file or a gallery name.
 
     A path with a slash or .json suffix is a file, wrapped as a model named
-    by its path with no extras; otherwise ``spec`` names a gallery model.
+    by its path with no extras, which takes no truncation; otherwise
+    ``spec`` names a gallery model.
     """
     if spec.endswith(".json") or "/" in spec:
+        if truncation is not None:
+            raise InvalidParameters(f"--truncation applies to gallery models, not to the "
+                                    f"chain file {spec}")
         cf = load_chain_file(spec)
         model = GalleryModel(name=spec, kind=cf.kind, chain=cf.chain)
         return model, cf.perturbed, cf.weight_function
@@ -168,7 +172,10 @@ def cmd_hitting(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    if args.path == "gallery" or args.all:
+    if args.all and args.path != "gallery":
+        raise InvalidParameters(f"--all verifies every gallery model: give 'gallery' as the "
+                                f"path, not {args.path!r}")
+    if args.path == "gallery":
         # a sweep's truncation goes only to the models that take one
         specs = [(name, args.truncation if _takes_truncation(name) else None)
                  for name in list_models()]
@@ -262,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="identity residuals and bound-validity fuzzing")
     p.add_argument("path", help="chain file, gallery model name, or 'gallery'")
-    p.add_argument("--all", action="store_true", help="verify every gallery model")
+    p.add_argument("--all", action="store_true",
+                   help="verify every gallery model (the path must be 'gallery')")
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--magnitude", type=float, default=0.01)

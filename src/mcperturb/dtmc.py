@@ -53,7 +53,7 @@ from .errors import (
     ReducibleChain,
     SolverFailure,
 )
-from .norms import _pair_blocks, matrix_norm, v_norm_measure
+from .norms import _pair_blocks, _shared_column_maxima, matrix_norm, v_norm_measure
 from .reports import BoundReport, Hypothesis
 from .solvers import _hitting_solve, fundamental_matrix, group_inverse, stationary_distribution
 
@@ -96,15 +96,17 @@ def _contraction_coefficient(M: np.ndarray, hypothesis: str | None = None, label
     """``ergodicity_coefficient(M)``; given a hypothesis, it must stay below
     1 by the margin.
 
-    Rows are scanned in the blocks of ``norms._pair_blocks``. The hypothesis
-    scan stops at the first block holding a row whose distances already put
-    the coefficient at or above ``1 - margin``, raising HypothesisFailed
-    with that lower bound and the first such row, so a hypothesis disproved
-    at row 0 costs one row.
+    Row 0 is scanned against every later row first, the first block of
+    ``norms._pair_blocks``. After it, a nonnegative M with little column
+    work takes its other rows at once from the columns they share
+    (``norms._shared_column_maxima``); any other M goes on in the pair
+    scan's blocks. The hypothesis scan stops at the first block holding a
+    row whose distances already put the coefficient at or above
+    ``1 - margin``, raising HypothesisFailed with that lower bound and the
+    first such row, so a hypothesis disproved at row 0 costs one row.
     """
     best = 0.0
-    for a, D in _pair_blocks(M):
-        d = np.triu(D).max(axis=1)          # row a + r's largest distance to a later row
+    for a, d in _farthest_later_rows(M):
         if hypothesis is not None:
             hit = np.flatnonzero(0.5 * d >= 1.0 - margin)
             if hit.size:
@@ -113,6 +115,18 @@ def _contraction_coefficient(M: np.ndarray, hypothesis: str | None = None, label
                                                    f"(row {a + r})")
         best = max(best, float(d.max()))
     return 0.5 * best
+
+
+def _farthest_later_rows(M: np.ndarray):
+    """Yield ``(a, d)`` for consecutive row blocks: ``d[r]`` is row a + r's
+    largest l1 distance to a later row (or 0)."""
+    for a, D in _pair_blocks(M):
+        yield a, np.triu(D).max(axis=1)
+        if a == 0 and M.shape[0] > 2:
+            d = _shared_column_maxima(M)
+            if d is not None:
+                yield 1, d[1:]
+                return
 
 
 def seneta_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundReport:

@@ -79,6 +79,7 @@ from .solvers import (
     _difference,
     _gate,
     _identity_minus,
+    _solve,
     deviation_matrix,
     fundamental_matrix,
     stationary_distribution,
@@ -172,10 +173,7 @@ def _taboo_resolvent(P: StochasticMatrix, taboo_state: int):
     lo, hi = _perron_bracket(T)
     if lo >= _DIVERGENT:
         raise SeriesDivergent(f"taboo matrix spectral radius at least {lo:.15g}, not below 1")
-    try:
-        N = np.linalg.solve(_identity_minus(T), np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise SeriesDivergent(f"I - T is singular: {exc}") from exc
+    N = _solve(_identity_minus(T), None, "I - T", error=SeriesDivergent)
     if hi < _SERIES_CUT:
         probe = np.ones(n) / n
         acc = probe.copy()
@@ -441,7 +439,8 @@ class FuzzSummary:
         }
 
 
-def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float) -> np.ndarray | None:
+def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float, *,
+                      rows_only: bool = False):
     """One attempt at a sparse signed perturbation of exact norm ``magnitude``.
 
     A few rows get 1-3 signed entries; each touched row is rebalanced
@@ -449,33 +448,39 @@ def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float) -> np.ndarray 
     the whole matrix is scaled to the target max-absolute-row-sum norm.
     Entries too small to absorb a negative bump only receive positive ones.
     Returns None when the draw degenerates (caller retries), and always for
-    a 1-state chain, which has no nonzero row-sum-zero perturbation.
+    a 1-state chain, which has no nonzero row-sum-zero perturbation. With
+    ``rows_only``, the draw comes back as ``(rows, block)``: the touched
+    rows in increasing order and those rows of the matrix, which is zero
+    elsewhere.
     """
-    return _sample_delta(rng, P, magnitude, generator=False)
+    return _sample_delta(rng, P, magnitude, False, rows_only)
 
 
-def sample_ctmc_delta(rng, Q: IntensityMatrix, magnitude: float) -> np.ndarray | None:
+def sample_ctmc_delta(rng, Q: IntensityMatrix, magnitude: float, *,
+                      rows_only: bool = False):
     """Conservative perturbation of exact norm: off-diagonal bumps, scaled by
     the uniformization constant, balanced on the diagonal; negative bumps
-    only where the rate can absorb them. None as for ``sample_dtmc_delta``."""
-    return _sample_delta(rng, Q, magnitude, generator=True)
+    only where the rate can absorb them. None and ``rows_only`` as for
+    ``sample_dtmc_delta``."""
+    return _sample_delta(rng, Q, magnitude, True, rows_only)
 
 
-def _sample_delta(rng, chain, magnitude: float, generator: bool) -> np.ndarray | None:
-    """The body of both samplers. A row is balanced on its diagonal for a
-    generator, and on its largest off-diagonal entry for a transition
-    matrix, which must absorb the balance (else None)."""
+def _sample_delta(rng, chain, magnitude: float, generator: bool, rows_only: bool):
+    """The body of both samplers, which fills only the k <= 3 touched rows. A
+    row is balanced on its diagonal for a generator, and on its largest
+    off-diagonal entry for a transition matrix, which must absorb the
+    balance (else None)."""
     _check_magnitude(magnitude)
     n = chain.n
     if n == 1:
         return None
     scale = chain.uniformization_constant if generator else 1.0
     floor = 1.5 * magnitude
-    delta = np.zeros((n, n))
     n_rows = int(rng.integers(1, min(3, n) + 1))
     rows = rng.choice(n, size=n_rows, replace=False)
-    for i in rows.tolist():
-        entries, row = chain.entries[i], delta[i]
+    block = np.zeros((n_rows, n))
+    for i, row in zip(rows.tolist(), block):
+        entries = chain.entries[i]
         if generator:
             j_star = i
         else:
@@ -492,43 +497,42 @@ def _sample_delta(rng, chain, magnitude: float, generator: bool) -> np.ndarray |
                 v = abs(v)
             row[j] += v
         row[j_star] -= row.sum()
-    return _scaled(delta, rows, magnitude)
-
-
-def _scaled(delta, rows, magnitude):
-    """``delta`` scaled in place to norm ``magnitude``; only ``rows`` are nonzero,
-    so the norm and the scaling need no other row. None for a zero draw."""
-    nm = matrix_norm(delta[rows])
+    nm = matrix_norm(block)
     if nm <= 0:
         return None
-    delta[rows] *= magnitude / nm
+    block *= magnitude / nm
+    if rows_only:
+        order = np.argsort(rows)
+        return rows[order], block[order]
+    delta = np.zeros((n, n))
+    delta[rows] = block
     return delta
 
 
 def _draw(rng, chain, magnitude):
     """Draw until a perturbation keeps the chain valid and irreducible:
-    ``(perturbed, delta, rows)``, with the rows delta touches, or
-    ``(None, None, None)`` after 50 draws.
+    ``(perturbed, block, rows)``, with the rows delta touches and those rows
+    of delta, or ``(None, None, None)`` after 50 draws.
 
-    The rows are found once per draw and serve the validation of the
-    perturbed chain, its irreducibility and the norm of delta. Every draw
-    keeps each entry it lowers positive (a negative bump lands only on an
-    entry of at least 1.5 * magnitude, and no scaled entry exceeds
-    magnitude), so the perturbed chain inherits the base chain's
-    irreducibility without a graph search.
+    The rows come from the sampler and serve the validation of the
+    perturbed chain, its irreducibility and the norm of delta; no n x n
+    delta is formed. Every draw keeps each entry it lowers positive (a
+    negative bump lands only on an entry of at least 1.5 * magnitude, and
+    no scaled entry exceeds magnitude), so the perturbed chain inherits the
+    base chain's irreducibility without a graph search.
     """
     sample = sample_dtmc_delta if isinstance(chain, StochasticMatrix) else sample_ctmc_delta
     for _ in range(50):
-        delta = sample(rng, chain, magnitude)
-        if delta is None:
+        drawn = sample(rng, chain, magnitude, rows_only=True)
+        if drawn is None:
             continue
-        rows = np.flatnonzero(delta.any(axis=1))
+        rows, block = drawn
         try:
-            perturbed = _perturbed_chain(chain, delta, rows)
+            perturbed = _perturbed_chain(chain, block, rows)
         except ValidationError:
             continue
         if perturbed.irreducible:
-            return perturbed, delta, rows
+            return perturbed, block, rows
     return None, None, None
 
 
@@ -629,12 +633,12 @@ def fuzz_bounds(
     n_rejected = 0
     for case_idx in range(n_cases):
         rng = np.random.default_rng([seed, case_idx])
-        perturbed, delta, rows = _draw(rng, chain, magnitude)
+        perturbed, block, rows = _draw(rng, chain, magnitude)
         if perturbed is None:
             n_rejected += 1
             continue
         gap = _exact_gap(chain, perturbed)
-        dn = matrix_norm(delta[rows])       # untouched rows add nothing
+        dn = matrix_norm(block)             # untouched rows add nothing
         outcomes = [rep.with_exact_gap(gap, dn) for rep in linear]
         if use_skeleton:
             try:
@@ -647,6 +651,8 @@ def fuzz_bounds(
                 skipped.setdefault(f"skeleton[m={SKELETON_M}]", str(exc))
                 use_skeleton = False
         if v_cert is not None:
+            delta = np.zeros((chain.n, chain.n))
+            delta[rows] = block
             outcomes += _v_norm_outcomes(chain, perturbed, delta, v_cert, skipped)
         cases.append(FuzzCase(seed=(seed, case_idx), delta_norm=dn, gap=gap,
                               outcomes=outcomes))

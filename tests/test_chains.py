@@ -28,6 +28,7 @@ from mcperturb import chains
 from mcperturb.chains import _period_by_bfs, _perturbed_chain
 from mcperturb.ctmc import uniformize
 from mcperturb.settings import DEFAULT
+from tests.conftest import gallery_model
 
 
 class TestStochasticMatrix:
@@ -263,6 +264,50 @@ class TestPeriodByBfs:
         feeder = _cycle_support(4, 3, offset=1)
         feeder[0, 1] = True
         assert _period_by_bfs(feeder) == loop_period(feeder) == 3
+
+
+def csgraph_reference(support):
+    """(strongly connected, period) from csgraph on ``csr_array`` of the support,
+    with the edges of ``np.nonzero``: the graph checks' former construction."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
+    graph = csr_array(support.astype(np.int8))
+    connected = connected_components(graph, directed=True, connection="strong")[0] == 1
+    level = dijkstra(graph, indices=0, unweighted=True)
+    u, v = np.nonzero(support)
+    reached = np.isfinite(level[u])
+    diff = level[u[reached]] + 1.0 - level[v[reached]]
+    return connected, int(np.gcd.reduce(np.abs(diff).astype(np.int64)))
+
+
+class TestGraphChecksAgainstCsgraph:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_supports(self, seed):
+        # self-loops, reducible and strongly connected supports alike
+        rng = np.random.default_rng([seed, 11])
+        n = int(rng.integers(1, 60))
+        S = rng.random((n, n)) < rng.choice([0.01, 0.03, 0.1, 0.5])
+        if seed % 3 == 0:
+            S |= _cycle_support(n, n)            # strongly connected
+        if seed % 4 == 0:
+            S[np.diag_indices(n)] = True         # every self-loop
+        got = (chains._is_strongly_connected(S), _period_by_bfs(S))
+        assert got == csgraph_reference(S)
+
+    @pytest.mark.parametrize("S", [
+        np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool),
+        np.zeros((4, 4), dtype=bool), np.eye(3, dtype=bool),
+        _cycle_support(6, 6), _cycle_support(6, 3) | np.eye(6, dtype=bool),
+    ], ids=["loop-1", "edgeless-1", "edgeless-4", "loops-3", "cycle-6", "cycle-3-loops"])
+    def test_small_supports(self, S):
+        assert (chains._is_strongly_connected(S), _period_by_bfs(S)) == csgraph_reference(S)
+
+    def test_the_gallery_chains(self):
+        for name in ("hessenberg-gi-m-1", "odd-even-p", "mm1"):
+            support = gallery_model(name, 200).chain.entries > 0.0
+            got = (chains._is_strongly_connected(support), _period_by_bfs(support))
+            assert got == csgraph_reference(support)
 
 
 def reachable(support, start, reverse=False):

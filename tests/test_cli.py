@@ -430,6 +430,28 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds"], ["hitting", "--target", "0"], ["verify", "--cases", "0"],
+    ], ids=["bounds", "hitting", "verify"])
+    def test_a_truncation_with_a_chain_file_exits_2(self, capsys, meyer_file, argv):
+        # the file's chain has its own size: the flag is refused, not dropped
+        code, out = run_cli(argv[0], meyer_file, "--truncation", "10", *argv[1:])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"--truncation applies to gallery models, not to the chain file {meyer_file}" in err
+
+    @pytest.mark.parametrize("path", ["meyer4", "file"])
+    def test_a_path_with_all_exits_2(self, capsys, monkeypatch, meyer_file, path):
+        # --all sweeps the gallery, so any path but 'gallery' would be ignored
+        monkeypatch.setattr(cli, "identity_residuals", lambda model, **kwargs: pytest.fail())
+        path = meyer_file if path == "file" else path
+        code, out = run_cli("verify", path, "--all", "--cases", "0")
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"give 'gallery' as the path, not {path!r}" in err
+
     def test_a_sweep_truncates_only_the_models_that_take_a_truncation(self, monkeypatch):
         sizes = {}
 
