@@ -334,20 +334,17 @@ def _perturbed_chain(chain, delta: np.ndarray, rows: np.ndarray | None = None):
     """``chain.entries + delta`` as a new chain of the same kind, accepted or
     rejected exactly as ``type(chain)(chain.entries + delta, chain.settings)``.
 
-    With ``rows`` given, ``delta`` holds only those rows of the perturbation,
-    in their order, and every other row is zero; otherwise ``delta`` is the
-    n x n perturbation and its nonzero rows are found here. Only those rows
-    are added, and only they can fail a per-row check: every other row
-    passed it in ``chain``, with the same settings. Their row sums are
-    ``chain``'s. A generator still checks every row sum against the scale
+    ``rows`` lists the rows ``delta`` touches (found here when not given).
+    Only those rows are added, and only they can fail a per-row check: every
+    other row passed it in ``chain``, with the same settings. Their row sums
+    are ``chain``'s. A generator still checks every row sum against the scale
     of its new diagonal. The new chain inherits irreducibility when the
     touched rows lose no edge.
     """
     if rows is None:
         rows = np.flatnonzero(delta.any(axis=1))
-        delta = delta[rows]
     entries = chain.entries.copy()
-    entries[rows] += delta
+    entries[rows] += delta[rows]
     perturbed = type(chain).__new__(type(chain))
     perturbed._adopt(entries, chain.settings, rows, chain._row_sums)
     _inherit_irreducibility(chain, perturbed, rows)

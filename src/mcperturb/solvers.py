@@ -42,8 +42,7 @@ G, the group inverse and the hitting times all come from one reduced solve,
 M-matrix U that keeps the chain's band. G takes k = argmax pi, so that U
 stays well conditioned, and Meyer's formula A# = (I - 1 pi) Z (I - 1 pi),
 with Z = U^-1 bordered by a zero row and column k. A banded U is solved on
-its band, O(n^2 b) for a band of width b; any other U densely, G's by
-LAPACK's inverse (getrf and getri) and the hitting times' by one solve.
+its band, O(n^2 b) for a band of width b; any other U by one dense solve.
 Certifying G and the group inverse costs that solve and one dense product,
 X (A X). Every other residual product multiplies by A (with M = A + 1 pi
 as A plus a rank-one term), a CSR array below ``_SPARSE_DENSITY``:
@@ -59,9 +58,8 @@ Mean hitting times of both chain kinds come from one certified solve,
 left out, which also makes their entry checks: an irreducible chain and a
 target that is one of its states.
 
-Every solve and inverse here, dense or banded, goes through ``_solve``,
-which reports a singular system as SolverFailure naming the system; the
-taboo resolvent of ``verify`` reports it as SeriesDivergent.
+Every solve here, dense or banded, goes through ``_solve``, which reports a
+singular system as SolverFailure naming the system.
 
 Every residual certificate of the package is one ``_gate`` call: it passes
 when ``residual <= tolerance * scale`` (so a NaN fails) and otherwise raises
@@ -95,7 +93,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
 from scipy.sparse import csr_array
 
 from .chains import (_SPARSE_DENSITY, Distribution, IntensityMatrix, StochasticMatrix,
@@ -144,37 +141,18 @@ def _difference(chain: StochasticMatrix | IntensityMatrix) -> np.ndarray | csr_a
     return A if S is None else S
 
 
-def _solve(A: np.ndarray, b: np.ndarray | None, system: str,
-           band: tuple[int, int] | None = None, error: type[Exception] = SolverFailure,
-           ) -> np.ndarray:
-    """``np.linalg.solve(A, b)``; with b None, A^-1 by ``_inverse`` (overwriting
-    A); or LAPACK's banded solve of the ``band`` (l, u) matrix stored in A
-    (overwriting A and b). A singular system raises ``error``("<system> is
-    singular: ...")."""
+def _solve(A: np.ndarray, b: np.ndarray, system: str,
+           band: tuple[int, int] | None = None) -> np.ndarray:
+    """``np.linalg.solve(A, b)``, or LAPACK's banded solve of the ``band``
+    (l, u) matrix stored in A (overwriting A and b); a singular ``system``
+    raises SolverFailure."""
     try:
-        if band is not None:
-            return solve_banded(band, A, b, overwrite_ab=True, overwrite_b=True,
-                                check_finite=False)
-        return _inverse(A) if b is None else np.linalg.solve(A, b)
+        if band is None:
+            return np.linalg.solve(A, b)
+        return solve_banded(band, A, b, overwrite_ab=True, overwrite_b=True,
+                            check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise error(f"{system} is singular: {exc}") from exc
-
-
-def _inverse(A: np.ndarray) -> np.ndarray:
-    """A^-1 by LAPACK's getrf and getri, overwriting a C-ordered A: 0.48-0.56x
-    the time of ``np.linalg.solve(A, I)`` at n = 200-400 (one BLAS thread).
-
-    A^T, the same memory read in Fortran order, is the matrix factored, and
-    the inverse of A^T comes back transposed. For A = I - T with T
-    substochastic (a reduced I - P or -h Q, or I minus a taboo matrix), A^T
-    is column diagonally dominant, so partial pivoting exchanges no rows.
-    """
-    lu, piv, info = dgetrf(A.T, overwrite_a=True)
-    if info == 0:
-        X, info = dgetri(lu, piv, lwork=int(dgetri_lwork(A.shape[0])[0]), overwrite_lu=True)
-    if info != 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return X.T
+        raise SolverFailure(f"{system} system is singular: {exc}") from exc
 
 
 def _gate(check: str, residual: float, tolerance: float, scale: float = 1.0,
@@ -195,26 +173,22 @@ def _stationary_solve(M: np.ndarray) -> np.ndarray:
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    return _solve(A, b, "stationary system")
+    return _solve(A, b, "stationary")
 
 
-def _reduced_solve(M: np.ndarray, k: int, B: np.ndarray | None, system: str) -> np.ndarray:
-    """Solve M with row and column ``k`` deleted against B with row k deleted;
-    B None stands for the identity, so the result is the reduced inverse.
+def _reduced_solve(M: np.ndarray, k: int, B: np.ndarray, system: str) -> np.ndarray:
+    """Solve M with row and column ``k`` deleted against B with row k deleted.
 
-    The solution comes back with a zero row k in place of the deleted one
-    (and a zero column k for the inverse); B's row k and M's row and column
-    k are never read. When the reduced matrix's band (l, u) has
-    ``l + u + 1 <= _BAND_FRACTION * (n - 1)``, LAPACK's banded solver takes
-    it at O(n (l + u) b) for b right-hand sides; otherwise row and column k
-    of M become the identity's (overwriting M and B), which leaves the
-    reduced system for one dense ``_solve``: LAPACK's inverse for the
-    identity, which keeps row and column k exact. A dense M is turned away
-    by its nonzero count before its band is scanned.
+    The solution comes back with a zero row k in place of the deleted one;
+    B's row k and M's row and column k are never read. When the reduced
+    matrix's band (l, u) has ``l + u + 1 <= _BAND_FRACTION * (n - 1)``, LAPACK's
+    banded solver takes it at O(n (l + u) b) for b right-hand sides;
+    otherwise row and column k of M become the identity's (overwriting M and
+    B), which leaves the reduced system for one dense ``_solve``. A dense M
+    is turned away by its nonzero count before its band is scanned.
     """
     n = M.shape[0]
     m = n - 1
-    system = f"{system} system"
     nonzero = M != 0.0
     # a reduced band that fits has at most m * _BAND_FRACTION * m nonzeros;
     # row and column k add at most 2 n
@@ -230,8 +204,6 @@ def _reduced_solve(M: np.ndarray, k: int, B: np.ndarray | None, system: str) -> 
         if lower + upper + 1 <= _BAND_FRACTION * m:
             ab = np.zeros((lower + upper + 1, m))       # LAPACK's banded storage
             ab[upper - offsets, cols] = values
-            if B is None:
-                B = np.eye(n)
             Y = _solve(ab, np.delete(B, k, axis=0), system, (lower, upper))
             X = np.zeros(B.shape)
             X[:k], X[k + 1:] = Y[:k], Y[k:]
@@ -239,10 +211,6 @@ def _reduced_solve(M: np.ndarray, k: int, B: np.ndarray | None, system: str) -> 
     M[k, :] = 0.0
     M[:, k] = 0.0
     M[k, k] = 1.0
-    if B is None:
-        X = _solve(M, None, system)
-        X[k, k] = 0.0
-        return X
     B[k] = 0.0
     return _solve(M, B, system)
 
@@ -397,7 +365,7 @@ def _fundamental_matrix(chain: StochasticMatrix | IntensityMatrix, A) -> np.ndar
     # Meyer's route: Z = (A without state k)^-1 with a zero row and column k,
     # R = Z - 1 (pi Z) - (Z 1) pi + (1 + pi Z 1) 1 pi, formed in place of Z
     R = _reduced_solve(A.copy() if isinstance(A, np.ndarray) else A.toarray(),
-                       int(np.argmax(pi.values)), None, "fundamental")
+                       int(np.argmax(pi.values)), np.eye(n), "fundamental")
     piZ = pi.values @ R
     R += np.outer((1.0 + piZ.sum()) - R.sum(axis=1), pi.values)
     R -= piZ

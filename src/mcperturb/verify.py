@@ -79,7 +79,6 @@ from .solvers import (
     _difference,
     _gate,
     _identity_minus,
-    _solve,
     deviation_matrix,
     fundamental_matrix,
     stationary_distribution,
@@ -173,7 +172,10 @@ def _taboo_resolvent(P: StochasticMatrix, taboo_state: int):
     lo, hi = _perron_bracket(T)
     if lo >= _DIVERGENT:
         raise SeriesDivergent(f"taboo matrix spectral radius at least {lo:.15g}, not below 1")
-    N = _solve(_identity_minus(T), None, "I - T", error=SeriesDivergent)
+    try:
+        N = np.linalg.solve(_identity_minus(T), np.eye(n))
+    except np.linalg.LinAlgError as exc:
+        raise SeriesDivergent(f"I - T is singular: {exc}") from exc
     if hi < _SERIES_CUT:
         probe = np.ones(n) / n
         acc = probe.copy()
@@ -439,8 +441,7 @@ class FuzzSummary:
         }
 
 
-def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float, *,
-                      rows_only: bool = False):
+def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float) -> np.ndarray | None:
     """One attempt at a sparse signed perturbation of exact norm ``magnitude``.
 
     A few rows get 1-3 signed entries; each touched row is rebalanced
@@ -448,39 +449,33 @@ def sample_dtmc_delta(rng, P: StochasticMatrix, magnitude: float, *,
     the whole matrix is scaled to the target max-absolute-row-sum norm.
     Entries too small to absorb a negative bump only receive positive ones.
     Returns None when the draw degenerates (caller retries), and always for
-    a 1-state chain, which has no nonzero row-sum-zero perturbation. With
-    ``rows_only``, the draw comes back as ``(rows, block)``: the touched
-    rows in increasing order and those rows of the matrix, which is zero
-    elsewhere.
+    a 1-state chain, which has no nonzero row-sum-zero perturbation.
     """
-    return _sample_delta(rng, P, magnitude, False, rows_only)
+    return _sample_delta(rng, P, magnitude, generator=False)
 
 
-def sample_ctmc_delta(rng, Q: IntensityMatrix, magnitude: float, *,
-                      rows_only: bool = False):
+def sample_ctmc_delta(rng, Q: IntensityMatrix, magnitude: float) -> np.ndarray | None:
     """Conservative perturbation of exact norm: off-diagonal bumps, scaled by
     the uniformization constant, balanced on the diagonal; negative bumps
-    only where the rate can absorb them. None and ``rows_only`` as for
-    ``sample_dtmc_delta``."""
-    return _sample_delta(rng, Q, magnitude, True, rows_only)
+    only where the rate can absorb them. None as for ``sample_dtmc_delta``."""
+    return _sample_delta(rng, Q, magnitude, generator=True)
 
 
-def _sample_delta(rng, chain, magnitude: float, generator: bool, rows_only: bool):
-    """The body of both samplers, which fills only the k <= 3 touched rows. A
-    row is balanced on its diagonal for a generator, and on its largest
-    off-diagonal entry for a transition matrix, which must absorb the
-    balance (else None)."""
+def _sample_delta(rng, chain, magnitude: float, generator: bool) -> np.ndarray | None:
+    """The body of both samplers. A row is balanced on its diagonal for a
+    generator, and on its largest off-diagonal entry for a transition
+    matrix, which must absorb the balance (else None)."""
     _check_magnitude(magnitude)
     n = chain.n
     if n == 1:
         return None
     scale = chain.uniformization_constant if generator else 1.0
     floor = 1.5 * magnitude
+    delta = np.zeros((n, n))
     n_rows = int(rng.integers(1, min(3, n) + 1))
     rows = rng.choice(n, size=n_rows, replace=False)
-    block = np.zeros((n_rows, n))
-    for i, row in zip(rows.tolist(), block):
-        entries = chain.entries[i]
+    for i in rows.tolist():
+        entries, row = chain.entries[i], delta[i]
         if generator:
             j_star = i
         else:
@@ -497,42 +492,43 @@ def _sample_delta(rng, chain, magnitude: float, generator: bool, rows_only: bool
                 v = abs(v)
             row[j] += v
         row[j_star] -= row.sum()
-    nm = matrix_norm(block)
+    return _scaled(delta, rows, magnitude)
+
+
+def _scaled(delta, rows, magnitude):
+    """``delta`` scaled in place to norm ``magnitude``; only ``rows`` are nonzero,
+    so the norm and the scaling need no other row. None for a zero draw."""
+    nm = matrix_norm(delta[rows])
     if nm <= 0:
         return None
-    block *= magnitude / nm
-    if rows_only:
-        order = np.argsort(rows)
-        return rows[order], block[order]
-    delta = np.zeros((n, n))
-    delta[rows] = block
+    delta[rows] *= magnitude / nm
     return delta
 
 
 def _draw(rng, chain, magnitude):
     """Draw until a perturbation keeps the chain valid and irreducible:
-    ``(perturbed, block, rows)``, with the rows delta touches and those rows
-    of delta, or ``(None, None, None)`` after 50 draws.
+    ``(perturbed, delta, rows)``, with the rows delta touches, or
+    ``(None, None, None)`` after 50 draws.
 
-    The rows come from the sampler and serve the validation of the
-    perturbed chain, its irreducibility and the norm of delta; no n x n
-    delta is formed. Every draw keeps each entry it lowers positive (a
-    negative bump lands only on an entry of at least 1.5 * magnitude, and
-    no scaled entry exceeds magnitude), so the perturbed chain inherits the
-    base chain's irreducibility without a graph search.
+    The rows are found once per draw and serve the validation of the
+    perturbed chain, its irreducibility and the norm of delta. Every draw
+    keeps each entry it lowers positive (a negative bump lands only on an
+    entry of at least 1.5 * magnitude, and no scaled entry exceeds
+    magnitude), so the perturbed chain inherits the base chain's
+    irreducibility without a graph search.
     """
     sample = sample_dtmc_delta if isinstance(chain, StochasticMatrix) else sample_ctmc_delta
     for _ in range(50):
-        drawn = sample(rng, chain, magnitude, rows_only=True)
-        if drawn is None:
+        delta = sample(rng, chain, magnitude)
+        if delta is None:
             continue
-        rows, block = drawn
+        rows = np.flatnonzero(delta.any(axis=1))
         try:
-            perturbed = _perturbed_chain(chain, block, rows)
+            perturbed = _perturbed_chain(chain, delta, rows)
         except ValidationError:
             continue
         if perturbed.irreducible:
-            return perturbed, block, rows
+            return perturbed, delta, rows
     return None, None, None
 
 
@@ -633,12 +629,12 @@ def fuzz_bounds(
     n_rejected = 0
     for case_idx in range(n_cases):
         rng = np.random.default_rng([seed, case_idx])
-        perturbed, block, rows = _draw(rng, chain, magnitude)
+        perturbed, delta, rows = _draw(rng, chain, magnitude)
         if perturbed is None:
             n_rejected += 1
             continue
         gap = _exact_gap(chain, perturbed)
-        dn = matrix_norm(block)             # untouched rows add nothing
+        dn = matrix_norm(delta[rows])       # untouched rows add nothing
         outcomes = [rep.with_exact_gap(gap, dn) for rep in linear]
         if use_skeleton:
             try:
@@ -651,8 +647,6 @@ def fuzz_bounds(
                 skipped.setdefault(f"skeleton[m={SKELETON_M}]", str(exc))
                 use_skeleton = False
         if v_cert is not None:
-            delta = np.zeros((chain.n, chain.n))
-            delta[rows] = block
             outcomes += _v_norm_outcomes(chain, perturbed, delta, v_cert, skipped)
         cases.append(FuzzCase(seed=(seed, case_idx), delta_norm=dn, gap=gap,
                               outcomes=outcomes))

@@ -281,27 +281,6 @@ def test_samplers_match_list_reference(name, truncation):
     assert drawn > 0
 
 
-@pytest.mark.parametrize("name", list_models())
-def test_rows_only_draws_are_the_matrix_rows(name):
-    # the same draws, in the same order, as the touched rows of the matrix
-    model = gallery_model(name, 200)
-    sample = sample_dtmc_delta if model.kind == "dtmc" else sample_ctmc_delta
-    drawn = 0
-    for seed in range(100):
-        rng_full, rng_rows = (np.random.default_rng([seed, 17]) for _ in range(2))
-        full = sample(rng_full, model.chain, 0.01)
-        got = sample(rng_rows, model.chain, 0.01, rows_only=True)
-        assert rng_full.bit_generator.state == rng_rows.bit_generator.state
-        assert (got is None) == (full is None)
-        if full is not None:
-            rows, block = got
-            assert rows.tolist() == sorted(set(rows.tolist()))
-            assert rows.tolist() == np.flatnonzero(full.any(axis=1)).tolist()
-            assert np.array_equal(block, full[rows])
-            drawn += 1
-    assert drawn > 0
-
-
 @pytest.mark.parametrize("name", ["hessenberg-gi-m-1", "mm1", "odd-even-p"])
 def test_fuzz_delta_norm_is_the_full_matrix_norm(name):
     model = gallery_model(name, 200)
@@ -335,8 +314,7 @@ def test_removed_edge_is_rejected_by_the_fuzz(monkeypatch):
     cut = np.zeros_like(P)
     cut[0] = -P[0]
     cut[0, 0] += 1.0                          # state 0 becomes absorbing
-    monkeypatch.setattr(verify, "sample_dtmc_delta",
-                        lambda rng, chain, magnitude, rows_only: (np.array([0]), cut[:1]))
+    monkeypatch.setattr(verify, "sample_dtmc_delta", lambda rng, chain, magnitude: cut)
     drawn = verify._draw(np.random.default_rng(0), model.chain, 0.01)
     assert drawn == (None, None, None)
     summary = fuzz_bounds(model, n_cases=3, magnitude=0.01, seed=0)

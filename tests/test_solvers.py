@@ -7,7 +7,6 @@ from mcperturb import (
     IntensityMatrix,
     PeriodicChain,
     ReducibleChain,
-    SeriesDivergent,
     SolverFailure,
     StochasticMatrix,
     bound_catalog,
@@ -828,11 +827,9 @@ class TestNoGateGotWeaker:
 
 
 def _count_routes(monkeypatch):
-    """Count the banded and the dense solves: a dense solve is LAPACK's
-    inverse (the identity's right-hand side) or ``np.linalg.solve``."""
+    """Count the banded and the dense solves."""
     calls = {"banded": 0, "dense": 0}
     for owner, name, route in ((solvers, "solve_banded", "banded"),
-                               (solvers, "_inverse", "dense"),
                                (np.linalg, "solve", "dense")):
         def counted(*args, _solve=getattr(owner, name), _route=route, **kwargs):
             calls[_route] += 1
@@ -858,7 +855,7 @@ class TestReducedSolve:
         assert calls == {"banded": int(route == "banded"), "dense": int(route == "dense")}
         # the solve itself: zero row and column k, and a round-off residual
         A = np.eye(P.n) - P.entries
-        Z = solvers._reduced_solve(A.copy(), k, None, "fundamental")
+        Z = solvers._reduced_solve(A.copy(), k, np.eye(P.n), "fundamental")
         assert not Z[k].any() and not Z[:, k].any()
         U, Y = (np.delete(np.delete(A, k, 0), k, 1), np.delete(np.delete(Z, k, 0), k, 1))
         n = P.n
@@ -899,31 +896,7 @@ class TestReducedSolve:
         M = np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
         M[2] = 0.0
         calls = _count_routes(monkeypatch)
-        B = None if system == "fundamental" else np.ones(n)
+        B = np.eye(n) if system == "fundamental" else np.ones(n)
         with pytest.raises(SolverFailure, match=f"^{system} system is singular"):
             solvers._reduced_solve(M, 0, B, system)
         assert calls[route] == 1
-
-    def test_the_dense_inverse_keeps_the_singular_messages(self):
-        """LAPACK's inverse reports an exact zero pivot as np.linalg.solve did."""
-        M = np.eye(5) - 0.5 * (np.eye(5, k=1) + np.eye(5, k=-1))
-        M[2] = 0.0
-        with pytest.raises(SolverFailure) as exc:
-            solvers._reduced_solve(M.copy(), 0, None, "fundamental")
-        assert str(exc.value) == "fundamental system is singular: Singular matrix"
-        with pytest.raises(SeriesDivergent) as exc:
-            solvers._solve(M.copy(), None, "I - T", error=SeriesDivergent)
-        assert str(exc.value) == "I - T is singular: Singular matrix"
-        with pytest.raises(SolverFailure, match="^I - T is singular: Singular matrix$"):
-            solvers._solve(M.copy(), np.eye(5), "I - T")
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_the_dense_inverse_is_an_inverse(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 60))
-        A = np.eye(n) - random_irreducible_chain(rng, n) * 0.9
-        X = solvers._solve(A.copy(), None, "test system")
-        assert X.flags.c_contiguous
-        bound = 4 * n * U_ROUND * _row_sum_norm(np.abs(A) @ np.abs(X))
-        assert _row_sum_norm(A @ X - np.eye(n)) <= bound
-        assert _row_sum_norm(X @ A - np.eye(n)) <= bound

@@ -221,7 +221,7 @@ def test_a_failed_skeleton_hypothesis_is_recorded_by_the_first_case(monkeypatch)
     assert name in summary.skipped_bounds
     assert calls == [SKELETON_M]
     # a run whose every draw is rejected reaches no case either
-    monkeypatch.setattr(verify, "sample_dtmc_delta", lambda rng, chain, magnitude, **kw: None)
+    monkeypatch.setattr(verify, "sample_dtmc_delta", lambda rng, chain, magnitude: None)
     summary = verify.fuzz_bounds(model, n_cases=3)
     assert summary.n_rejected == 3
     assert name not in summary.skipped_bounds
