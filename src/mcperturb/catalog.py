@@ -1,9 +1,12 @@
 """One-call aggregation of every applicable bound for a chain.
 
 Hypothesis failures are rendered inline as reports with a failed
-hypothesis, never raised, so a caller always gets the full table. When a
-perturbed chain is supplied, every report carries the exactly computed gap
-in its norm and a validity verdict.
+hypothesis, never raised, so a caller always gets the full table. The
+bounds return coefficients; with a perturbed chain, the catalog's tail is
+the one place where the perturbation meets them: every report with an
+``ell`` or a ``direct_value`` gets ||Delta|| and the exact gap in its own
+norm, and a validity verdict, through ``BoundReport.with_exact_gap``, the
+call each fuzz case makes.
 
 Transition matrices and generators differ only in their norm-wise bounds;
 the weighted-norm drift certificate, the weighted-norm bound pair and the
@@ -82,56 +85,49 @@ def _exact_gap(chain, perturbed, weights=None) -> float:
     return total_variation_norm(diff) if weights is None else v_norm_measure(diff, weights)
 
 
-def _v_norm_pair(chain, perturbed, delta, cert) -> tuple[list[BoundReport], float]:
-    """The two weighted-norm drift bounds for the perturbation ``delta`` that
-    takes ``chain`` to ``perturbed``, failures rendered inline, and the
-    weighted gap ||nu - pi||_V they bound.
+def _v_norm_pair(chain, perturbed, dv, cert) -> tuple[list[BoundReport], float]:
+    """The two weighted-norm drift bounds for a perturbation of weighted norm
+    ``dv`` that takes ``chain`` to ``perturbed``, failures rendered inline,
+    and the weighted gap ||nu - pi||_V they bound.
 
     The catalog and the fuzz oracle both check the pair through this one
     function.
     """
     pi = stationary_distribution(chain, "gth")
-    dv = v_norm_matrix(delta, cert.weights)
     if isinstance(chain, StochasticMatrix):
         prefix, with_pi, drift_only = "", v_bound_with_stationary, v_bound_drift_only
     else:
         prefix, with_pi, drift_only = ("ctmc_", ctmc_v_bound_with_stationary,
                                        ctmc_v_bound_drift_only)
     reports: list[BoundReport] = []
-    for rep in (_guard(reports, f"{prefix}v_norm_with_stationary",
-                       lambda: with_pi(chain, cert, pi, dv)),
-                _guard(reports, f"{prefix}v_norm_drift_only", lambda: drift_only(cert, dv))):
-        if rep is not None:
-            rep.info["norm"] = "v"
+    _guard(reports, f"{prefix}v_norm_with_stationary", lambda: with_pi(chain, cert, pi, dv))
+    _guard(reports, f"{prefix}v_norm_drift_only", lambda: drift_only(cert, dv))
     return reports, _exact_gap(chain, perturbed, cert.weights)
 
 
-def _dtmc_reports(P, perturbed, delta_norm, m_max, unit, taboo_state):
+def _dtmc_reports(P, perturbed, m_max, unit, taboo_state):
     reports: list[BoundReport] = []
-    _guard(reports, "seneta", lambda: seneta_bound(P, delta_norm))
-    _guard(reports, "seneta_best", lambda: seneta_best_bound(P, delta_norm))
-    _guard(reports, "small_set",
-           lambda: small_set_bound(P, m_max=m_max, perturbed=perturbed,
-                                   delta_norm=delta_norm)[0])
-    _guard(reports, "hitting_time_drift", lambda: hitting_time_bound(P, delta_norm))
+    _guard(reports, "seneta", lambda: seneta_bound(P))
+    _guard(reports, "seneta_best", lambda: seneta_best_bound(P))
+    _guard(reports, "small_set", lambda: small_set_bound(P, m_max=m_max, perturbed=perturbed)[0])
+    _guard(reports, "hitting_time_drift", lambda: hitting_time_bound(P))
     if perturbed is not None:
         _guard(reports, f"skeleton[m={SKELETON_M}]",
                lambda: skeleton_bound(P, perturbed, SKELETON_M))
     if unit is not None:
         _guard(reports, "unit_drift",
-               lambda: unit_drift_bound(P, UnitDriftCertificate(taboo_state, unit), delta_norm))
+               lambda: unit_drift_bound(P, UnitDriftCertificate(taboo_state, unit)))
     return reports
 
 
-def _ctmc_reports(Q, delta_norm, unit, taboo_state):
+def _ctmc_reports(Q, unit, taboo_state):
     reports: list[BoundReport] = []
-    _guard(reports, "ctmc_deviation", lambda: ctmc_deviation_bound(Q, delta_norm))
-    _guard(reports, "ctmc_lambda1", lambda: ctmc_lambda1_bound(Q, delta_norm))
-    _guard(reports, "ctmc_small_set", lambda: ctmc_small_set_bound(Q, delta_norm))
+    _guard(reports, "ctmc_deviation", lambda: ctmc_deviation_bound(Q))
+    _guard(reports, "ctmc_lambda1", lambda: ctmc_lambda1_bound(Q))
+    _guard(reports, "ctmc_small_set", lambda: ctmc_small_set_bound(Q))
     _guard(reports, "ctmc_unit_drift",
            lambda: ctmc_unit_drift_bound(
-               Q, ctmc_hitting_times(Q, taboo_state) if unit is None else unit,
-               taboo_state, delta_norm))
+               Q, ctmc_hitting_times(Q, taboo_state) if unit is None else unit, taboo_state))
     return reports
 
 
@@ -154,10 +150,8 @@ def bound_catalog(
     dtmc = isinstance(chain, StochasticMatrix)
     if not dtmc and not isinstance(chain, IntensityMatrix):
         raise McPerturbError(f"unsupported chain type {type(chain).__name__}")
-    delta_norm = None
     if perturbed is not None:
         _check_pair(chain, perturbed)
-        delta_norm = matrix_norm(perturbed.entries - chain.entries)
     unit = None
     if weights is not None and not isinstance(weights, WeightFunction):
         V = np.asarray(weights, dtype=float)
@@ -168,9 +162,9 @@ def bound_catalog(
     if dtmc:
         # raises here, before any bound, when pi cannot be certified
         stationary_distribution(chain)
-        reports = _dtmc_reports(chain, perturbed, delta_norm, m_max, unit, taboo_state)
+        reports = _dtmc_reports(chain, perturbed, m_max, unit, taboo_state)
     else:
-        reports = _ctmc_reports(chain, delta_norm, unit, taboo_state)
+        reports = _ctmc_reports(chain, unit, taboo_state)
     for rep in reports:
         rep.info.setdefault("norm", "tv")
 
@@ -197,10 +191,15 @@ def bound_catalog(
             ))
         return reports
 
+    # the one place where the perturbation meets the coefficients: each
+    # report with a value gets ||Delta|| and the exact gap in its own norm
+    delta = perturbed.entries - chain.entries
+    delta_norm = {"tv": matrix_norm(delta)}
     gap = {"tv": _exact_gap(chain, perturbed)}
     if cert is not None:
-        v_reports, gap["v"] = _v_norm_pair(chain, perturbed, perturbed.entries - chain.entries,
-                                           cert)
+        delta_norm["v"] = v_norm_matrix(delta, cert.weights)
+        v_reports, gap["v"] = _v_norm_pair(chain, perturbed, delta_norm["v"], cert)
         reports += v_reports
-    return [rep if rep.bound_value is None else rep.with_exact_gap(gap[rep.info["norm"]])
+    return [rep if rep.ell is None and rep.direct_value is None
+            else rep.with_exact_gap(gap[rep.info["norm"]], delta_norm[rep.info["norm"]])
             for rep in reports]

@@ -15,10 +15,9 @@ import numpy as np
 
 from .catalog import bound_catalog
 from .chainfile import _parse_vector, load_chain_file, save_chain_file
-from .ctmc import batch_arrival_drift
 from .dtmc import birth_death_hitting_times, hitting_times
 from .errors import InvalidParameters, McPerturbError, ParseError, ValidationError
-from .gallery import GalleryModel, _takes_truncation, build_model, list_models
+from .gallery import GalleryModel, _band_weights, _takes_truncation, build_model, list_models
 from .verify import fuzz_bounds, identity_residuals
 
 EXIT_OK = 0
@@ -117,15 +116,15 @@ def _load_drift_file(path, n):
 
 def cmd_bounds(args, out) -> int:
     model, perturbed, weights = _load_input(args.path, args.truncation)
-    chain, extras = model.chain, model.extras
+    chain = model.chain
     taboo = 0
     if args.drift_file:
         weights, taboo = _load_drift_file(args.drift_file, chain.n)
     elif not args.v_norm:
         weights = None
-    elif weights is None and model.kind == "ctmc" and {"a", "b"} <= extras.keys():
+    elif weights is None:
         # band generator models carry their drift weights implicitly
-        weights = batch_arrival_drift(extras["a"], extras["b"], n_states=chain.n).weights
+        weights = _band_weights(model)
     reports = bound_catalog(
         chain, perturbed=perturbed, m_max=args.m_max,
         weights=weights, taboo_state=taboo,

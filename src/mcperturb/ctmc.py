@@ -20,11 +20,14 @@ generators); the default step is written once, in ``solvers._default_step``.
 
 The bound catalog mirrors the discrete one: deviation-norm, ergodicity
 coefficient, column-minima small set, unit drift, and the two
-weighted-norm drift bounds. Those are the discrete ones with the decay
-margin gamma = lambda in place of 1 - lambda, and share their code with
-:mod:`mcperturb.dtmc`. So do the drift checks: Q V <= -1 and
-Q V <= -lambda V + b are checked by the discrete checks on the drift image
-Q V, with the uniformization constant as rate scale in the tolerance.
+weighted-norm drift bounds. As there, a norm-wise bound returns its
+coefficient alone, and the caller applies ||Delta|| with
+:meth:`~mcperturb.reports.BoundReport.with_exact_gap`. The weighted bounds
+are the discrete ones with the decay margin gamma = lambda in place of
+1 - lambda, and share their code with :mod:`mcperturb.dtmc`. So do the
+drift checks: Q V <= -1 and Q V <= -lambda V + b are checked by the
+discrete checks on the drift image Q V, with the uniformization constant
+as rate scale in the tolerance.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ def ctmc_deviation_matrix(Q: IntensityMatrix) -> np.ndarray:
     return D
 
 
-def ctmc_deviation_bound(Q: IntensityMatrix, delta_norm: float | None = None) -> BoundReport:
+def ctmc_deviation_bound(Q: IntensityMatrix) -> BoundReport:
     """Deviation-norm bound: ell = ||D||, for uniformly ergodic generators.
 
     On a finite state space the hypothesis holds automatically.
@@ -209,12 +212,11 @@ def ctmc_deviation_bound(Q: IntensityMatrix, delta_norm: float | None = None) ->
         bound_name="ctmc_deviation",
         hypotheses=[Hypothesis("||D|| finite", True, f"||D|| = {ell:.12g}")],
         ell=ell,
-        delta_norm=delta_norm,
         info={"deviation_norm": ell},
     )
 
 
-def ctmc_lambda1_bound(Q: IntensityMatrix, delta_norm: float | None = None) -> BoundReport:
+def ctmc_lambda1_bound(Q: IntensityMatrix) -> BoundReport:
     """Ergodicity-coefficient bound: ell = 1 / Lambda1(Q), needs Lambda1(Q) > 0.
 
     The row scan stops at the first row whose defects already put
@@ -226,12 +228,11 @@ def ctmc_lambda1_bound(Q: IntensityMatrix, delta_norm: float | None = None) -> B
         bound_name="ctmc_lambda1",
         hypotheses=[Hypothesis("Lambda1(Q) > 0", True, f"Lambda1(Q) = {lam:.12g}")],
         ell=1.0 / lam,
-        delta_norm=delta_norm,
         info={"lambda1_Q": lam},
     )
 
 
-def ctmc_small_set_bound(Q: IntensityMatrix, delta_norm: float | None = None) -> BoundReport:
+def ctmc_small_set_bound(Q: IntensityMatrix) -> BoundReport:
     """Column-minimum bound: ell = 1 / sum_k inf_{i != k} Q_ik.
 
     The step length cancels structurally, so the value is h-free. Fails
@@ -249,7 +250,6 @@ def ctmc_small_set_bound(Q: IntensityMatrix, delta_norm: float | None = None) ->
         bound_name="ctmc_small_set",
         hypotheses=[Hypothesis("positive common rate mass", True, f"sum = {total:.12g}")],
         ell=1.0 / total,
-        delta_norm=delta_norm,
         info={"column_minima": delta_k},
     )
 
@@ -263,17 +263,12 @@ def ctmc_hitting_times(Q: IntensityMatrix, target: int) -> np.ndarray:
     return _hitting_solve(Q, -Q.entries, target)
 
 
-def ctmc_unit_drift_bound(
-    Q: IntensityMatrix,
-    drift_values,
-    taboo_state: int,
-    delta_norm: float | None = None,
-) -> BoundReport:
+def ctmc_unit_drift_bound(Q: IntensityMatrix, drift_values, taboo_state: int) -> BoundReport:
     """Unit drift bound: ell = 2 (sup V)^2 under Q V <= -1 off the taboo state."""
     V = np.asarray(drift_values, dtype=float).ravel()
     _check_unit_drift(Q, V, taboo_state, -1.0, Q.uniformization_constant)
     return _unit_drift_report("ctmc_unit_drift", "Q V <= -1 off taboo", taboo_state,
-                              float(V.max()), delta_norm)
+                              float(V.max()))
 
 
 @dataclass

@@ -4,6 +4,11 @@ Every bound returns a :class:`~mcperturb.reports.BoundReport`. Bounds whose
 hypothesis fails raise :class:`~mcperturb.errors.HypothesisFailed` (or a
 subclass); aggregation layers render those inline instead of failing.
 
+A norm-wise bound returns its coefficient ``ell`` alone; the caller applies
+||Delta|| and the gap with ``BoundReport.with_exact_gap``. The two
+weighted-norm bounds, nonlinear in ||Delta||_V, take it and tag their
+reports ``info["norm"] = "v"``.
+
 The catalog:
 
 * ``seneta_bound``        gap <= ||Delta|| / (1 - Lambda1(P)), needs Lambda1(P) < 1
@@ -55,7 +60,8 @@ from .errors import (
 )
 from .norms import _pair_blocks, _shared_column_maxima, matrix_norm, v_norm_measure
 from .reports import BoundReport, Hypothesis
-from .solvers import _hitting_solve, fundamental_matrix, group_inverse, stationary_distribution
+from .solvers import (_hitting_solve, _identity_minus, fundamental_matrix, group_inverse,
+                      stationary_distribution)
 
 __all__ = [
     "ergodicity_coefficient",
@@ -129,7 +135,7 @@ def _farthest_later_rows(M: np.ndarray):
                 return
 
 
-def seneta_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundReport:
+def seneta_bound(P: StochasticMatrix) -> BoundReport:
     """Ergodicity-coefficient bound: ell = 1 / (1 - Lambda1(P)).
 
     Raises HypothesisFailed when Lambda1(P) >= 1, up to a small margin that
@@ -144,12 +150,11 @@ def seneta_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundR
         bound_name="seneta",
         hypotheses=[Hypothesis("Lambda1(P) < 1", True, f"Lambda1(P) = {lam:.12g}")],
         ell=ell,
-        delta_norm=delta_norm,
         info={"lambda1_P": lam},
     )
 
 
-def seneta_best_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundReport:
+def seneta_best_bound(P: StochasticMatrix) -> BoundReport:
     """Optimal coefficient bound: ell = Lambda1(A#), A# the group inverse of I - P.
 
     Valid even when Lambda1(P) = 1; the group inverse exists for periodic
@@ -166,7 +171,6 @@ def seneta_best_bound(P: StochasticMatrix, delta_norm: float | None = None) -> B
             Hypothesis("aperiodic", P.aperiodic, f"period = {P.period}"),
         ],
         ell=ell,
-        delta_norm=delta_norm,
         info={"lambda1_group_inverse": ell},
     )
 
@@ -253,15 +257,15 @@ def small_set_bound(
     P: StochasticMatrix,
     m_max: int = 8,
     perturbed: StochasticMatrix | None = None,
-    delta_norm: float | None = None,
 ) -> tuple[BoundReport, SmallSetCertificate]:
     """Search m = 1..m_max for the best whole-space small-set bound.
 
     For each m the common mass is nu_m = sum_k inf_i P^m(i, k); the bound
     coefficient is m / nu_m and the returned m minimizes it among steps with
     nu_m > 0, the smallest m on a tie. When a perturbed chain is supplied,
-    the tighter direct form ||P^m - Ptilde^m|| / nu_m is evaluated alongside
-    the linear form.
+    the tighter direct form ||P^m - Ptilde^m|| / nu_m is the report's value,
+    and ``info["linear_form"]`` holds the linear form m / nu_m ||Delta||,
+    with ||Delta|| = ||Ptilde - P||.
 
     The powers come from ``StochasticMatrix.power``'s routine: right
     products with P, on its CSR form when P is sparse. The search keeps the
@@ -306,15 +310,12 @@ def small_set_bound(
         num = matrix_norm(Pm - perturbed.power(m_star))
         direct_value = num / nu_star
         info["m_step_difference_norm"] = num
-        if delta_norm is None:
-            delta_norm = matrix_norm(perturbed.entries - P.entries)
-        info["linear_form"] = ell * delta_norm
+        info["linear_form"] = ell * matrix_norm(perturbed.entries - P.entries)
     report = BoundReport(
         bound_name=f"small_set[m={m_star}]",
         hypotheses=[Hypothesis("nu_m > 0", True, f"nu_{m_star} = {nu_star:.12g}")],
         ell=ell,
         direct_value=direct_value,
-        delta_norm=delta_norm,
         info=info,
     )
     return report, cert
@@ -328,7 +329,7 @@ def hitting_times(P: StochasticMatrix, target: int) -> np.ndarray:
     of the returned solution is the job of the value-iteration oracle in
     :mod:`mcperturb.verify`.
     """
-    return _hitting_solve(P, np.eye(P.n) - P.entries, target)
+    return _hitting_solve(P, _identity_minus(P.entries), target)
 
 
 def birth_death_hitting_times(a, b, c, j: int) -> np.ndarray:
@@ -427,15 +428,14 @@ def _check_unit_drift(chain, V: np.ndarray, taboo_state: int, rhs, rate: float) 
     _check_slack(chain, V, slack, rate, "unit drift inequality violated")
 
 
-def _unit_drift_report(name: str, inequality: str, taboo_state: int, sup_v: float,
-                       delta_norm: float | None) -> BoundReport:
+def _unit_drift_report(name: str, inequality: str, taboo_state: int,
+                       sup_v: float) -> BoundReport:
     """ell = 2 (sup V)^2 under a checked unit drift inequality."""
     return BoundReport(
         bound_name=name,
         hypotheses=[Hypothesis(inequality, True,
                                f"taboo state {taboo_state}, sup V = {sup_v:.12g}")],
         ell=2.0 * sup_v**2,
-        delta_norm=delta_norm,
         info={"taboo_state": taboo_state, "sup_value": sup_v},
     )
 
@@ -447,15 +447,11 @@ def unit_drift_from_hitting_times(
     return UnitDriftCertificate(taboo_state, hitting_times(P, taboo_state))
 
 
-def unit_drift_bound(
-    P: StochasticMatrix,
-    cert: UnitDriftCertificate,
-    delta_norm: float | None = None,
-) -> BoundReport:
+def unit_drift_bound(P: StochasticMatrix, cert: UnitDriftCertificate) -> BoundReport:
     """Drift-based bound ell = 2 (sup V)^2; valid for periodic chains too."""
     cert.validate(P)
     return _unit_drift_report("unit_drift", "P V <= V - 1 off taboo", cert.taboo_state,
-                              cert.sup_value, delta_norm)
+                              cert.sup_value)
 
 
 def _certified_lower_bounds(summary) -> np.ndarray | None:
@@ -496,7 +492,7 @@ def _taboo_lower_bounds(P: StochasticMatrix, pi: Distribution) -> np.ndarray:
     return lower
 
 
-def hitting_time_bound(P: StochasticMatrix, delta_norm: float | None = None) -> BoundReport:
+def hitting_time_bound(P: StochasticMatrix) -> BoundReport:
     """Drift bound from the best taboo state: ell = 2 min_i0 (sup_i m(i -> i0))^2.
 
     Every candidate taboo state j gets a lower bound
@@ -589,7 +585,6 @@ def hitting_time_bound(P: StochasticMatrix, delta_norm: float | None = None) -> 
             )
         ],
         ell=2.0 * best_sup**2,
-        delta_norm=delta_norm,
         info={"taboo_state": best_state, "sup_hitting_time": best_sup},
     )
 
@@ -695,7 +690,8 @@ def _v_bound_with_stationary(cert, gamma: float, pi: Distribution, d: float, *,
         ],
         direct_value=c * pi_v * d / (gamma - c * d),
         delta_norm=d,
-        info={"c": c, "pi_v": pi_v, "threshold": threshold, "margin": threshold - d},
+        info={"c": c, "pi_v": pi_v, "threshold": threshold, "margin": threshold - d,
+              "norm": "v"},
     )
 
 
@@ -720,7 +716,7 @@ def _v_bound_drift_only(cert, gamma: float, d: float, *,
         ],
         direct_value=b * (b + gamma) * d / (gamma**3 - gamma * (b + gamma) * d),
         delta_norm=d,
-        info={"threshold": threshold, "margin": threshold - d},
+        info={"threshold": threshold, "margin": threshold - d, "norm": "v"},
     )
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import IntensityMatrix, StochasticMatrix, _check_count
+from .chains import IntensityMatrix, StochasticMatrix, WeightFunction, _check_count
+from .ctmc import batch_arrival_drift, mm1_coefficients
 from .errors import InvalidParameters
 
 __all__ = [
@@ -287,8 +288,6 @@ def batch_arrival(a=_DEFAULT_BATCH_A, b=_DEFAULT_BATCH_B, truncation: int = 200)
 
 def mm1(sigma: float = 1.0, mu: float = 4.0, truncation: int = 200) -> GalleryModel:
     """Single-server queue generator, arrivals sigma < service mu."""
-    from .ctmc import mm1_coefficients
-
     if sigma >= mu:
         raise InvalidParameters("need sigma < mu for positive recurrence")
     a, b = mm1_coefficients(sigma, mu)
@@ -298,6 +297,15 @@ def mm1(sigma: float = 1.0, mu: float = 4.0, truncation: int = 200) -> GalleryMo
     model.note = "single-server queue; stationary tail geometric with ratio sigma/mu"
     model.extras = {"a": a, "b": b, "sigma": sigma, "mu": mu}
     return model
+
+
+def _band_weights(model: GalleryModel) -> WeightFunction | None:
+    """The drift weights a band generator model carries: ``batch_arrival_drift``'s
+    z0^i on its coefficients ``a`` and ``b``; None for any other model."""
+    extras = model.extras
+    if model.kind != "ctmc" or not {"a", "b"} <= extras.keys():
+        return None
+    return batch_arrival_drift(extras["a"], extras["b"], n_states=model.chain.n).weights
 
 
 GALLERY = {

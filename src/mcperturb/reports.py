@@ -5,7 +5,9 @@ content, and (when a perturbed chain was supplied) the exactly computed
 stationary gap together with a validity verdict. Bounds linear in the
 perturbation size carry the coefficient ``ell`` (so gap <= ell * ||Delta||);
 bounds that are nonlinear functions of the perturbation carry
-``direct_value`` instead.
+``direct_value`` instead. A linear bound's report leaves ``delta_norm``
+unset: ``with_exact_gap`` applies ||Delta|| and the gap together, in the
+catalog and in the fuzz oracle alike.
 """
 
 from __future__ import annotations

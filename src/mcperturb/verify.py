@@ -46,7 +46,6 @@ from .catalog import SKELETON_M, _exact_gap, _v_norm_pair, bound_catalog
 from .chains import (IntensityMatrix, PerturbationPair, StochasticMatrix, _check_count,
                      _check_state, _perturbed_chain)
 from .ctmc import (
-    batch_arrival_drift,
     fit_ctmc_geometric_drift,
     pair_step,
     transfer_drift_to_skeleton,
@@ -70,7 +69,7 @@ from .errors import (
     SeriesDivergent,
     ValidationError,
 )
-from .gallery import GalleryModel
+from .gallery import GalleryModel, _band_weights
 from .norms import matrix_norm, v_norm_matrix
 from .reports import BoundReport
 from .solvers import (
@@ -82,7 +81,6 @@ from .solvers import (
     deviation_matrix,
     fundamental_matrix,
     stationary_distribution,
-    stationary_matrix,
 )
 
 __all__ = [
@@ -123,10 +121,13 @@ def residual_perturbation_identity(pair: PerturbationPair) -> float:
 
 
 def _perturbation_residual(pair, pi, nu, R) -> float:
-    Pi = stationary_matrix(pi)
+    """Both forms of the perturbation identity, the second in rank-one terms:
+    nu Delta (R - Pi) = nu Delta R - (nu Delta 1) pi, as Pi = 1 pi."""
     lhs = nu.values - pi.values
-    r1 = np.abs(lhs - nu.values @ pair.delta @ R).max()
-    r2 = np.abs(lhs - nu.values @ pair.delta @ (R - Pi)).max()
+    x = nu.values @ pair.delta
+    xR = x @ R
+    r1 = np.abs(lhs - xR).max()
+    r2 = np.abs(lhs - (xR - x.sum() * pi.values)).max()
     return float(max(r1, r2))
 
 
@@ -283,11 +284,12 @@ def _core_lower_bound(T: np.ndarray, g: float) -> float:
 
 
 def _taboo_residual(N, pi, R) -> float:
-    n = pi.n
-    Pi = stationary_matrix(pi)
-    kappa = float(pi.values @ N @ np.ones(n))
-    rhs = Pi @ (kappa * np.eye(n) - N) + N @ (np.eye(n) - Pi)
-    return float(np.abs((R - Pi) - rhs).max())
+    """The taboo-resolvent identity in rank-one terms, as Pi = 1 pi:
+    R - Pi = N + 1 (kappa pi - pi N) - (N 1) pi with kappa = pi (N 1)."""
+    p = pi.values
+    n1 = N.sum(axis=1)
+    rhs = N + (float(p @ n1) * p - p @ N) - np.outer(n1, p)
+    return float(np.abs((R - p) - rhs).max())
 
 
 def value_iteration_hitting(
@@ -538,17 +540,18 @@ def _skip_reason(rep: BoundReport) -> str:
 
 
 def _v_norm_setup(model, skipped):
-    """Drift certificate of the weighted-norm checks, fitted as the catalog
-    fits it: on 1 + hitting times onto state 0 for a transition matrix, on
-    the batch-arrival weights for a generator. None when it cannot be
-    fitted, with the reason in ``skipped`` under the catalog's name."""
-    chain, extras = model.chain, model.extras
+    """Drift certificate of the weighted-norm checks: fitted on 1 + hitting
+    times onto state 0 for a transition matrix, and on a band generator's
+    batch-arrival weights (``gallery._band_weights``, as ``bounds --v-norm``
+    fits them) for a generator. None when it cannot be fitted, with the
+    reason in ``skipped`` under the catalog's name."""
+    chain = model.chain
     try:
         if model.kind == "dtmc":
             return fit_geometric_drift(chain, 1.0 + hitting_times(chain, 0), 0)
-        if "a" not in extras or "b" not in extras:
+        weights = _band_weights(model)
+        if weights is None:
             raise InvalidParameters("no band coefficients to build drift weights from")
-        weights = batch_arrival_drift(extras["a"], extras["b"], n_states=chain.n).weights
         return fit_ctmc_geometric_drift(chain, weights, 0)
     except (DriftViolated, DivergentHittingTimes, InvalidParameters, NoPositiveLambda,
             NotErgodic) as exc:
@@ -559,13 +562,14 @@ def _v_norm_setup(model, skipped):
 def _v_norm_outcomes(chain, perturbed, delta, cert, skipped):
     """Weighted-norm checks of one case: the catalog's bound pair and, for
     generators, the same certificate transferred to the skeleton chain."""
-    reports, gap_v = _v_norm_pair(chain, perturbed, delta, cert)
+    dv = v_norm_matrix(delta, cert.weights)
+    reports, gap_v = _v_norm_pair(chain, perturbed, dv, cert)
     outcomes = []
     for rep in reports:
         if rep.bound_value is None:
             skipped.setdefault(rep.bound_name, _skip_reason(rep))
         else:
-            outcomes.append(rep.with_exact_gap(gap_v))
+            outcomes.append(rep.with_exact_gap(gap_v, dv))
     if isinstance(chain, IntensityMatrix):
         # the step cancels in the transfer, so the skeleton value must
         # coincide with the continuous form; checked against the same gap
@@ -574,9 +578,9 @@ def _v_norm_outcomes(chain, perturbed, delta, cert, skipped):
             rep = v_bound_with_stationary(uniformize(chain, h).matrix,
                                           transfer_drift_to_skeleton(cert, h),
                                           stationary_distribution(chain, "gth"),
-                                          h * v_norm_matrix(delta, cert.weights))
-            rep.bound_name, rep.info["norm"] = "v_norm_skeleton_transfer", "v"
-            outcomes.append(rep.with_exact_gap(gap_v))
+                                          h * dv)
+            rep.bound_name = "v_norm_skeleton_transfer"
+            outcomes.append(rep.with_exact_gap(gap_v, h * dv))
         except HypothesisFailed as exc:
             skipped.setdefault("v_norm_skeleton_transfer", str(exc))
     return outcomes

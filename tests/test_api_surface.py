@@ -1,6 +1,8 @@
 """The public API takes its tolerances and stationary distributions from the
 chain: no exported callable takes a tolerance record or a tolerance of its
-own, and no solver or bound takes the chain's own pi as an argument."""
+own, and no solver or bound takes the chain's own pi as an argument. A
+bound returns its coefficient: only a report is given the perturbation norm
+its coefficient is applied to."""
 
 import inspect
 
@@ -83,3 +85,8 @@ def test_no_pi_parameter(name):
 def test_weighted_pair_keeps_its_pi(name):
     # the generator pair is given the state-reduction pi, not the chain's own
     assert "pi" in _parameters(getattr(mcperturb, name))
+
+
+def test_only_a_report_takes_a_perturbation_norm():
+    takers = {name for name, fn in EXPORTED if "delta_norm" in _parameters(fn)}
+    assert takers == {"BoundReport", "BoundReport.with_exact_gap"}

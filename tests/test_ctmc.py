@@ -211,7 +211,7 @@ class TestCtmcNormBounds:
         Qt = two_state_generator(1.15, 0.95)
         pair = PerturbationPair(Q, Qt)
         gap = exact_gap(pair)
-        rep = ctmc_deviation_bound(Q, delta_norm=matrix_norm(pair.delta))
+        rep = ctmc_deviation_bound(Q).with_exact_gap(gap, matrix_norm(pair.delta))
         assert rep.bound_value >= gap
         # closed form check of the exact gap itself
         nu = np.array([0.95, 1.15]) / 2.1
@@ -570,14 +570,14 @@ class TestLambda1ScanStop:
         Q = _random_generator(seed)
         full = ctmc_ergodicity_coefficient(Q)
         if full > DEFAULT.hypothesis_margin:
-            rep = ctmc_lambda1_bound(Q, 0.1)
+            rep = ctmc_lambda1_bound(Q)
             assert rep.ell == 1.0 / full
             assert rep.info == {"lambda1_Q": full}
             assert rep.hypotheses[0].detail == f"Lambda1(Q) = {full:.12g}"
             assert _expected_stop(Q) is None
         else:
             with pytest.raises(HypothesisFailed) as exc:
-                ctmc_lambda1_bound(Q, 0.1)
+                ctmc_lambda1_bound(Q)
             row, v, tol = _expected_stop(Q)
             got_row, got = _stop_row_and_value(exc.value.detail)
             assert got_row == row

@@ -278,8 +278,8 @@ def exhaustive_hitting_scan(P, solve=hitting_times):
     return best_sup, best_state
 
 
-def _scan_result(P, **kwargs):
-    rep = hitting_time_bound(P, **kwargs)
+def _scan_result(P):
+    rep = hitting_time_bound(P)
     return rep.info["sup_hitting_time"], rep.info["taboo_state"]
 
 
@@ -679,14 +679,14 @@ class TestLambda1ScanStop:
         P = _random_chain(seed)
         full = ergodicity_coefficient(P.entries)
         if full < 1.0 - DEFAULT.hypothesis_margin:
-            rep = seneta_bound(P, 0.1)
+            rep = seneta_bound(P)
             assert rep.ell == 1.0 / (1.0 - full)
             assert rep.info == {"lambda1_P": full}
             assert rep.hypotheses[0].detail == f"Lambda1(P) = {full:.12g}"
             assert _expected_stop(P.entries, "Lambda1(P)") is None
         else:
             with pytest.raises(HypothesisFailed) as exc:
-                seneta_bound(P, 0.1)
+                seneta_bound(P)
             v, detail = _expected_stop(P.entries, "Lambda1(P)")
             assert exc.value.detail == detail
             assert v <= full

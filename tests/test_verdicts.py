@@ -6,9 +6,23 @@ weighted report with a value gets the weighted gap."""
 import numpy as np
 import pytest
 
-from mcperturb import BoundReport, Hypothesis, WeightFunction, bound_catalog, hitting_times
-from mcperturb.gallery import build_model, geometric_return, meyer4
+from mcperturb import (
+    BoundReport,
+    Hypothesis,
+    WeightFunction,
+    bound_catalog,
+    ctmc_v_bound_drift_only,
+    ctmc_v_bound_with_stationary,
+    fit_ctmc_geometric_drift,
+    fit_geometric_drift,
+    hitting_times,
+    stationary_distribution,
+    v_bound_drift_only,
+    v_bound_with_stationary,
+)
+from mcperturb.gallery import _band_weights, build_model, geometric_return, list_models
 from mcperturb.verify import _draw, canonical_pair, fuzz_bounds
+from tests.conftest import gallery_model
 
 
 class TestWithExactGap:
@@ -72,25 +86,67 @@ def test_plain_array_weights_get_the_weighted_gap():
     assert all(r.exact_gap > 0 and r.valid is True for r in weighted)
 
 
-@pytest.mark.parametrize("model,magnitude", [
-    (lambda: build_model("odd-even-p(0.5, 40, True)"), 0.01),
-    (lambda: geometric_return(truncation=10), 0.03),
-    (meyer4, 0.01),
-], ids=["odd-even-p-periodic", "geometric-return", "meyer4"])
+def _drift_weights(model):
+    """The weights the fuzz fits its certificate on: 1 + hitting times onto
+    state 0 for a transition matrix, a band generator's batch-arrival weights."""
+    if model.kind == "dtmc":
+        return WeightFunction(1.0 + hitting_times(model.chain, 0))
+    return _band_weights(model)
+
+
+JUDGED_MODELS = [(spec, lambda spec=spec: gallery_model(spec, 24), 0.01) for spec in list_models()]
+JUDGED_MODELS += [
+    ("odd-even-p-periodic", lambda: build_model("odd-even-p(0.5, 40, True)"), 0.01),
+    ("geometric-return-10", lambda: geometric_return(truncation=10), 0.03),
+]
+
+
+@pytest.mark.parametrize("model,magnitude", [m[1:] for m in JUDGED_MODELS],
+                         ids=[m[0] for m in JUDGED_MODELS])
 def test_the_catalog_and_the_fuzz_judge_alike(monkeypatch, model, magnitude):
     # the catalog, given a fuzz case's perturbed chain, reaches the case's
-    # verdicts on every bound both check
+    # verdicts on every bound both check; the fuzz alone checks a generator's
+    # certificate transferred to the skeleton chain
     monkeypatch.setattr("mcperturb.catalog.SKELETON_MAX_N", 0)
     model = model()
     P = model.chain
-    W = WeightFunction(1.0 + hitting_times(P, 0))
+    W = _drift_weights(model)
     summary = fuzz_bounds(model, n_cases=4, magnitude=magnitude, seed=0,
                           include_v_norm=True)
     assert summary.n_cases > 0
     for case in summary.cases:
         perturbed = _draw(np.random.default_rng(case.seed), P, magnitude)[0]
         catalog = {r.bound_name: r for r in bound_catalog(P, perturbed=perturbed, weights=W)}
+        assert {o.bound_name for o in case.outcomes} - catalog.keys() <= {
+            "v_norm_skeleton_transfer"}
         for o in case.outcomes:
-            rep = catalog[o.bound_name]
+            rep = catalog.get(o.bound_name)
+            if rep is None:
+                continue
             assert (rep.valid, rep.useless) == (o.valid, o.useless), o.bound_name
             assert rep.exact_gap == pytest.approx(o.exact_gap, rel=1e-9, abs=1e-15)
+
+
+def _weighted_direct_calls(spec):
+    """Each of the chain kind's two weighted bounds as a function of d =
+    ||Delta||_V, called directly, with its threshold on d."""
+    model = gallery_model(spec, 24)
+    chain = model.chain
+    if model.kind == "dtmc":
+        cert = fit_geometric_drift(chain, 1.0 + hitting_times(chain, 0), 0)
+        with_pi, drift_only = v_bound_with_stationary, v_bound_drift_only
+    else:
+        cert = fit_ctmc_geometric_drift(chain, _band_weights(model), 0)
+        with_pi, drift_only = ctmc_v_bound_with_stationary, ctmc_v_bound_drift_only
+    pi = stationary_distribution(chain, "gth")
+    return [lambda d: with_pi(chain, cert, pi, d), lambda d: drift_only(cert, d)]
+
+
+@pytest.mark.parametrize("spec", ["geometric-return", "mm1"])
+def test_a_weighted_bound_called_directly_is_judged_in_its_own_norm(spec):
+    # near its threshold a weighted value is far above 2, and still not useless
+    for bound in _weighted_direct_calls(spec):
+        rep = bound(0.999 * bound(0.0).info["threshold"])
+        assert rep.info["norm"] == "v"
+        assert rep.bound_value >= 2.0
+        assert rep.useless is False
