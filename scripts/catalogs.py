@@ -15,14 +15,19 @@ gallery model at N = 24 and N = 200 (fixed-size models at their own size):
   1 + hitting times onto state 0 for a transition matrix), without the pair
   and with each of those pairs;
 
-and every case of ``fuzz_bounds(n_cases=6, include_v_norm=True)`` on every
-gallery model at N = 24. A call that raises is printed as ``{"error":
-<type>, "message": <text>}``. Keys are sorted and floats are printed at full
-precision, so the outputs of two checkouts compare with ``cmp``.
+every case of ``fuzz_bounds(n_cases=6, include_v_norm=True)`` on every
+gallery model at N = 24; and the sha256 of the bytes of every matrix the
+bounds are built from: ``fundamental_matrix`` and ``group_inverse`` of every
+transition matrix, ``ctmc_deviation_matrix`` of every generator, at N = 24
+and N = 200 and, for generators that take a truncation, N = 800. A call
+that raises is printed as ``{"error": <type>, "message": <text>}``. Keys
+are sorted and floats are printed at full precision, so the outputs of two
+checkouts compare with ``cmp``, matrices included.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -30,6 +35,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SIZES = (24, 200)
 SEEDS = (0, 23)
+GENERATOR_SIZES = SIZES + (800,)
 FUZZ_SIZE = 24
 FUZZ_CASES = 6
 
@@ -110,13 +116,34 @@ def fuzz_cases(mc) -> dict:
     return out
 
 
+def matrix_digests(mc) -> dict:
+    """``{model[n]: {matrix function: sha256 or raised error}}`` for every
+    gallery model, each matrix from a freshly built chain."""
+    def digest(fn, chain):
+        import numpy as np
+
+        return hashlib.sha256(np.ascontiguousarray(fn(chain)).tobytes()).hexdigest()
+
+    out = {}
+    for name in mc.gallery.list_models():
+        dtmc = _model(mc, name, SIZES[0]).kind == "dtmc"
+        fns = ((mc.fundamental_matrix, mc.group_inverse) if dtmc
+               else (mc.ctmc_deviation_matrix,))
+        for n in SIZES if dtmc else GENERATOR_SIZES:   # a fixed size repeats its key
+            key = f"{name}[{_model(mc, name, n).chain.n}]"
+            out[key] = {fn.__name__: _outcome(lambda: digest(fn, _model(mc, name, n).chain))
+                        for fn in fns}
+    return out
+
+
 def main() -> int:
     sys.path.insert(0, str(PERFBENCH))
     import run
 
     run.pin_blas_threads()
     mc = run.import_library()
-    payload = {"catalogs": catalogs(mc), "fuzz": fuzz_cases(mc)}
+    payload = {"catalogs": catalogs(mc), "fuzz": fuzz_cases(mc),
+               "matrices": matrix_digests(mc)}
     print(json.dumps(payload, sort_keys=True, indent=1, default=_json_default))
     return 0
 

@@ -16,7 +16,9 @@ which is solved once and cached on the chain.
 
 Every exact gap, here, in the fuzz and in ``verify.exact_gap``, follows one
 rule, ``_exact_gap``: the plain solve in total variation, the state-reduction
-solve under weights, whose pi the weighted pair is given too.
+solve under weights, whose pi the weighted pair is given too. A gap is
+solved only for a norm in which some report has a value, so a perturbed
+chain whose weighted pair fails gets no state-reduction solve.
 """
 
 from __future__ import annotations
@@ -85,13 +87,12 @@ def _exact_gap(chain, perturbed, weights=None) -> float:
     return total_variation_norm(diff) if weights is None else v_norm_measure(diff, weights)
 
 
-def _v_norm_pair(chain, perturbed, dv, cert) -> tuple[list[BoundReport], float]:
-    """The two weighted-norm drift bounds for a perturbation of weighted norm
-    ``dv`` that takes ``chain`` to ``perturbed``, failures rendered inline,
-    and the weighted gap ||nu - pi||_V they bound.
+def _v_norm_pair(chain, dv, cert) -> list[BoundReport]:
+    """The two weighted-norm drift bounds of ``chain`` for a perturbation of
+    weighted norm ``dv``, failures rendered inline.
 
     The catalog and the fuzz oracle both check the pair through this one
-    function.
+    function; each solves the weighted gap only when a report has a value.
     """
     pi = stationary_distribution(chain, "gth")
     if isinstance(chain, StochasticMatrix):
@@ -102,7 +103,7 @@ def _v_norm_pair(chain, perturbed, dv, cert) -> tuple[list[BoundReport], float]:
     reports: list[BoundReport] = []
     _guard(reports, f"{prefix}v_norm_with_stationary", lambda: with_pi(chain, cert, pi, dv))
     _guard(reports, f"{prefix}v_norm_drift_only", lambda: drift_only(cert, dv))
-    return reports, _exact_gap(chain, perturbed, cert.weights)
+    return reports
 
 
 def _dtmc_reports(P, perturbed, m_max, unit, taboo_state):
@@ -195,11 +196,13 @@ def bound_catalog(
     # report with a value gets ||Delta|| and the exact gap in its own norm
     delta = perturbed.entries - chain.entries
     delta_norm = {"tv": matrix_norm(delta)}
-    gap = {"tv": _exact_gap(chain, perturbed)}
     if cert is not None:
         delta_norm["v"] = v_norm_matrix(delta, cert.weights)
-        v_reports, gap["v"] = _v_norm_pair(chain, perturbed, delta_norm["v"], cert)
-        reports += v_reports
+        reports += _v_norm_pair(chain, delta_norm["v"], cert)
+    norms = {rep.info["norm"] for rep in reports
+             if rep.ell is not None or rep.direct_value is not None}
+    gap = {norm: _exact_gap(chain, perturbed, cert.weights if norm == "v" else None)
+           for norm in ("tv", "v") if norm in norms}
     return [rep if rep.ell is None and rep.direct_value is None
             else rep.with_exact_gap(gap[rep.info["norm"]], delta_norm[rep.info["norm"]])
             for rep in reports]

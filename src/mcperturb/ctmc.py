@@ -194,7 +194,8 @@ def ctmc_deviation_matrix(Q: IntensityMatrix) -> np.ndarray:
     solvers._gate("stationary residual", h * float(np.abs(pi.values @ Q.entries).max()),
                   Q.settings.stationarity)
     A = solvers._difference(Q)
-    D = h * solvers._certified_group_inverse(Q, solvers._fundamental_matrix(Q, A), A)
+    D = solvers._certified_group_inverse(Q, solvers._fundamental_matrix(Q, A), A)
+    D *= h
     solvers._gate("deviation residual",
                   max(float(np.abs(D.sum(axis=1)).max()), float(np.abs(pi.values @ D).max())),
                   Q.settings.inverse, max(1.0, float(np.abs(D).max())))

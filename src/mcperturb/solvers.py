@@ -45,8 +45,11 @@ with Z = U^-1 bordered by a zero row and column k. A banded U is solved on
 its band, O(n^2 b) for a band of width b; any other U by one dense solve.
 Certifying G and the group inverse costs that solve and one dense product,
 X (A X). Every other residual product multiplies by A (with M = A + 1 pi
-as A plus a rank-one term), a CSR array below ``_SPARSE_DENSITY``:
-O(nnz n) per product, not O(n^3).
+as A plus a rank-one term, added in place), a CSR array below
+``_SPARSE_DENSITY``: O(nnz n) per product, not O(n^3). The group-inverse
+certificate consumes the G it is handed, forming X = G - 1 pi in its place,
+and frees each residual's buffer before forming the next: with X it holds
+at most four n x n arrays, five with a dense A.
 
 A is the chain's difference operator (``_difference``): I - P for a
 transition matrix, -h Q for a generator at ``uniformize``'s default step h.
@@ -241,8 +244,11 @@ def _hitting_solve(chain, M: np.ndarray, target: int) -> np.ndarray:
     return x
 
 
-def _stationary_gth(P: np.ndarray) -> np.ndarray:
-    """State-reduction elimination; uses only additions of nonnegatives.
+def _stationary_gth(P: np.ndarray, h: float = 1.0) -> np.ndarray:
+    """State-reduction elimination of h P; uses only additions of nonnegatives.
+
+    The working array is formed once as h P: a generator's skeleton step h
+    scales it, and h = 1 leaves a transition matrix exact.
 
     Eliminating state k adds the outer product of column ``A[:k, k]`` and row
     ``A[k, :k]`` to the leading block, and that fill stays inside P's
@@ -253,7 +259,7 @@ def _stationary_gth(P: np.ndarray) -> np.ndarray:
     skipped term is an exact ``+0.0``, so the result is the dense update's,
     and a banded chain costs O(n * bandwidth^2).
     """
-    A = P.copy()
+    A = h * P
     n = A.shape[0]
     nonzero, states = A != 0.0, np.arange(n)
     top = np.searchsorted(np.maximum.accumulate(n - 1 - nonzero[:, ::-1].argmax(axis=1)), states)
@@ -314,7 +320,7 @@ def stationary_distribution(chain: StochasticMatrix | IntensityMatrix,
     if method == "solve":
         x = _stationary_solve(E.copy() if generator else _identity_minus(E))
     elif method == "gth":
-        x = _stationary_gth(_default_step(rate) * E if generator else E)
+        x = _stationary_gth(E, _default_step(rate) if generator else 1.0)
     elif method == "power" and not generator:
         x = _stationary_power(E)
     else:
@@ -364,21 +370,26 @@ def _fundamental_matrix(chain: StochasticMatrix | IntensityMatrix, A) -> np.ndar
     n = chain.n
     # Meyer's route: Z = (A without state k)^-1 with a zero row and column k,
     # R = Z - 1 (pi Z) - (Z 1) pi + (1 + pi Z 1) 1 pi, formed in place of Z
+    # (a Fortran-ordered identity stays so in np.delete, which spares
+    # solve_banded a copy of the right-hand side)
     R = _reduced_solve(A.copy() if isinstance(A, np.ndarray) else A.toarray(),
-                       int(np.argmax(pi.values)), np.eye(n), "fundamental")
+                       int(np.argmax(pi.values)), np.eye(n, order="F"), "fundamental")
     piZ = pi.values @ R
     R += np.outer((1.0 + piZ.sum()) - R.sum(axis=1), pi.values)
     R -= piZ
     # M = A + 1 pi: M R = A R + 1 (pi R), R M = R A + (R 1) pi
     piR = pi.values @ R
-    right = A @ R + piR
+    right = A @ R
+    right += piR
     right[np.diag_indices(n)] -= 1.0
     np.abs(right, out=right)
     res, residual = float(right.max()), float(right.sum(axis=1).max())
     del right
-    left = R @ A + np.outer(R.sum(axis=1), pi.values)
+    left = R @ A
+    left += np.outer(R.sum(axis=1), pi.values)
     left[np.diag_indices(n)] -= 1.0
-    res = max(res, float(np.abs(left).max()), float(np.abs(piR - pi.values).max()))
+    res = max(res, float(np.abs(left, out=left).max()),
+              float(np.abs(piR - pi.values).max()))
     _gate("fundamental matrix residual", res, settings.inverse)
     if isinstance(chain, StochasticMatrix):     # the hitting-time scan reads it
         chain._fundamental = _FundamentalSummary(
@@ -404,25 +415,39 @@ def group_inverse(P: StochasticMatrix) -> np.ndarray:
 
 
 def _certified_group_inverse(chain, R, A) -> np.ndarray:
-    """R - Pi from the fundamental matrix R of the chain's difference operator
-    A, certified as in group_inverse.
+    """R - Pi, formed in place of the fundamental matrix R of the chain's
+    difference operator A (the caller's R is consumed), certified as in
+    group_inverse.
 
-    Each residual is reduced before the next is formed. In X (A X), the one
-    dense product, operand entries below 2^-511 are zeroed first, so no term
-    is a slow subnormal (a truncated tail of X is full of them); each entry
-    moves by at most n 2^-511 max(||X||_max, ||A X||_max), 1.2e-148 on mm1(800).
+    Each residual is reduced in a buffer that is freed before the next is
+    formed (the module docstring counts them). In X (A X), the one dense
+    product, operand entries below 2^-511 are zeroed first, so no term is a
+    slow subnormal (a truncated tail of X is full of them); each entry moves
+    by at most n 2^-511 max(||X||_max, ||A X||_max), 1.2e-148 on mm1(800).
     """
     settings = chain.settings
     pi = stationary_distribution(chain)
-    X = R - stationary_matrix(pi)
+    X = R
+    X -= pi.values
     AX = A @ X
     XA = np.ascontiguousarray(X @ A)     # scipy forms X A as (A^T X^T)^T
-    res = max(float(np.abs(AX - XA).max()), float(np.abs(A @ XA - A).max()))
+    AXA = A @ XA
+    if isinstance(A, np.ndarray):
+        AXA -= A
+    else:                               # A's nonzeros only: x - 0 is x
+        entries = A.tocoo()
+        AXA[entries.row, entries.col] -= entries.data
+    axa = float(np.abs(AXA, out=AXA).max())
+    del AXA
+    np.subtract(AX, XA, out=XA)
+    res = max(float(np.abs(XA, out=XA).max()), axa)
     del XA
     AX[np.abs(AX) < _TINY] = 0.0
+    XAX = np.where(np.abs(X) < _TINY, 0.0, X) @ AX
+    XAX -= X
     res = max(
         res,
-        float(np.abs(np.where(np.abs(X) < _TINY, 0.0, X) @ AX - X).max()),
+        float(np.abs(XAX, out=XAX).max()),
         float(np.abs(X.sum(axis=1)).max()),
         float(np.abs(pi.values @ X).max()),
     )

@@ -563,13 +563,12 @@ def _v_norm_outcomes(chain, perturbed, delta, cert, skipped):
     """Weighted-norm checks of one case: the catalog's bound pair and, for
     generators, the same certificate transferred to the skeleton chain."""
     dv = v_norm_matrix(delta, cert.weights)
-    reports, gap_v = _v_norm_pair(chain, perturbed, dv, cert)
-    outcomes = []
-    for rep in reports:
+    valued = []         # (report, its perturbation norm): the readers of the gap
+    for rep in _v_norm_pair(chain, dv, cert):
         if rep.bound_value is None:
             skipped.setdefault(rep.bound_name, _skip_reason(rep))
         else:
-            outcomes.append(rep.with_exact_gap(gap_v, dv))
+            valued.append((rep, dv))
     if isinstance(chain, IntensityMatrix):
         # the step cancels in the transfer, so the skeleton value must
         # coincide with the continuous form; checked against the same gap
@@ -580,10 +579,13 @@ def _v_norm_outcomes(chain, perturbed, delta, cert, skipped):
                                           stationary_distribution(chain, "gth"),
                                           h * dv)
             rep.bound_name = "v_norm_skeleton_transfer"
-            outcomes.append(rep.with_exact_gap(gap_v, h * dv))
+            valued.append((rep, h * dv))
         except HypothesisFailed as exc:
             skipped.setdefault("v_norm_skeleton_transfer", str(exc))
-    return outcomes
+    if not valued:
+        return []
+    gap_v = _exact_gap(chain, perturbed, cert.weights)
+    return [rep.with_exact_gap(gap_v, dn) for rep, dn in valued]
 
 
 def fuzz_bounds(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from mcperturb import (
 from mcperturb import ctmc, gallery, solvers
 from mcperturb.settings import NumericSettings
 from mcperturb.solvers import _stationary_gth
-from mcperturb.verify import canonical_pair
+from mcperturb.verify import canonical_pair, exact_gap, fuzz_bounds
 from tests.conftest import gallery_model, random_irreducible_chain, sparse_irreducible_chain
 
 
@@ -396,6 +398,41 @@ class TestStationaryCache:
             with pytest.raises(ReducibleChain):
                 stationary_distribution(P)
         assert P._stationary == {}
+
+
+class TestGapsAreSolvedWhenRead:
+    """A perturbed chain's solve in a norm runs only when some report in that
+    norm has a value for its exact gap."""
+
+    def test_failed_weighted_reports_solve_no_weighted_gap(self, monkeypatch):
+        counts = count_solves(monkeypatch)
+        model = gallery.birth_death(20)
+        P = model.chain
+        reports = bound_catalog(P, perturbed=canonical_pair(model, seed=0).perturbed,
+                                weights=1.0 + hitting_times(P, 0))
+        weighted = [rep for rep in reports if rep.bound_name.startswith("v_norm_")]
+        assert [rep.hypotheses_hold for rep in weighted] == [False, False]
+        assert all(rep.exact_gap is None for rep in weighted)
+        assert counts == {"solve": 2, "gth": 1}     # the chain's gth fits the drift
+
+    def test_holding_weighted_reports_read_the_weighted_gap(self, monkeypatch):
+        counts = count_solves(monkeypatch)
+        model = gallery.mm1(truncation=24)
+        pair = canonical_pair(model, seed=0)
+        weights = gallery._band_weights(model)
+        reports = bound_catalog(model.chain, perturbed=pair.perturbed, weights=weights)
+        weighted = [rep for rep in reports if rep.bound_name.startswith("ctmc_v_norm_")]
+        assert [rep.hypotheses_hold for rep in weighted] == [True, True]
+        assert counts == {"solve": 2, "gth": 2}
+        for rep in weighted:
+            assert rep.exact_gap == exact_gap(pair, weights)
+
+    def test_a_fuzz_run_that_skips_the_weighted_pair_solves_one_gth(self, monkeypatch):
+        counts = count_solves(monkeypatch)
+        summary = fuzz_bounds(gallery.birth_death(20), n_cases=6, include_v_norm=True)
+        assert summary.n_cases == 6
+        assert {"v_norm_with_stationary", "v_norm_drift_only"} <= set(summary.skipped_bounds)
+        assert counts["gth"] == 1
 
 
 class TestOneSolveForBothKinds:
@@ -777,7 +814,7 @@ class TestNoGateGotWeaker:
         chain = make()
         A = solvers._difference(chain)
         R = solvers._fundamental_matrix(chain, A)
-        solvers._certified_group_inverse(chain, R, A)
+        solvers._certified_group_inverse(chain, R.copy(), A)     # R is consumed
         for i, j in cells:
             bad = R.copy()
             bad[i, j] += self.DEFECT
@@ -820,6 +857,39 @@ class TestNoGateGotWeaker:
         _defective_reduced_solve(monkeypatch, cell, self.DEFECT)
         with pytest.raises(SolverFailure, match="fundamental matrix residual"):
             fundamental_matrix(P)
+
+
+class TestCertificateMemory:
+    """The group inverse is formed in place of R, and each residual of its
+    certificate is freed before the next is formed."""
+
+    def test_the_certificate_consumes_R(self):
+        P = gallery_model("odd-even-p", 60).chain
+        A = solvers._difference(P)
+        R = solvers._fundamental_matrix(P, A)
+        want = R - stationary_matrix(stationary_distribution(P))
+        X = solvers._certified_group_inverse(P, R, A)
+        assert X is R
+        assert np.array_equal(X, want)
+
+    @pytest.mark.parametrize("spec,fn", [
+        ("mm1", ctmc.ctmc_deviation_matrix),
+        ("hessenberg-gi-m-1", group_inverse),
+    ], ids=["mm1-deviation", "hessenberg-gi-m-1-group-inverse"])
+    def test_traced_peak_is_five_matrices(self, spec, fn):
+        """numpy reports its buffers to tracemalloc; the window opens after pi
+        is solved and after a small call has loaded every code path."""
+        n = 400
+        fn(gallery_model(spec, 24).chain)
+        chain = gallery_model(spec, n).chain
+        stationary_distribution(chain)
+        tracemalloc.start()
+        try:
+            fn(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (5 * n * n + 16 * n)
 
 
 # ---------------------------------------------------------------------------
