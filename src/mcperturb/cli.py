@@ -241,16 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stationary-distribution perturbation bounds with exact certification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--truncation", type=int, default=None)
-    common.add_argument("--format", choices=("json", "table"), default="table")
+    truncation = argparse.ArgumentParser(add_help=False)
+    truncation.add_argument("--truncation", type=int, default=None)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "table"), default="table")
 
-    p = sub.add_parser("validate", help="parse and validate a chain file")
+    p = sub.add_parser("validate", parents=[fmt], help="parse and validate a chain file")
     p.add_argument("path")
-    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("bounds", parents=[common], help="compute every applicable bound")
+    p = sub.add_parser("bounds", parents=[truncation, fmt],
+                       help="compute every applicable bound")
     p.add_argument("path", help="chain file or gallery model name")
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--v-norm", action="store_true",
@@ -259,13 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file with a drift vector: {taboo_state, values}")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("hitting", parents=[common],
+    p = sub.add_parser("hitting", parents=[truncation, fmt],
                        help="mean first hitting times onto a target state")
     p.add_argument("path", help="chain file or gallery model name")
     p.add_argument("--target", type=int, required=True)
     p.set_defaults(func=cmd_hitting)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[truncation, fmt],
                        help="identity residuals and bound-validity fuzzing")
     p.add_argument("path", help="chain file, gallery model name, or 'gallery'")
     p.add_argument("--all", action="store_true",
@@ -280,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = p.add_subparsers(dest="action", required=True)
     g = gsub.add_parser("list")
     g.set_defaults(func=cmd_gallery, action="list")
-    g = gsub.add_parser("export")
+    g = gsub.add_parser("export", parents=[truncation])
     g.add_argument("name")
     g.add_argument("dest")
-    g.add_argument("--truncation", type=int, default=None)
     g.set_defaults(func=cmd_gallery, action="export")
 
     return parser

@@ -16,15 +16,12 @@ recomputed by each call that returns them.
 
 The default stationary solver replaces one equation of the singular system
 ``x (I - P) = 0`` with the normalization row and solves densely, certifying
-the residual afterwards. Two independent routes are kept alongside it:
-
-* ``method="power"``: plain power iteration, used as a cross-check oracle;
-* ``method="gth"``: state-reduction (subtraction-free) elimination, which
-  is componentwise accurate and strictly positive even when tail
-  probabilities underflow the direct solve's absolute error. Weighted-norm
-  computations with growing weights need this route. Its cost follows the
-  fill of the elimination: O(n * bandwidth^2) on a banded chain, O(n^3)
-  on a dense one.
+the residual afterwards. The other route, ``method="gth"``, is
+state-reduction (subtraction-free) elimination, which is componentwise
+accurate and strictly positive even when tail probabilities underflow the
+direct solve's absolute error. Weighted-norm computations with growing
+weights need this route. Its cost follows the fill of the elimination:
+O(n * bandwidth^2) on a banded chain, O(n^3) on a dense one.
 
 The ergodicity-coefficient hypotheses of the bounds (``Lambda1(P) < 1``,
 ``Lambda1(Q) > 0``) stop their row scan at the first row that disproves
@@ -280,31 +277,15 @@ def _stationary_gth(P: np.ndarray, h: float = 1.0) -> np.ndarray:
     return x / x.sum()
 
 
-def _stationary_power(P: np.ndarray, tol: float = 1e-14,
-                      max_iter: int = 200_000) -> np.ndarray:
-    n = P.shape[0]
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        y = x @ P
-        if np.abs(y - x).sum() <= tol:
-            return y / y.sum()
-        x = y
-    raise SolverFailure(
-        f"power iteration did not converge in {max_iter} steps "
-        "(periodic chain or slow mixing)"
-    )
-
-
 def stationary_distribution(chain: StochasticMatrix | IntensityMatrix,
                             method: str = "solve") -> Distribution:
     """Solve pi P = pi (pi Q = 0 for a generator), sum(pi) = 1 for an
     irreducible chain; solved once per chain and method and cached on it.
 
     ``method`` is "solve", the dense normalized solve (fast, absolute-error
-    accurate); "gth", componentwise accurate and strictly positive; or
-    "power", which iterates x P until the l1 increment drops below 1e-14
-    (aperiodic transition matrices only). A generator's "gth" eliminates
-    h Q at ``ctmc.uniformize``'s default step h: state reduction reads only
+    accurate), or "gth", componentwise accurate and strictly positive, for
+    both chain kinds. A generator's "gth" eliminates h Q at
+    ``ctmc.uniformize``'s default step h: state reduction reads only
     off-diagonal entries, so that is the skeleton I + h Q's solve. The
     residual max|pi P - pi| (max|pi Q|) and the negative mass are certified
     by the first two gates of the module's table.
@@ -321,8 +302,6 @@ def stationary_distribution(chain: StochasticMatrix | IntensityMatrix,
         x = _stationary_solve(E.copy() if generator else _identity_minus(E))
     elif method == "gth":
         x = _stationary_gth(E, _default_step(rate) if generator else 1.0)
-    elif method == "power" and not generator:
-        x = _stationary_power(E)
     else:
         raise ValueError(f"unknown method {method!r}")
     _gate("stationary residual", float(np.abs(x @ E if generator else x @ E - x).max()),

@@ -111,12 +111,16 @@ def exact_gap(pair: PerturbationPair, weights=None) -> float:
     return _exact_gap(pair.base, pair.perturbed, weights)
 
 
-def residual_perturbation_identity(pair: PerturbationPair) -> float:
-    """Max residual of nu - pi = nu Delta R = nu Delta (R - Pi)."""
+def _pair_stationary(pair: PerturbationPair):
+    """``(pi, nu)`` of a transition-matrix pair, the base chain's solved first."""
     if pair.kind != "dtmc":
         raise InvalidParameters("identity applies to transition-matrix pairs")
-    pi = stationary_distribution(pair.base)
-    nu = stationary_distribution(pair.perturbed)
+    return stationary_distribution(pair.base), stationary_distribution(pair.perturbed)
+
+
+def residual_perturbation_identity(pair: PerturbationPair) -> float:
+    """Max residual of nu - pi = nu Delta R = nu Delta (R - Pi)."""
+    pi, nu = _pair_stationary(pair)
     return _perturbation_residual(pair, pi, nu, fundamental_matrix(pair.base))
 
 
@@ -133,10 +137,7 @@ def _perturbation_residual(pair, pi, nu, R) -> float:
 
 def residual_deviation_identity(pair: PerturbationPair) -> float:
     """Max residual of nu - pi = nu Delta D (aperiodic base chain)."""
-    if pair.kind != "dtmc":
-        raise InvalidParameters("identity applies to transition-matrix pairs")
-    pi = stationary_distribution(pair.base)
-    nu = stationary_distribution(pair.perturbed)
+    pi, nu = _pair_stationary(pair)
     return _deviation_residual(pair, pi, nu, deviation_matrix(pair.base))
 
 

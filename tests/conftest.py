@@ -3,6 +3,14 @@ import pytest
 
 from mcperturb import McPerturbError, gallery
 
+# integer-matrix form of meyer4's known exact group inverse, scaled by 2/1083
+MEYER_GROUP_INVERSE_NUMERATORS = [
+    [265, -61, -96, -108],
+    [-96, 300, -96, -108],
+    [-115, -137, 246, 6],
+    [-210, -156, -210, 576],
+]
+
 
 @pytest.fixture(scope="session")
 def meyer():
@@ -16,17 +24,16 @@ def funderlic():
 
 @pytest.fixture(scope="session")
 def meyer_group_inverse_exact():
-    # integer-matrix form of the known exact group inverse, scaled by 2/1083
-    M = np.array(
-        [
-            [265, -61, -96, -108],
-            [-96, 300, -96, -108],
-            [-115, -137, 246, 6],
-            [-210, -156, -210, 576],
-        ],
-        dtype=float,
-    )
-    return (2.0 / 1083.0) * M
+    return (2.0 / 1083.0) * np.array(MEYER_GROUP_INVERSE_NUMERATORS, dtype=float)
+
+
+@pytest.fixture(scope="session")
+def exact_chains():
+    """The exact oracle's chains by name; each exact value is computed at
+    most once per session."""
+    from tests.exact import ORACLE_CHAINS, ExactChain
+
+    return {name: ExactChain(build()) for name, build in ORACLE_CHAINS.items()}
 
 
 def random_irreducible_chain(rng, n, sparsity=0.0):
