@@ -67,14 +67,11 @@ SKELETON_MAX_N = 32     # largest transition matrix whose fuzz cases check the s
 
 def _guard(reports, name, fn):
     try:
-        rep = fn()
-        reports.append(rep)
-        return rep
+        reports.append(fn())
     except HypothesisFailed as exc:
         reports.append(failed_report(name, exc.hypothesis, exc.detail))
     except (DriftViolated, DivergentHittingTimes, NoPositiveLambda) as exc:
         reports.append(failed_report(name, "certificate valid", str(exc)))
-    return None
 
 
 def _exact_gap(chain, perturbed, weights=None) -> float:
@@ -158,8 +155,6 @@ def bound_catalog(
         V = np.asarray(weights, dtype=float)
         if float(np.min(V)) <= 0:
             unit, weights = V, None         # a unit-drift function, not weights
-        else:
-            weights = WeightFunction(V)
     if dtmc:
         # raises here, before any bound, when pi cannot be certified
         stationary_distribution(chain)

@@ -121,10 +121,13 @@ def load_chain_file(path: str) -> ChainFile:
 
 def save_chain_file(model: GalleryModel, path: str) -> None:
     data = {
-        "kind": model.kind,
+        "kind": "dtmc" if isinstance(model.chain, StochasticMatrix) else "ctmc",
         "states": model.chain.n,
         "matrix": [list(map(float, row)) for row in model.chain.entries],
     }
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(data, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write: {exc}") from exc

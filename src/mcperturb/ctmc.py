@@ -52,7 +52,6 @@ from .errors import (
     NoPositiveLambda,
     NotErgodic,
     OutOfRadius,
-    ReducibleChain,
 )
 from .dtmc import (
     GeometricDriftCertificate,
@@ -179,22 +178,16 @@ def ctmc_deviation_matrix(Q: IntensityMatrix) -> np.ndarray:
     """Deviation matrix of the generator: the integral of (P^t - Pi) dt.
 
     D = h A# for A = -h Q (Coolen-Schrijner & van Doorn 2002), h being
-    ``uniformize``'s default step: A# is Meyer's group inverse, from the
-    reduced solve and certificate a transition matrix gets, with Q's own
-    certified pi. No skeleton chain is built, but the work stays in its
-    units, where pi must also pass the skeleton's stationarity gate
-    h max|pi Q| <= settings.stationarity (tighter than Q's own when the
-    uniformization constant is below 0.99). Certified to satisfy D e = 0
-    and pi D = 0.
+    ``uniformize``'s default step, and A# certified by
+    ``solvers._certified_group_inverse``. Q's pi must also pass the
+    skeleton's stationarity gate h max|pi Q| <= settings.stationarity, and
+    D e = 0, pi D = 0 are certified.
     """
-    if not Q.irreducible:
-        raise ReducibleChain("deviation matrix requires an irreducible chain")
     pi = stationary_distribution(Q)
     h = _default_step(Q.uniformization_constant)
     solvers._gate("stationary residual", h * float(np.abs(pi.values @ Q.entries).max()),
                   Q.settings.stationarity)
-    A = solvers._difference(Q)
-    D = solvers._certified_group_inverse(Q, solvers._fundamental_matrix(Q, A), A)
+    D = solvers._certified_group_inverse(Q)
     D *= h
     solvers._gate("deviation residual",
                   max(float(np.abs(D.sum(axis=1)).max()), float(np.abs(pi.values @ D).max())),

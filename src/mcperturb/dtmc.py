@@ -55,7 +55,6 @@ from .errors import (
     InvalidParameters,
     NoPositiveLambda,
     NoSmallSet,
-    ReducibleChain,
     SolverFailure,
 )
 from .norms import _pair_blocks, _shared_column_maxima, matrix_norm, v_norm_measure
@@ -160,8 +159,6 @@ def seneta_best_bound(P: StochasticMatrix) -> BoundReport:
     Valid even when Lambda1(P) = 1; the group inverse exists for periodic
     irreducible chains as well, and the report uses it as-is.
     """
-    if not P.irreducible:
-        raise ReducibleChain("group-inverse bound requires an irreducible chain")
     A_sharp = group_inverse(P)
     ell = ergodicity_coefficient(A_sharp)
     return BoundReport(

@@ -303,7 +303,7 @@ def _band_weights(model: GalleryModel) -> WeightFunction | None:
     """The drift weights a band generator model carries: ``batch_arrival_drift``'s
     z0^i on its coefficients ``a`` and ``b``; None for any other model."""
     extras = model.extras
-    if model.kind != "ctmc" or not {"a", "b"} <= extras.keys():
+    if not isinstance(model.chain, IntensityMatrix) or not {"a", "b"} <= extras.keys():
         return None
     return batch_arrival_drift(extras["a"], extras["b"], n_states=model.chain.n).weights
 

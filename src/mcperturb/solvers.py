@@ -2,9 +2,10 @@
 
 Every gate here reads the tolerances of the chain it is applied to
 (``P.settings``). ``stationary_distribution`` is the one certified
-stationary solve of both chain kinds. It solves pi at most once per chain
-and method and caches it on the chain, so the matrices below, and every
-bound that needs pi, reuse the chain's own certified pi.
+stationary solve of both chain kinds, and the irreducibility check of all
+that is built on pi. It solves pi at most once per chain and method and
+caches it on the chain, so the matrices below, and every bound that needs
+pi, reuse the chain's own certified pi.
 
 A certified fundamental matrix G also leaves a small summary on the chain
 (``P._fundamental``): diag(G), the column minima of G, ||G||_inf, the
@@ -50,13 +51,14 @@ at most four n x n arrays, five with a dense A.
 
 A is the chain's difference operator (``_difference``): I - P for a
 transition matrix, -h Q for a generator at ``uniformize``'s default step h.
--h Q is the skeleton's I - P_h in its units, so one set of gates certifies
-both kinds, and a generator's D = h A# needs no skeleton chain.
+-h Q is the skeleton's I - P_h in its units, so ``_certified_group_inverse``
+certifies A# of both kinds, and a generator's D = h A# needs no skeleton chain.
 
 Mean hitting times of both chain kinds come from one certified solve,
 ``_hitting_solve``, the reduced solve of M = I - P or M = -Q with the target
-left out, which also makes their entry checks: an irreducible chain and a
-target that is one of its states.
+left out. It makes its own entry checks, an irreducible chain (hitting times
+read no pi) and a target that is one of its states; so does
+``deviation_matrix``, whose irreducibility check precedes its period test.
 
 Every solve here, dense or banded, goes through ``_solve``, which reports a
 singular system as SolverFailure naming the system.
@@ -389,14 +391,14 @@ def group_inverse(P: StochasticMatrix) -> np.ndarray:
     The three group-inverse axioms (A X A = A, X A X = X, A X = X A) plus
     X e = 0 and pi X = 0 are certified before returning.
     """
-    A = _difference(P)
-    return _certified_group_inverse(P, _fundamental_matrix(P, A), A)
+    return _certified_group_inverse(P)
 
 
-def _certified_group_inverse(chain, R, A) -> np.ndarray:
-    """R - Pi, formed in place of the fundamental matrix R of the chain's
-    difference operator A (the caller's R is consumed), certified as in
-    group_inverse.
+def _certified_group_inverse(chain, R=None) -> np.ndarray:
+    """A# = R - Pi of the chain's difference operator A, certified as in
+    group_inverse: both kinds' one certified A#, whose irreducibility check
+    is ``stationary_distribution``'s. R, A's fundamental matrix, is solved
+    here unless passed in, and then consumed: A# takes its place.
 
     Each residual is reduced in a buffer that is freed before the next is
     formed (the module docstring counts them). In X (A X), the one dense
@@ -406,7 +408,8 @@ def _certified_group_inverse(chain, R, A) -> np.ndarray:
     """
     settings = chain.settings
     pi = stationary_distribution(chain)
-    X = R
+    A = _difference(chain)
+    X = _fundamental_matrix(chain, A) if R is None else R
     X -= pi.values
     AX = A @ X
     XA = np.ascontiguousarray(X @ A)     # scipy forms X A as (A^T X^T)^T

@@ -75,7 +75,6 @@ from .reports import BoundReport
 from .solvers import (
     _TINY,
     _certified_group_inverse,
-    _difference,
     _gate,
     _identity_minus,
     deviation_matrix,
@@ -372,7 +371,7 @@ def identity_residuals(
     matrix once and shares them between the three residuals.
     """
     pair = canonical_pair(model, magnitude=magnitude, seed=seed)
-    if model.kind == "ctmc":
+    if isinstance(model.chain, IntensityMatrix):
         pair = skeleton_pair(pair)
     P = pair.base
     pi = stationary_distribution(P)
@@ -384,7 +383,7 @@ def identity_residuals(
     }
     if P.aperiodic:
         # on an aperiodic chain the deviation matrix is the group inverse R - Pi
-        D = _certified_group_inverse(P, R, _difference(P))
+        D = _certified_group_inverse(P, R)
         out["deviation_identity"] = _deviation_residual(pair, pi, nu, D)
     return out
 
@@ -547,8 +546,9 @@ def _v_norm_setup(model, skipped):
     fits them) for a generator. None when it cannot be fitted, with the
     reason in ``skipped`` under the catalog's name."""
     chain = model.chain
+    dtmc = isinstance(chain, StochasticMatrix)
     try:
-        if model.kind == "dtmc":
+        if dtmc:
             return fit_geometric_drift(chain, 1.0 + hitting_times(chain, 0), 0)
         weights = _band_weights(model)
         if weights is None:
@@ -556,7 +556,7 @@ def _v_norm_setup(model, skipped):
         return fit_ctmc_geometric_drift(chain, weights, 0)
     except (DriftViolated, DivergentHittingTimes, InvalidParameters, NoPositiveLambda,
             NotErgodic) as exc:
-        skipped["v_norm_drift_fit" if model.kind == "dtmc" else "ctmc_v_norm_drift_fit"] = str(exc)
+        skipped["v_norm_drift_fit" if dtmc else "ctmc_v_norm_drift_fit"] = str(exc)
         return None
 
 
@@ -619,8 +619,6 @@ def fuzz_bounds(
     through ``_v_norm_setup``'s certificate; generators check them both in
     continuous form and transferred to the skeleton chain.
     """
-    if model.kind not in ("dtmc", "ctmc"):
-        raise InvalidParameters(f"unknown model kind {model.kind!r}")
     _check_magnitude(magnitude)
     _check_count(n_cases, f"n_cases must be a nonnegative integer, got {n_cases!r}", 0)
     _check_count(seed, f"seed must be a nonnegative integer, got {seed!r}", 0)
@@ -629,7 +627,8 @@ def fuzz_bounds(
     linear = [rep for rep in reports if rep.ell is not None]
     skipped = {rep.bound_name: _skip_reason(rep) for rep in reports if rep.ell is None}
     v_cert = _v_norm_setup(model, skipped) if include_v_norm else None
-    use_skeleton = model.kind == "dtmc" and chain.n <= catalog.SKELETON_MAX_N
+    dtmc = isinstance(chain, StochasticMatrix)
+    use_skeleton = dtmc and chain.n <= catalog.SKELETON_MAX_N
     skeleton_base = None        # P^m and Lambda1(P^m), formed by the first case that needs them
 
     cases: list[FuzzCase] = []
@@ -660,7 +659,7 @@ def fuzz_bounds(
 
     return FuzzSummary(
         model=model.name,
-        kind=model.kind,
+        kind="dtmc" if dtmc else "ctmc",
         magnitude=magnitude,
         n_cases=len(cases),
         cases=cases,

@@ -505,6 +505,20 @@ class TestGalleryCommand:
             assert code == 0, name
             load_chain_file(str(dest))
 
+    def test_export_to_an_unwritable_path_exits_2(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "x.json"
+        code, text = run_cli("gallery", "export", "meyer4", str(dest))
+        assert code == 2 and text == ""
+        assert f"error: {dest}: cannot write: " in capsys.readouterr().err
+        assert not dest.parent.exists()
+
+    @pytest.mark.parametrize("model,label", [(meyer4(), "ctmc"), (mm1(truncation=12), "dtmc")],
+                             ids=["meyer4", "mm1"])
+    def test_the_saved_kind_is_the_chains(self, tmp_path, model, label):
+        dest = tmp_path / "x.json"
+        save_chain_file(GalleryModel(name="x", kind=label, chain=model.chain), str(dest))
+        assert load_chain_file(str(dest)).kind == model.kind != label
+
 
 class TestVNormGalleryWiring:
     def test_queue_certificate_surfaces_drift_parameters(self):

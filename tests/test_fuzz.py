@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -382,3 +384,24 @@ def test_dtmc_fuzz_solves_the_base_pi_once(monkeypatch):
     summary = fuzz_bounds(meyer4(), n_cases=5)
     assert summary.n_cases == 5 and summary.n_rejected == 0
     assert len(solves) == 1 + summary.n_cases
+
+
+@pytest.mark.parametrize("factory,label", [
+    (meyer4, "ctmc"),
+    (lambda: mm1(truncation=12), "dtmc"),
+], ids=["meyer4-as-ctmc", "mm1-as-dtmc"])
+class TestTheChainDecidesItsKind:
+    """A model's ``kind`` is a description: the oracles read the chain's type,
+    so a mislabelled model (extras kept) is checked as its twin."""
+
+    def test_identity_residuals_match_the_twin(self, factory, label):
+        assert (identity_residuals(replace(factory(), kind=label))
+                == identity_residuals(factory()))
+
+    def test_fuzz_summary_matches_the_twin(self, factory, label):
+        twin = fuzz_bounds(factory(), n_cases=4, include_v_norm=True)
+        summary = fuzz_bounds(replace(factory(), kind=label), n_cases=4, include_v_norm=True)
+        assert summary.n_cases == twin.n_cases == 4
+        assert summary.kind == twin.kind != label
+        assert summary.tightness() == twin.tightness()
+        assert summary.skipped_bounds == twin.skipped_bounds

@@ -464,6 +464,18 @@ class TestOneSolveForBothKinds:
                                match="^stationary distribution requires an irreducible chain$"):
                 solve(chain)
 
+    def test_entries_built_on_pi_take_their_irreducibility_check_from_it(self):
+        """The group inverse, its bound and a generator's deviation matrix
+        check no irreducibility of their own: they reach the stationary
+        solve first, and it raises."""
+        P = StochasticMatrix([[1.0, 0.0], [0.5, 0.5]])
+        Q = IntensityMatrix([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        for entry, chain in ((seneta_best_bound, P), (group_inverse, P),
+                             (ctmc.ctmc_deviation_matrix, Q)):
+            with pytest.raises(ReducibleChain,
+                               match="^stationary distribution requires an irreducible chain$"):
+                entry(chain)
+
     def test_generator_negative_mass_is_a_solver_failure(self, monkeypatch):
         # the residual gate is passed by a loose tolerance; the mass gate is
         # the one both kinds share
@@ -813,12 +825,12 @@ class TestNoGateGotWeaker:
         chain = make()
         A = solvers._difference(chain)
         R = solvers._fundamental_matrix(chain, A)
-        solvers._certified_group_inverse(chain, R.copy(), A)     # R is consumed
+        solvers._certified_group_inverse(chain, R.copy())     # R is consumed
         for i, j in cells:
             bad = R.copy()
             bad[i, j] += self.DEFECT
             with pytest.raises(SolverFailure, match="group-inverse axiom residual"):
-                solvers._certified_group_inverse(chain, bad, A)
+                solvers._certified_group_inverse(chain, bad)
 
     @pytest.mark.parametrize("density", [DENSE, SPARSE], ids=["dense", "sparse"])
     def test_a_row_sum_free_defect_in_the_tail_fails_the_products(self, monkeypatch, density):
@@ -831,7 +843,7 @@ class TestNoGateGotWeaker:
         bad[790, 795] += self.DEFECT
         bad[790, 799] -= self.DEFECT
         with pytest.raises(SolverFailure, match="group-inverse axiom residual"):
-            solvers._certified_group_inverse(P, bad, solvers._difference(P))
+            solvers._certified_group_inverse(P, bad)
 
     def test_the_mm1_group_inverse_has_subnormal_entries(self):
         X = group_inverse(_mm1_skeleton())
@@ -867,7 +879,7 @@ class TestCertificateMemory:
         A = solvers._difference(P)
         R = solvers._fundamental_matrix(P, A)
         want = R - stationary_matrix(stationary_distribution(P))
-        X = solvers._certified_group_inverse(P, R, A)
+        X = solvers._certified_group_inverse(P, R)
         assert X is R
         assert np.array_equal(X, want)
 
