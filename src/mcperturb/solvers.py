@@ -406,7 +406,6 @@ def _certified_group_inverse(chain, R=None) -> np.ndarray:
     slow subnormal (a truncated tail of X is full of them); each entry moves
     by at most n 2^-511 max(||X||_max, ||A X||_max), 1.2e-148 on mm1(800).
     """
-    settings = chain.settings
     pi = stationary_distribution(chain)
     A = _difference(chain)
     X = _fundamental_matrix(chain, A) if R is None else R
@@ -425,15 +424,17 @@ def _certified_group_inverse(chain, R=None) -> np.ndarray:
     res = max(float(np.abs(XA, out=XA).max()), axa)
     del XA
     AX[np.abs(AX) < _TINY] = 0.0
-    XAX = np.where(np.abs(X) < _TINY, 0.0, X) @ AX
-    XAX -= X
+    AX = np.where(np.abs(X) < _TINY, 0.0, X) @ AX     # X (A X), in A X's place
+    AX -= X
     res = max(
         res,
-        float(np.abs(XAX, out=XAX).max()),
+        float(np.abs(AX, out=AX).max()),
         float(np.abs(X.sum(axis=1)).max()),
         float(np.abs(pi.values @ X).max()),
     )
-    _gate("group-inverse axiom residual", res, settings.inverse)
+    if not res <= chain.settings.inverse:   # the error's traceback keeps these locals
+        X = AX = R = None
+    _gate("group-inverse axiom residual", res, chain.settings.inverse)
     return X
 
 

@@ -883,6 +883,23 @@ class TestCertificateMemory:
         assert X is R
         assert np.array_equal(X, want)
 
+    def test_a_failed_certificate_leaves_no_matrix_on_its_traceback(self):
+        """A caller that keeps the error (and so its frames) keeps no n x n
+        buffer of the certificate alive with it."""
+        P = gallery_model("odd-even-p", 60).chain
+        bad = fundamental_matrix(P)
+        bad[30, 40] += 1e-6
+        with pytest.raises(SolverFailure, match="group-inverse axiom residual") as info:
+            solvers._certified_group_inverse(P, bad)
+        del bad
+        tb, held = info.value.__traceback__, []
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename == solvers.__file__:
+                held += [name for name, value in tb.tb_frame.f_locals.items()
+                         if isinstance(value, np.ndarray) and value.ndim == 2]
+            tb = tb.tb_next
+        assert held == []
+
     @pytest.mark.parametrize("spec,fn", [
         ("mm1", ctmc.ctmc_deviation_matrix),
         ("hessenberg-gi-m-1", group_inverse),
